@@ -134,12 +134,11 @@ class _BackwardSweep:
         if self.bidomain:
             from .assembly import reduced_operator
 
-            self.system, self.diag = reduced_operator(
+            self.system, self.precond = reduced_operator(
                 config.ops, self.dt, tol=config.inner_tol
             )
         else:
-            A, diag = config.monodomain_system()
-            self.system, self.diag = A, diag
+            self.system, self.precond = config.monodomain_system()
 
     def reaction_coeffs(self, k):
         """(F, f_w, s'_k, s'_{k-1}) frozen at the forward snapshot."""
@@ -172,7 +171,7 @@ class _BackwardSweep:
             load,
             weights=g.weights,
             measure=g.measure,
-            diag=ops.Kie_diag,
+            precond=ops.kie_precond,
             tol=self.config.inner_tol,
         )
 
@@ -185,7 +184,7 @@ class _BackwardSweep:
             ops.K_i @ p1,
             weights=g.weights,
             measure=g.measure,
-            diag=ops.Kie_diag,
+            precond=ops.kie_precond,
             tol=self.config.inner_tol,
             x0=x0,
         )
@@ -212,7 +211,7 @@ class _BackwardSweep:
                 rhs = rhs + dt * (self.config.ops.K_i @ psi_eta)
 
         p1 = cg_solve(
-            self.system, rhs, tol=self.config.cg_tol, diag=self.diag, x0=adj.p1
+            self.system, rhs, tol=self.config.cg_tol, precond=self.precond, x0=adj.p1
         )
         p2 = None
         if self.bidomain:

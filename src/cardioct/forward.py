@@ -84,10 +84,10 @@ class ProblemConfig:
                 raise ValueError(f"{name} lives on a different grid")
 
     def monodomain_system(self):
-        """Implicit matrix Mass + dt (lam/(1+lam)) K_i and its diagonal."""
+        """Implicit matrix Mass + dt (lam/(1+lam)) K_i and its spectral preconditioner."""
         coef = self.grid.dt * self.ops.lam / (1.0 + self.ops.lam)
         A = (sp.diags(self.ops.mass) + coef * self.ops.K_i).tocsr()
-        return A, A.diagonal()
+        return A, self.ops.step_precond(coef)
 
 
 @dataclass
@@ -115,12 +115,12 @@ def step_monodomain(state, config, k, *, system=None):
     """Advance one monodomain step from frame k to k+1."""
     if system is None:
         system = config.monodomain_system()
-    A, diag = system
+    A, precond = system
     g = config.grid
     dt, lam, mass = g.dt, config.ops.lam, config.ops.mass
     forcing = (lam * config.I_i.data[k] - config.I_e.data[k]) / (1.0 + lam)
     rhs = mass * (state.phi_tr - dt * _reaction(config, state.phi_tr, state.w) + dt * forcing)
-    phi_new = cg_solve(A, rhs, tol=config.cg_tol, diag=diag, x0=state.phi_tr)
+    phi_new = cg_solve(A, rhs, tol=config.cg_tol, precond=precond, x0=state.phi_tr)
     if config.no_reaction:
         w_new = state.w.copy()
     else:
@@ -139,7 +139,7 @@ def step_bidomain(state, config, k, *, system=None, caches=None):
     """Advance one bidomain step from frame k to k+1 (reduced form)."""
     if system is None:
         system = reduced_operator(config.ops, config.grid.dt, tol=config.inner_tol)
-    apply_op, diag = system
+    apply_op, precond = system
     g = config.grid
     dt, mass = g.dt, config.ops.mass
     caches = caches if caches is not None else {}
@@ -151,7 +151,7 @@ def step_bidomain(state, config, k, *, system=None, caches=None):
         cache=caches.setdefault("forcing", {}),
     )
     rhs = mass * (state.phi_tr - dt * _reaction(config, state.phi_tr, state.w)) + dt * S
-    phi_new = cg_solve(apply_op, rhs, tol=config.cg_tol, diag=diag, x0=state.phi_tr)
+    phi_new = cg_solve(apply_op, rhs, tol=config.cg_tol, precond=precond, x0=state.phi_tr)
     if config.no_reaction:
         w_new = state.w.copy()
     else:

@@ -9,7 +9,8 @@ trapezoid rule over the stored frames.
 
 The dual norm is a discrete surrogate for the (W^{1,2})* norm: the load
 is paired through the lumped weights and lifted through the Riesz
-operator K + M (identity-tensor stiffness plus lumped mass).
+operator K + M (identity-tensor stiffness plus lumped mass), which the
+grid's DCT-I basis (``Grid.spectral``) inverts exactly.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .linalg import cg_solve
+from .spectral import SpectralBasis
 
 MAGIC = b"BDMF"
 FORMAT_VERSION = 1
@@ -131,6 +133,17 @@ class Grid:
     @cached_property
     def times(self):
         return np.linspace(0.0, self.T, self.n_steps + 1)
+
+    @cached_property
+    def spectral(self):
+        """DCT-I eigenbasis of the lumped-mass grid operators."""
+        return SpectralBasis(self.nodes_per_axis, self.h)
+
+    @cached_property
+    def riesz_precond(self):
+        """Exact inverse of the Riesz operator K(identity) + M."""
+        basis = self.spectral
+        return basis.inverse(1.0 + basis.stiffness_eigenvalues((1.0,) * self.dim))
 
 
 def refined(grid, space=2, time=2):
@@ -396,12 +409,14 @@ def dual_norm(fld, riesz):
     """Discrete (W^{1,2})* surrogate norm of a nodal load.
 
     The load vector pairs the field through the lumped weights; the
-    Riesz lift solves (K + M) u = load and the norm is sqrt(load . u).
+    Riesz lift solves (K + M) u = load by CG preconditioned with
+    ``fld.grid.riesz_precond``, the exact spectral inverse of K + M
+    (one iteration), and the norm is sqrt(load . u).
     """
     load = fld.grid.weights * fld.values
     if not load.any():
         return 0.0
-    u = cg_solve(riesz, load, tol=1e-10)
+    u = cg_solve(riesz, load, tol=1e-10, precond=fld.grid.riesz_precond)
     return float(np.sqrt(max(load @ u, 0.0)))
 
 

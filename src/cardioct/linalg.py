@@ -1,8 +1,10 @@
-"""Jacobi-preconditioned conjugate gradients with optional constant deflation.
+"""Preconditioned conjugate gradients with optional constant deflation.
 
 One solver is used for every linear system in the package: lumped-mass
 parabolic steps, pure-Neumann elliptic solves (via deflation), Riesz
 solves for dual norms, and the matrix-free reduced bidomain operator.
+The package's callers pass the DCT-I spectral preconditioners of
+``spectral``; a caller that passes only a matrix gets Jacobi.
 """
 
 from __future__ import annotations
@@ -23,13 +25,16 @@ class SolverError(RuntimeError):
         self.iterations = iterations
 
 
-def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, deflate=False, x0=None):
+def cg_solve(
+    A, b, *, tol=1e-10, maxiter=None, diag=None, precond=None, deflate=False, x0=None
+):
     """Solve ``A x = b`` for symmetric positive (semi)definite ``A``.
 
     Parameters
     ----------
     A : scipy sparse matrix, or callable ``v -> A @ v``
-        Operator.  A callable must be accompanied by ``diag``.
+        Operator.  A callable must be accompanied by ``precond`` or
+        ``diag``.
     b : array
         Right-hand side.
     tol : float
@@ -37,14 +42,19 @@ def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, deflate=False, x0=None
     maxiter : int, optional
         Iteration cap; defaults to ``10 * n``.
     diag : array, optional
-        Diagonal of ``A`` for the Jacobi preconditioner.  Taken from
-        ``A.diagonal()`` when omitted.
+        Diagonal of ``A`` for the Jacobi preconditioner, used when no
+        ``precond`` is given.  Taken from ``A.diagonal()`` when omitted.
+    precond : callable, optional
+        Symmetric positive (semi)definite ``r -> z`` approximating
+        ``A^{-1} r``, such as ``SpectralBasis.inverse``.  Takes
+        precedence over ``diag``.
     deflate : bool
-        Project the constant vector out of the right-hand side and of
-        every preconditioned residual.  This makes the iteration well
-        posed for pure-Neumann stiffness systems, whose kernel is
-        spanned by constants; the returned iterate has zero Euclidean
-        mean and callers fix their preferred gauge afterwards.
+        Project the constant vector out of the right-hand side and
+        apply the preconditioner as ``Pi P Pi``, with ``Pi`` removing
+        the Euclidean mean, which keeps it symmetric.  This makes the
+        iteration well posed for pure-Neumann stiffness systems, whose
+        kernel is spanned by constants; the returned iterate has zero
+        Euclidean mean and callers fix their preferred gauge afterwards.
     x0 : array, optional
         Warm-start iterate.
 
@@ -59,18 +69,23 @@ def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, deflate=False, x0=None
         If the tolerance is not reached within ``maxiter`` iterations,
         or if a direction of nonpositive curvature shows up.
     """
-    if callable(A):
-        matvec = A
+    matvec = A if callable(A) else A.__matmul__
+    if precond is None:
         if diag is None:
-            raise ValueError("matrix-free cg_solve needs an explicit diag")
-    else:
-        matvec = A.__matmul__
-        if diag is None:
+            if callable(A):
+                raise ValueError("matrix-free cg_solve needs precond or diag")
             diag = A.diagonal()
-    diag = np.asarray(diag, dtype=float)
-    if np.any(diag <= 0.0):
-        raise ValueError("Jacobi preconditioner needs a positive diagonal")
-    inv_diag = 1.0 / diag
+        diag = np.asarray(diag, dtype=float)
+        if np.any(diag <= 0.0):
+            raise ValueError("Jacobi preconditioner needs a positive diagonal")
+        inv_diag = 1.0 / diag
+        precond = inv_diag.__mul__
+    if deflate:
+        inner = precond
+
+        def precond(r):
+            z = inner(r - r.mean())
+            return z - z.mean()
 
     b = np.asarray(b, dtype=float)
     n = b.size
@@ -99,9 +114,7 @@ def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, deflate=False, x0=None
             x = np.zeros(n)
             r = b.copy()
 
-    z = inv_diag * r
-    if deflate:
-        z = z - z.mean()
+    z = precond(r)
     p = z.copy()
     rz = float(r @ z)
     res = float(np.linalg.norm(r))
@@ -123,9 +136,7 @@ def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, deflate=False, x0=None
         if res <= target:
             it += 1
             break
-        z = inv_diag * r
-        if deflate:
-            z = z - z.mean()
+        z = precond(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new

@@ -1,0 +1,115 @@
+"""DCT-I spectral preconditioners for the structured-grid operators.
+
+On a uniform tensor grid with trapezoid-lumped mass W, the separable
+cosines v_k(j) = prod_a cos(k_a j_a pi / (n_a - 1)) are W-orthogonal and
+are generalized eigenvectors of the 1-D element operators.  Along one
+axis, with theta = k pi / (n - 1),
+
+    stiffness:        K1 v = lam_K W1 v,   lam_K = (2 - 2 cos theta) / h^2
+    consistent mass:  M1 v = lam_M W1 v,   lam_M = (2 + cos theta) / 3
+
+and the bilinear/trilinear stiffness of a constant diagonal tensor
+diag(c) is sum_a c_a K1_a (x) prod_{b != a} M1_b, so its eigenvalue is
+sum_a c_a lam_K_a prod_{b != a} lam_M_b.  Every operator the package
+solves with (lumped mass plus stiffness, the pure-Neumann stiffness,
+the reduced bidomain Schur complement) is then diagonal in this basis,
+and ``SpectralBasis.inverse`` applies its exact (pseudo-)inverse with
+two fast cosine transforms.  For variable tensors, such as rotating
+fibres, the inverse built from the cell-mean diagonal is spectrally
+equivalent to the operator, so preconditioned CG needs a number of
+iterations that does not grow under refinement.
+
+The DCT-I is computed as ``numpy.fft.rfft`` of the even extension; no
+other transform library is loaded.
+"""
+
+from __future__ import annotations
+
+from functools import reduce
+
+import numpy as np
+
+
+def dct1(x, axis):
+    """Unnormalized DCT-I along one axis.
+
+    y_j = x_0 + (-1)^j x_{n-1} + 2 sum_{0<k<n-1} x_k cos(pi j k / (n - 1)),
+    the real FFT of the even extension (x_0, ..., x_{n-1}, ..., x_1).
+    """
+    x = np.moveaxis(x, axis, -1)
+    ext = np.concatenate([x, x[..., -2:0:-1]], axis=-1)
+    return np.moveaxis(np.fft.rfft(ext, axis=-1).real, -1, axis)
+
+
+class SpectralBasis:
+    """The DCT-I eigenbasis of a grid's lumped-mass operators.
+
+    ``lam_K`` and ``lam_M`` hold, per axis, the 1-D stiffness and
+    consistent-mass eigenvalues relative to the trapezoid weights.
+    """
+
+    def __init__(self, nodes_per_axis, h):
+        self.shape = tuple(int(n) for n in nodes_per_axis)
+        self.lam_K, self.lam_M, halves = [], [], []
+        for n, step in zip(self.shape, h):
+            cos = np.cos(np.pi * np.arange(n) / (n - 1))
+            self.lam_K.append((2.0 - 2.0 * cos) / step**2)
+            self.lam_M.append((2.0 + cos) / 3.0)
+            half = np.full(n, 0.5)
+            half[0] = half[-1] = 1.0
+            halves.append(half)
+        # V x = C(half * x) with C the unnormalized DCT-I along every
+        # axis; V^T W V is diagonal with entries measure * half.
+        self._half = reduce(np.multiply.outer, halves)
+        measure = float(np.prod([(n - 1) * s for n, s in zip(self.shape, h)]))
+        self._norms = measure * self._half
+
+    def stiffness_eigenvalues(self, coeffs):
+        """Eigenvalues of the stiffness of the constant tensor diag(coeffs)."""
+        dim = len(self.shape)
+        total = np.zeros(self.shape)
+        for a, c in enumerate(coeffs):
+            factors = [self.lam_K[b] if b == a else self.lam_M[b] for b in range(dim)]
+            total += float(c) * reduce(np.multiply.outer, factors)
+        return total
+
+    def transform(self, x):
+        """V x: the cosine synthesis sum_k cos(...) x_k along every axis."""
+        y = x * self._half
+        for axis in range(y.ndim):
+            y = dct1(y, axis)
+        return y
+
+    def inverse(self, eigenvalues):
+        """Apply V diag(1/eigenvalues) (V^T W V)^{-1} V^T, flat vector in and out.
+
+        This is the inverse of the operator W V diag(eigenvalues) V^{-1};
+        modes with a zero eigenvalue get the inverse 0, which for the
+        pure-Neumann stiffness gives the pseudo-inverse whose result is
+        W-orthogonal to constants (zero weighted mean).  The map is
+        symmetric and positive semidefinite.
+        """
+        eig = np.asarray(eigenvalues, dtype=float)
+        positive = eig > 0.0
+        scale = np.zeros(self.shape)
+        scale[positive] = 1.0 / (self._norms[positive] * eig[positive])
+        shape = self.shape
+
+        def apply(r):
+            return self.transform(scale * self.transform(r.reshape(shape))).ravel()
+
+        return apply
+
+
+def reference_coefficients(K, grid):
+    """Per-axis cell means of the diagonal of the tensor that K was assembled from.
+
+    For the linear function u = x_a the discrete energy u^T K u is
+    exactly sum over cells of volume * M_aa, so the means are read off
+    the assembled matrix without the tensor.
+    """
+    out = []
+    for a in range(grid.dim):
+        x = grid.coords[:, a]
+        out.append(float(x @ (K @ x)) / grid.measure)
+    return tuple(out)

@@ -139,9 +139,15 @@ def test_reduced_operator_collapses_for_proportional_tensors():
     lam = 0.5
     mi = TensorField.isotropic(g, 1.0)
     ops = build_operators(g, mi, mi * lam, lam=lam)
-    apply_A, diag = reduced_operator(ops, g.dt)
+    apply_A, precond = reduced_operator(ops, g.dt)
     rng = np.random.default_rng(6)
     v = rng.standard_normal(g.n_nodes)
     expected = g.weights * v + g.dt * (lam / (1.0 + lam)) * (ops.K_i @ v)
     assert np.allclose(apply_A(v), expected, atol=1e-9)
-    assert np.all(diag > 0)
+    # the preconditioner is symmetric positive definite ...
+    u = rng.standard_normal(g.n_nodes)
+    assert u @ precond(v) == pytest.approx(v @ precond(u), rel=1e-12)
+    for x in (u, v):
+        assert x @ precond(x) > 0
+    # ... and for constant tensors it is the exact inverse of apply_A
+    assert np.linalg.norm(precond(apply_A(v)) - v) <= 1e-10 * np.linalg.norm(v)

@@ -71,3 +71,37 @@ def test_iteration_cap_raises():
     A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
     with pytest.raises(SolverError):
         cg_solve(A, np.array([1.0, 0.0]), tol=1e-14, maxiter=1)
+
+
+def test_exact_preconditioner_converges_in_one_iteration():
+    A = np.diag(np.linspace(1.0, 4.0, 20))
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return A @ v
+
+    b = np.linspace(1.0, 2.0, 20)
+    x = cg_solve(matvec, b, tol=1e-13, precond=lambda r: r / np.diag(A))
+    assert np.allclose(A @ x, b, atol=1e-12)
+    assert len(calls) == 1
+
+
+def test_precond_takes_precedence_over_diag():
+    A = sp.csr_matrix(np.diag([1.0, 2.0]))
+    # a nonpositive diag would be rejected on the Jacobi path
+    x = cg_solve(A, np.ones(2), diag=-np.ones(2), precond=lambda r: r / [1.0, 2.0])
+    assert np.allclose(x, [1.0, 0.5])
+
+
+def test_deflated_solve_with_preconditioner():
+    # P = I + 1 1^T shifts by a constant, which the deflation projects out
+    n = 9
+    main = 2.0 * np.ones(n)
+    main[0] = main[-1] = 1.0
+    A = sp.diags([-np.ones(n - 1), main, -np.ones(n - 1)], [-1, 0, 1], format="csr")
+    b = np.zeros(n)
+    b[0], b[-1] = 1.0, -1.0
+    x = cg_solve(A, b, tol=1e-12, deflate=True, precond=lambda r: r + r.sum())
+    assert abs(x.mean()) < 1e-12
+    assert np.linalg.norm(b - A @ x) < 1e-10

@@ -1,0 +1,115 @@
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from cardioct.assembly import assemble_stiffness
+from cardioct.grid import Grid, TensorField
+from cardioct.linalg import cg_solve
+from cardioct.spectral import dct1, reference_coefficients
+
+# unequal lengths and node counts in every dimension
+CASES = [
+    ((7,), (1.3,), (0.7,)),
+    ((9, 6), (1.0, 2.5), (1.0, 0.3)),
+    ((5, 7, 4), (1.0, 0.6, 2.0), (1.0, 0.5, 2.0)),
+]
+
+
+def _matrix(fn, n):
+    return np.column_stack([fn(e) for e in np.eye(n)])
+
+
+def test_dct1_matches_cosine_sum():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((6, 3))
+    j = np.arange(6)
+    c = np.full(6, 2.0)
+    c[0] = c[-1] = 1.0
+    C = c * np.cos(np.pi * np.outer(j, j) / 5)
+    assert np.allclose(dct1(x, 0), C @ x, atol=1e-13)
+    assert np.allclose(dct1(x.T, 1), (C @ x).T, atol=1e-13)
+
+
+@pytest.mark.parametrize("nodes, lengths, coeffs", CASES)
+def test_exact_inverse_of_mass_plus_stiffness(nodes, lengths, coeffs):
+    g = Grid(nodes, lengths, 1.0, 1)
+    K = assemble_stiffness(g, TensorField.diagonal(g, coeffs))
+    beta = 0.37
+    A = (sp.diags(g.weights) + beta * K).toarray()
+    basis = g.spectral
+    P = _matrix(basis.inverse(1.0 + beta * basis.stiffness_eigenvalues(coeffs)), g.n_nodes)
+    assert np.abs(P @ A - np.eye(g.n_nodes)).max() < 1e-12
+    assert np.abs(P - P.T).max() < 1e-12 * np.abs(P).max()
+
+
+@pytest.mark.parametrize("nodes, lengths, coeffs", CASES)
+def test_exact_pseudo_inverse_of_neumann_stiffness(nodes, lengths, coeffs):
+    g = Grid(nodes, lengths, 1.0, 1)
+    K = assemble_stiffness(g, TensorField.diagonal(g, coeffs))
+    assert np.allclose(reference_coefficients(K, g), coeffs, rtol=1e-12)
+    pinv = g.spectral.inverse(g.spectral.stiffness_eigenvalues(coeffs))
+    rng = np.random.default_rng(1)
+    r = rng.standard_normal(g.n_nodes)
+    r -= r.mean()  # compatible load
+    x = pinv(r)
+    assert np.abs(K @ x - r).max() < 1e-12 * np.abs(r).max()
+    assert abs(g.weights @ x) < 1e-12 * g.measure * np.abs(x).max()
+    # constants, the kernel of K, map to the weighted-mean gauge too
+    assert abs(g.weights @ pinv(np.ones(g.n_nodes))) < 1e-12
+
+
+def test_riesz_precond_inverts_riesz_operator():
+    g = Grid((6, 5, 4), (1.0, 2.0, 0.5), 1.0, 1)
+    R = (assemble_stiffness(g, TensorField.isotropic(g, 1.0)) + sp.diags(g.weights)).toarray()
+    P = _matrix(g.riesz_precond, g.n_nodes)
+    assert np.abs(P @ R - np.eye(g.n_nodes)).max() < 1e-12
+
+
+def test_preconditioner_is_symmetric_for_variable_tensors():
+    g = Grid((9, 11), (1.0, 1.5), 1.0, 1)
+    K = assemble_stiffness(g, _fibres(g))
+    basis = g.spectral
+    lam = basis.stiffness_eigenvalues(reference_coefficients(K, g))
+    for eig in (1.0 + 0.1 * lam, lam):
+        P = _matrix(basis.inverse(eig), g.n_nodes)
+        assert np.abs(P - P.T).max() < 1e-12 * np.abs(P).max()
+        assert np.linalg.eigvalsh(0.5 * (P + P.T)).min() > -1e-12 * np.abs(P).max()
+
+
+def _fibres(g):
+    """Rotating fibres with 10:1 anisotropy."""
+    x, y = np.meshgrid(*(0.5 * (c[1:] + c[:-1]) for c in g.axis_coords), indexing="ij")
+    a = 0.5 * np.pi * (x + y).ravel()
+    f = np.stack([np.cos(a), np.sin(a)], axis=1)
+    return TensorField(g, 0.1 * np.eye(2) + 0.9 * f[:, :, None] * f[:, None, :])
+
+
+def _iterations(A, b, **kwargs):
+    count = [0]
+
+    def matvec(v):
+        count[0] += 1
+        return A @ v
+
+    cg_solve(matvec, b, tol=1e-10, **kwargs)
+    return count[0]
+
+
+@pytest.mark.parametrize("system", ["step", "neumann"])
+def test_iteration_counts_do_not_grow_under_refinement(system):
+    spectral, jacobi = [], []
+    for n in (33, 65):
+        g = Grid((n, n), (1.0, 1.0), 1.0, 1)
+        K = assemble_stiffness(g, _fibres(g))
+        lam = g.spectral.stiffness_eigenvalues(reference_coefficients(K, g))
+        b = g.weights * np.random.default_rng(2).standard_normal(g.n_nodes)
+        if system == "step":
+            A, eig, deflate = (sp.diags(g.weights) + K).tocsr(), 1.0 + lam, False
+        else:
+            A, eig, deflate = K, lam, True
+        spectral.append(
+            _iterations(A, b, precond=g.spectral.inverse(eig), deflate=deflate)
+        )
+        jacobi.append(_iterations(A, b, diag=A.diagonal(), deflate=deflate))
+    assert max(spectral) <= 1.3 * min(spectral)
+    assert all(s < j for s, j in zip(spectral, jacobi))
