@@ -20,7 +20,7 @@ equivalent (mesh-independent iteration counts) otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
@@ -159,8 +159,8 @@ class SystemOperators:
     intra+extracellular stiffness (None for monodomain-only use), mass
     the lumped diagonal, riesz the dual-norm lift K(identity) + M, and
     lam the extra/intra conductivity ratio used by the monodomain
-    reduction.  The spectral eigenvalues and preconditioners are built
-    on first use.
+    reduction.  The spectral eigenvalues and preconditioners, and the
+    monodomain step matrices, are built on first use.
     """
 
     grid: Grid
@@ -171,6 +171,7 @@ class SystemOperators:
     K_ie: sp.csr_matrix | None = None
     mi: TensorField | None = None
     me: TensorField | None = None
+    _step_systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def spectrum_i(self):
@@ -193,9 +194,13 @@ class SystemOperators:
         """Spectral pseudo-inverse of K_ie for the deflated elliptic solves."""
         return self.grid.spectral.inverse(self.spectrum_ie)
 
-    def step_precond(self, coef):
-        """Spectral inverse of Mass + coef * K_i."""
-        return self.grid.spectral.inverse(1.0 + coef * self.spectrum_i)
+    def step_system(self, coef):
+        """Matrix Mass + coef * K_i and its spectral inverse, built once per coef."""
+        if coef not in self._step_systems:
+            A = (sp.diags(self.mass) + coef * self.K_i).tocsr()
+            precond = self.grid.spectral.inverse(1.0 + coef * self.spectrum_i)
+            self._step_systems[coef] = (A, precond)
+        return self._step_systems[coef]
 
 
 def build_operators(grid, mi, me=None, lam=1.0):

