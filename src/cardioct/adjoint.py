@@ -289,8 +289,9 @@ def adjoint_report(config, p1, p3, p2, r_series):
     """Norm bundle for the adjoint energy estimate."""
     rep = NormReport()
     rep["C0_L2_p1"] = gridmod.bochner_norm(p1, np.inf, "L2")
-    rep["L2_H1_p1"] = gridmod.bochner_norm(p1, 2, "H1")
-    rep["L4_H1_p1"] = gridmod.bochner_norm(p1, 4, "H1")
+    h1_p1 = gridmod.h1_frame_norms(p1)
+    rep["L2_H1_p1"] = gridmod.time_norm(p1.grid, h1_p1, 2)
+    rep["L4_H1_p1"] = gridmod.time_norm(p1.grid, h1_p1, 4)
     rep["C0_L2_p3"] = gridmod.bochner_norm(p3, np.inf, "L2")
     if p2 is not None:
         rep["L2_H1_p2"] = gridmod.bochner_norm(p2, 2, "H1")

@@ -157,16 +157,16 @@ class SystemOperators:
 
     K_i is the intracellular stiffness, K_ie the combined
     intra+extracellular stiffness (None for monodomain-only use), mass
-    the lumped diagonal, riesz the dual-norm lift K(identity) + M, and
-    lam the extra/intra conductivity ratio used by the monodomain
-    reduction.  The spectral eigenvalues and preconditioners, and the
-    monodomain step matrices, are built on first use.
+    the lumped diagonal, and lam the extra/intra conductivity ratio used
+    by the monodomain reduction.  The spectral eigenvalues and
+    preconditioners, and the monodomain step matrices, are built on
+    first use.  The dual norms need no operator: ``grid`` reads them
+    off the DCT-I coefficients.
     """
 
     grid: Grid
     mass: np.ndarray
     K_i: sp.csr_matrix
-    riesz: sp.csr_matrix
     lam: float
     K_ie: sp.csr_matrix | None = None
     mi: TensorField | None = None
@@ -211,13 +211,10 @@ def build_operators(grid, mi, me=None, lam=1.0):
     if me is not None:
         ellipticity_check(me)
         K_ie = assemble_stiffness(grid, mi + me)
-    mass = assemble_mass(grid)
-    riesz = assemble_stiffness(grid, TensorField.isotropic(grid, 1.0)) + sp.diags(mass)
     return SystemOperators(
         grid=grid,
-        mass=mass,
+        mass=assemble_mass(grid),
         K_i=K_i,
-        riesz=riesz.tocsr(),
         lam=float(lam),
         K_ie=K_ie,
         mi=mi,

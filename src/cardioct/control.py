@@ -79,7 +79,7 @@ def control_inner(a, b):
     """L2(Omega x (0,T)) inner product with rectangle time weights."""
     g = a.grid
     tw = rectangle_weights(g)
-    return float(np.einsum("k,ki,i,ki->", tw, a.data, g.weights, b.data))
+    return float(tw @ ((a.data * b.data) @ g.weights))
 
 
 def control_norm(a):
@@ -128,13 +128,13 @@ def evaluate_cost(traj, control, cost):
         if series is None:
             raise ValueError("cost tracks a quantity the trajectory does not carry")
         dev = series.data - (target.data if target is not None else 0.0)
-        return 0.5 * weight * float(np.einsum("k,ki,i->", tw, dev * dev, g.weights))
+        return 0.5 * weight * float(tw @ ((dev * dev) @ g.weights))
 
     total += track(traj.phi_tr, cost.phi_des, cost.w_phi)
     total += track(traj.phi_e, cost.eta_des, cost.w_eta)
     total += track(traj.w, None, cost.w_gate)
     reg = control.data * chi
-    total += 0.5 * cost.mu * float(np.einsum("k,ki,i->", tw, reg * reg, g.weights))
+    total += 0.5 * cost.mu * float(tw @ ((reg * reg) @ g.weights))
     return total
 
 

@@ -7,10 +7,14 @@ matrix, so ``integrate``, the Lp norms and the mass operator all agree
 on what volume means.  Time integrals in the Bochner norms use the
 trapezoid rule over the stored frames.
 
-The dual norm is a discrete surrogate for the (W^{1,2})* norm: the load
-is paired through the lumped weights and lifted through the Riesz
-operator K + M (identity-tensor stiffness plus lumped mass), which the
-grid's DCT-I basis (``Grid.spectral``) inverts exactly.
+The H1 norm is the lumped L2 part plus a cell-difference quadrature
+of |grad u|^2.  The dual norm is a discrete surrogate for the
+(W^{1,2})* norm: the load is paired through the lumped weights and
+measured against the Riesz operator K + M (identity-tensor stiffness
+plus lumped mass).  Both are diagonal in the grid's DCT-I basis
+(``Grid.spectral``), so they are weighted sums of squares of the
+coefficients V^T W x (``Grid.coefficients``), read off one batched
+transform of all frames of a series with no linear solve.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .linalg import cg_solve
 from .spectral import SpectralBasis
 
 MAGIC = b"BDMF"
@@ -140,10 +143,24 @@ class Grid:
         return SpectralBasis(self.nodes_per_axis, self.h)
 
     @cached_property
-    def riesz_precond(self):
-        """Exact inverse of the Riesz operator K(identity) + M."""
+    def h1_weights(self):
+        """Flat weights (1 + mu) / N: ||x||_H1^2 = sum weights * c^2, c = V^T W x."""
         basis = self.spectral
-        return basis.inverse(1.0 + basis.stiffness_eigenvalues((1.0,) * self.dim))
+        return ((1.0 + basis.gradient_eigenvalues()) / basis._norms).ravel()
+
+    @cached_property
+    def dual_weights(self):
+        """Flat weights 1 / (N (1 + lam)): ||x||_*^2 = sum weights * c^2, c = V^T W x.
+
+        ||x||_*^2 = load . (K(identity) + M)^{-1} load with load = W x.
+        """
+        basis = self.spectral
+        lam = basis.stiffness_eigenvalues((1.0,) * self.dim)
+        return (1.0 / (basis._norms * (1.0 + lam))).ravel()
+
+    def coefficients(self, data):
+        """DCT-I coefficients V^T W x of each row of ``data`` (one field or a stack)."""
+        return self.spectral.transform(data * self.weights)
 
 
 def refined(grid, space=2, time=2):
@@ -349,30 +366,25 @@ def lp_norm(fld, p):
     return float((fld.grid.weights @ (v2 * v2)) ** 0.25)
 
 
-def _grad_sq_integral(fld):
-    """Integral of |grad field|^2 from cell-centered axis differences."""
-    g = fld.grid
-    v = fld.values_nd
-    total = 0.0
-    for axis in range(g.dim):
-        d = np.diff(v, axis=axis) / g.h[axis]
-        for other in range(g.dim):
-            if other == axis:
-                continue
-            sl_lo = [slice(None)] * g.dim
-            sl_hi = [slice(None)] * g.dim
-            sl_lo[other] = slice(None, -1)
-            sl_hi[other] = slice(1, None)
-            d = 0.5 * (d[tuple(sl_lo)] + d[tuple(sl_hi)])
-        total += g.cell_volume * float(np.sum(d * d))
-    return total
+def coefficient_norms(coeffs, weights):
+    """sqrt(sum weights * c^2) over the last axis of DCT-I coefficients.
+
+    With ``Grid.h1_weights`` this is the H^1 norm, with
+    ``Grid.dual_weights`` the dual norm, of each field the rows of
+    ``coeffs`` were computed from by ``Grid.coefficients``.
+    """
+    return np.sqrt((coeffs * coeffs) @ weights)
 
 
 def h1_norm(fld):
-    """Discrete H^1 norm: lumped L^2 part plus cell-quadrature gradient part."""
-    v = fld.values
-    l2sq = float(fld.grid.weights @ (v * v))
-    return float(np.sqrt(l2sq + _grad_sq_integral(fld)))
+    """Discrete H^1 norm: lumped L^2 part plus cell-quadrature gradient part.
+
+    The gradient part differences along each axis and averages the two
+    cell-edge nodes along the others; it is read off the DCT-I
+    coefficients together with the L^2 part (``Grid.h1_weights``).
+    """
+    g = fld.grid
+    return float(coefficient_norms(g.coefficients(fld.values), g.h1_weights))
 
 
 def zero_mean_project(fld):
@@ -381,43 +393,68 @@ def zero_mean_project(fld):
     return ScalarField(fld.grid, fld.values - shift)
 
 
-_SPATIAL_NORMS = {
-    "L2": lambda f: lp_norm(f, 2),
-    "L4": lambda f: lp_norm(f, 4),
-    "H1": h1_norm,
-}
+def _l2_frames(series):
+    return np.sqrt((series.data * series.data) @ series.grid.weights)
+
+
+def _l4_frames(series):
+    sq = series.data * series.data
+    return ((sq * sq) @ series.grid.weights) ** 0.25
+
+
+def h1_frame_norms(series):
+    """H^1 norm of every frame of a series from one batched transform."""
+    g = series.grid
+    return coefficient_norms(g.coefficients(series.data), g.h1_weights)
+
+
+def dual_frame_norms(series):
+    """Dual norm of every frame of a series from one batched transform."""
+    g = series.grid
+    return coefficient_norms(g.coefficients(series.data), g.dual_weights)
+
+
+_FRAME_NORMS = {"L2": _l2_frames, "L4": _l4_frames, "H1": h1_frame_norms}
+
+
+def time_norm(grid, per_frame, p_time):
+    """Time-Lp norm (trapezoid weights) or, for p_time = inf, max of per-frame values."""
+    if p_time == np.inf:
+        return float(np.max(per_frame))
+    if p_time not in (1, 2, 4):
+        raise ValueError(f"unsupported time exponent {p_time}")
+    tw = time_weights(grid)
+    return float((tw @ per_frame**p_time) ** (1.0 / p_time))
 
 
 def bochner_norm(series, p_time, spatial):
     """Time-Lp norm of a spatial norm over the frames of a series.
 
-    ``spatial`` is "L2", "L4" or "H1" (or any callable on ScalarField);
-    ``p_time`` is 1, 2, 4 or inf.  Finite p uses trapezoid weights in
-    time, inf takes the max over frames (the discrete C^0 norm).
+    ``spatial`` is "L2", "L4" or "H1", each evaluated for all frames in
+    one vectorised pass (H1 through one batched DCT-I), or any callable
+    on ScalarField, evaluated frame by frame.  ``p_time`` is 1, 2, 4 or
+    inf.  Finite p uses trapezoid weights in time, inf takes the max
+    over frames (the discrete C^0 norm).
     """
-    fn = _SPATIAL_NORMS.get(spatial, spatial)
-    per_frame = np.array([fn(series.frame(k)) for k in range(series.n_frames)])
-    if p_time == np.inf:
-        return float(np.max(per_frame))
-    if p_time not in (1, 2, 4):
-        raise ValueError(f"unsupported time exponent {p_time}")
-    tw = time_weights(series.grid)
-    return float((tw @ per_frame**p_time) ** (1.0 / p_time))
+    frames = _FRAME_NORMS.get(spatial)
+    if frames is not None:
+        per_frame = frames(series)
+    else:
+        per_frame = np.array([spatial(series.frame(k)) for k in range(series.n_frames)])
+    return time_norm(series.grid, per_frame, p_time)
 
 
-def dual_norm(fld, riesz):
+def dual_norm(fld):
     """Discrete (W^{1,2})* surrogate norm of a nodal load.
 
-    The load vector pairs the field through the lumped weights; the
-    Riesz lift solves (K + M) u = load by CG preconditioned with
-    ``fld.grid.riesz_precond``, the exact spectral inverse of K + M
-    (one iteration), and the norm is sqrt(load . u).
+    The load vector W x pairs the field through the lumped weights, and
+    the norm is sqrt(load . (K + M)^{-1} load) with the Riesz operator
+    K(identity) + M.  That operator is diagonal in the DCT-I basis, so
+    the norm is read off the coefficients c = V^T W x as
+    sqrt(sum c^2 / (N (1 + lam))) (``Grid.dual_weights``), with no solve.
     """
-    load = fld.grid.weights * fld.values
-    if not load.any():
-        return 0.0
-    u = cg_solve(riesz, load, tol=1e-10, precond=fld.grid.riesz_precond)
-    return float(np.sqrt(max(load @ u, 0.0)))
+    g = fld.grid
+    return float(coefficient_norms(g.coefficients(fld.values), g.dual_weights))
 
 
 # ---------------------------------------------------------------------------

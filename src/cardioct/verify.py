@@ -49,10 +49,8 @@ from .grid import (
     Grid,
     ScalarField,
     TensorField,
-    dual_norm,
     lp_norm,
     refined,
-    time_weights,
 )
 from .ionic import IonicParams
 
@@ -61,13 +59,9 @@ from .ionic import IonicParams
 # norm bundles
 
 
-def _series_dual_l2_sq(series, riesz):
+def _series_dual_l2_sq(series):
     """Squared L2-in-time dual norm of a data series (trapezoid in time)."""
-    tw = time_weights(series.grid)
-    vals = np.array(
-        [dual_norm(series.frame(k), riesz) for k in range(series.n_frames)]
-    )
-    return float(tw @ vals**2)
+    return gridmod.time_norm(series.grid, gridmod.dual_frame_norms(series), 2) ** 2
 
 
 def _w12_l2_sq(series):
@@ -130,7 +124,6 @@ def stability_experiment(config, direction, scales, *, spread_bound=2.0):
         raise ValueError("perturbation scales must be positive")
 
     base = run_forward(config, report=False)
-    riesz = config.ops.riesz
     g = config.grid
     lhs_list, rhs_list, ratios = [], [], []
     for s in scales:
@@ -143,7 +136,7 @@ def stability_experiment(config, direction, scales, *, spread_bound=2.0):
         lhs = difference_bundle(base, pert, config.kind)
         d_ii = FieldSeries(g, s * dIi.data)
         d_ie = FieldSeries(g, pert.I_e_used.data - base.I_e_used.data)
-        rhs = _series_dual_l2_sq(d_ii, riesz) + _series_dual_l2_sq(d_ie, riesz)
+        rhs = _series_dual_l2_sq(d_ii) + _series_dual_l2_sq(d_ie)
         lhs_list.append(lhs)
         rhs_list.append(rhs)
         ratios.append(lhs / rhs if rhs > 0 else np.inf)
@@ -297,14 +290,13 @@ def apriori_check(result, config):
     )
     if "L2_H1_phie" in rep:
         lhs += rep["L2_H1_phie"] ** 2
-    riesz = config.ops.riesz
     I_e = result.I_e_used if result.I_e_used is not None else config.I_e
     rhs = (
         1.0
         + lp_norm(config.phi0, 2) ** 2
         + lp_norm(config.w0, 2) ** 2
-        + _series_dual_l2_sq(config.I_i, riesz)
-        + _series_dual_l2_sq(I_e, riesz)
+        + _series_dual_l2_sq(config.I_i)
+        + _series_dual_l2_sq(I_e)
     )
     return AprioriReport(lhs=float(lhs), rhs=float(rhs))
 

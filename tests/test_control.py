@@ -69,6 +69,23 @@ def test_control_inner_is_an_inner_product(rng):
     assert control_norm(u) == pytest.approx(np.sqrt(control_inner(u, u)), rel=1e-13)
 
 
+def test_inner_and_cost_match_the_weighted_double_sum(rng):
+    g = Grid((7, 5), (1.0, 0.6), 1.0, 4)
+    u = FieldSeries(g, rng.standard_normal((5, g.n_nodes)))
+    v = FieldSeries(g, rng.standard_normal((5, g.n_nodes)))
+    tw = rectangle_weights(g)
+    direct = sum(tw[k] * sum(u.data[k] * g.weights * v.data[k]) for k in range(5))
+    assert control_inner(u, v) == pytest.approx(direct, rel=1e-13)
+    cost = CostConfig(mu=0.3, w_phi=2.0, phi_des=v)
+    traj = replace(zero_traj(g), phi_tr=u)
+    J = evaluate_cost(traj, u, cost)
+    dev = u.data - v.data
+    direct = sum(
+        tw[k] * sum(g.weights * (dev[k] ** 2 + 0.15 * u.data[k] ** 2)) for k in range(5)
+    )
+    assert J == pytest.approx(direct, rel=1e-13)
+
+
 def test_apply_q_masks_frames(rng):
     g = Grid((17,), (1.0,), 1.0, 4)
     mask = box_mask(g, (0.25,), (0.75,))

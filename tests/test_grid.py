@@ -20,7 +20,6 @@ from cardioct.grid import (
     write_snapshots,
     zero_mean_project,
 )
-from cardioct.assembly import build_operators
 
 
 def test_grid_basic_geometry():
@@ -117,16 +116,14 @@ def test_bochner_norm_matches_direct_sum():
 
 def test_dual_norm_of_constant_is_its_magnitude():
     g = Grid((33,), (1.0,), 1.0, 1)
-    ops = build_operators(g, TensorField.isotropic(g, 1.0))
     f = ScalarField.constant(g, 2.5)
-    assert dual_norm(f, ops.riesz) == pytest.approx(2.5, rel=1e-10)
+    assert dual_norm(f) == pytest.approx(2.5, rel=1e-10)
 
 
 def test_dual_norm_below_l2():
     g = Grid((33,), (1.0,), 1.0, 1)
-    ops = build_operators(g, TensorField.isotropic(g, 1.0))
     f = ScalarField.from_function(g, lambda x: np.sin(3 * np.pi * x))
-    assert dual_norm(f, ops.riesz) <= lp_norm(f, 2) + 1e-10
+    assert dual_norm(f) <= lp_norm(f, 2) + 1e-10
 
 
 def test_refined_doubles_resolution():

@@ -48,3 +48,29 @@ def test_forward_runs_load_no_heavy_scipy_modules():
         timeout=120,
     )
     assert out.stdout.split() == []
+
+
+def test_norm_report_solves_nothing(monkeypatch):
+    # The report reads its norms off DCT-I coefficients, so every CG call
+    # of a monodomain run is one implicit time step.  cg_solve is counted
+    # under every name it has in the loaded package modules.
+    import cardioct.forward as forward
+    import cardioct.grid as grid
+    import cardioct.linalg as linalg
+    from conftest import make_problem
+
+    assert not hasattr(grid, "cg_solve")
+    original = linalg.cg_solve
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cardioct") and getattr(mod, "cg_solve", None) is original:
+            monkeypatch.setattr(mod, "cg_solve", counted)
+    g = grid.Grid((9, 7), (1.0, 0.8), 0.2, 5)
+    res = forward.run_forward(make_problem(g, stimulus=2.0))
+    assert "L43_dual_dphi_dt" in res.report
+    assert len(calls) == g.n_steps

@@ -1,0 +1,122 @@
+"""The spectral H1 and dual norms against their direct definitions."""
+
+import numpy as np
+import pytest
+
+from conftest import make_problem
+from cardioct.assembly import assemble_stiffness
+from cardioct.forward import run_forward
+from cardioct.grid import (
+    FieldSeries,
+    Grid,
+    ScalarField,
+    TensorField,
+    bochner_norm,
+    dual_norm,
+    h1_norm,
+    time_weights,
+)
+
+# unequal lengths and node counts, one axis with only two nodes
+GRIDS = [
+    ((33,), (1.3,)),
+    ((2,), (0.4,)),
+    ((9, 13), (1.0, 2.5)),
+    ((7, 2), (0.6, 1.1)),
+    ((6, 5, 4), (1.0, 2.0, 0.5)),
+    ((5, 2, 7), (0.8, 0.3, 1.7)),
+]
+
+
+def _grad_sq_integral(fld):
+    """Integral of |grad field|^2 from cell-centered axis differences."""
+    g = fld.grid
+    v = fld.values_nd
+    total = 0.0
+    for axis in range(g.dim):
+        d = np.diff(v, axis=axis) / g.h[axis]
+        for other in range(g.dim):
+            if other == axis:
+                continue
+            sl_lo = [slice(None)] * g.dim
+            sl_hi = [slice(None)] * g.dim
+            sl_lo[other] = slice(None, -1)
+            sl_hi[other] = slice(1, None)
+            d = 0.5 * (d[tuple(sl_lo)] + d[tuple(sl_hi)])
+        total += g.cell_volume * float(np.sum(d * d))
+    return total
+
+
+def _h1_direct(fld):
+    v = fld.values
+    return np.sqrt(fld.grid.weights @ (v * v) + _grad_sq_integral(fld))
+
+
+def _series(g, seed):
+    rng = np.random.default_rng(seed)
+    return FieldSeries(g, rng.standard_normal((g.n_steps + 1, g.n_nodes)))
+
+
+@pytest.mark.parametrize("nodes, lengths", GRIDS)
+def test_h1_norm_matches_cell_differences(nodes, lengths):
+    g = Grid(nodes, lengths, 1.0, 4)
+    s = _series(g, 5)
+    per_frame = np.array([_h1_direct(s.frame(k)) for k in range(s.n_frames)])
+    for k in range(s.n_frames):
+        assert h1_norm(s.frame(k)) == pytest.approx(per_frame[k], rel=1e-13)
+    tw = time_weights(g)
+    for p in (2, 4):
+        direct = (tw @ per_frame**p) ** (1.0 / p)
+        assert bochner_norm(s, p, "H1") == pytest.approx(direct, rel=1e-13)
+    assert bochner_norm(s, np.inf, "H1") == pytest.approx(per_frame.max(), rel=1e-13)
+
+
+@pytest.mark.parametrize("nodes, lengths", GRIDS)
+def test_dual_norm_matches_riesz_solve(nodes, lengths):
+    g = Grid(nodes, lengths, 1.0, 1)
+    R = assemble_stiffness(g, TensorField.isotropic(g, 1.0)).toarray() + np.diag(g.weights)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        f = ScalarField(g, rng.standard_normal(g.n_nodes))
+        load = g.weights * f.values
+        direct = np.sqrt(load @ np.linalg.solve(R, load))
+        assert dual_norm(f) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("nodes, lengths", GRIDS)
+def test_batched_transform_equals_per_frame(nodes, lengths):
+    g = Grid(nodes, lengths, 1.0, 3)
+    data = _series(g, 11).data
+    basis = g.spectral
+    batched = basis.transform(data)
+    assert batched.shape == data.shape
+    for k, row in enumerate(data):
+        single = basis.transform(row.reshape(nodes))
+        assert single.shape == nodes
+        assert np.abs(batched[k] - single.ravel()).max() <= 1e-14 * np.abs(single).max()
+    stacked = basis.transform(data.reshape((2, -1) + nodes))
+    assert np.array_equal(stacked.reshape(data.shape), batched)
+
+
+@pytest.mark.parametrize("kind, grid", [
+    ("monodomain", Grid((17,), (1.0,), 0.3, 6)),
+    ("bidomain", Grid((9, 7), (1.0, 0.8), 0.2, 4)),
+])
+def test_report_rates_match_frame_by_frame_dual_norms(kind, grid):
+    cfg = make_problem(grid, kind=kind, stimulus=2.0)
+    res = run_forward(cfg)
+    dt = grid.dt
+
+    def rates(series):
+        return np.array([
+            dual_norm(ScalarField(grid, (series.data[k + 1] - series.data[k]) / dt))
+            for k in range(grid.n_steps)
+        ])
+
+    dphi, dw = rates(res.phi_tr), rates(res.w)
+    assert res.report["L43_dual_dphi_dt"] == pytest.approx(
+        (dt * np.sum(dphi ** (4.0 / 3.0))) ** 0.75, rel=1e-12
+    )
+    assert res.report["L2_dual_dw_dt"] == pytest.approx(
+        np.sqrt(dt * np.sum(dw**2)), rel=1e-12
+    )

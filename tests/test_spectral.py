@@ -61,10 +61,12 @@ def test_exact_pseudo_inverse_of_neumann_stiffness(nodes, lengths, coeffs):
     assert abs(g.weights @ pinv(np.ones(g.n_nodes))) < 1e-12
 
 
-def test_riesz_precond_inverts_riesz_operator():
+def test_dual_weights_invert_riesz_operator():
+    # V diag(dual_weights) V^T is the inverse of R = K(identity) + M
     g = Grid((6, 5, 4), (1.0, 2.0, 0.5), 1.0, 1)
     R = (assemble_stiffness(g, TensorField.isotropic(g, 1.0)) + sp.diags(g.weights)).toarray()
-    P = _matrix(g.riesz_precond, g.n_nodes)
+    V = _matrix(g.spectral.transform, g.n_nodes)
+    P = V @ (g.dual_weights[:, None] * V.T)
     assert np.abs(P @ R - np.eye(g.n_nodes)).max() < 1e-12
 
 
