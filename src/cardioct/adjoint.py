@@ -220,20 +220,6 @@ class _BackwardSweep:
         return state, psi_eta
 
 
-def step_adjoint_monodomain(adj, config, traj, cost, k):
-    """Public single-step monodomain adjoint update (level k+1 -> k)."""
-    sweep = _BackwardSweep(config, traj, cost)
-    state, _ = sweep.step(adj, k)
-    return state
-
-
-def step_adjoint_bidomain(adj, config, traj, cost, k):
-    """Public single-step bidomain adjoint update (level k+1 -> k)."""
-    sweep = _BackwardSweep(config, traj, cost)
-    state, _ = sweep.step(adj, k)
-    return state
-
-
 def run_adjoint(config, traj, cost, *, report=True):
     """Integrate the adjoint system backward from zero terminal data.
 

@@ -2,10 +2,21 @@
 
 Stiffness matrices come from bilinear/trilinear elements on the box
 cells with a cellwise-constant symmetric conductivity tensor and
-2-point Gauss quadrature per axis (exact for these integrands).  The
-mass matrix is lumped to the tensor-trapezoid weights, which is the
-row-sum lumping of the consistent element mass and keeps the operator
-algebra consistent with ``grid.integrate``.
+2-point Gauss quadrature per axis (exact for these integrands).  On
+the structured grid every element entry Ke[a, b] couples a node to
+the node at the fixed offset corner_b - corner_a in {-1, 0, 1}^dim,
+so the matrix is a 3^dim-point stencil with node-dependent weights.
+The entries with a nonnegative flat offset are summed into one
+stencil array per offset, one slice-add over the cells per corner
+pair; the weights of each negative offset are a shifted copy of its
+mirror (K[i, i + d] = K[i + d, i]), so K is exactly symmetric with no
+symmetrization pass.  Rows are the nodes in C order and the offsets
+ascend in flat order, so dropping the out-of-grid and exactly-zero
+entries leaves CSR arrays with sorted columns, written directly (no
+COO triplets, no index sort, no transpose).  The mass matrix is
+lumped to the tensor-trapezoid weights, which is the row-sum lumping
+of the consistent element mass and keeps the operator algebra
+consistent with ``grid.integrate``.
 
 The reduced bidomain operator is a Schur complement: applying A_h to u
 solves the intra+extra stiffness system K_ie psi = K_i u and returns
@@ -41,7 +52,6 @@ __all__ = [
     "assemble_mass",
     "check_operator",
     "build_operators",
-    "monodomain_form",
     "cg_solve",
     "solve_neumann",
     "bidomain_elliptic_solve",
@@ -62,16 +72,27 @@ def ellipticity_check(tensor):
     """Validate a tensor field and return (mu1, mu2) eigenvalue bounds.
 
     mu1 is the smallest eigenvalue over all cells, mu2 the largest;
-    both are cached on the tensor.  Raises EllipticityError for
+    both are cached on the tensor.  Cells whose off-diagonal entries
+    are all zero are read off their diagonal; only the others go
+    through ``eigvalsh``.  Raises EllipticityError for non-finite,
     non-symmetric or non-positive-definite cells.
     """
     e = tensor.entries
+    if not np.isfinite(e).all():
+        raise EllipticityError("tensor has a non-finite entry")
     scale = float(np.max(np.abs(e))) or 1.0
-    if float(np.max(np.abs(e - np.swapaxes(e, 1, 2)))) > 1e-12 * scale:
+    i, j = np.triu_indices(e.shape[1], 1)
+    upper, lower = e[:, i, j], e[:, j, i]
+    if float(np.abs(upper - lower).max(initial=0.0)) > 1e-12 * scale:
         raise EllipticityError("tensor has a non-symmetric cell")
-    eigs = np.linalg.eigvalsh(e)
-    mu1 = float(eigs[:, 0].min())
-    mu2 = float(eigs[:, -1].max())
+    diag = np.diagonal(e, axis1=1, axis2=2).T.copy()  # (dim, n_cells): fast axis-0 reductions
+    lo, hi = diag.min(axis=0), diag.max(axis=0)
+    full = (lower != 0.0).any(axis=1)  # eigvalsh reads the lower triangle
+    if full.any():
+        eigs = np.linalg.eigvalsh(e[full])
+        lo[full], hi[full] = eigs[:, 0], eigs[:, -1]
+    mu1 = float(lo.min())
+    mu2 = float(hi.max())
     if mu1 <= 0.0:
         raise EllipticityError(f"tensor is not uniformly elliptic (min eigenvalue {mu1:g})")
     tensor.mu1, tensor.mu2 = mu1, mu2
@@ -102,36 +123,49 @@ def _reference_gradients(dim):
     return G, w
 
 
-def _cell_connectivity(grid):
-    """Node indices of each cell's corners, shape (n_cells, 2**dim)."""
-    cells_shape = tuple(n - 1 for n in grid.nodes_per_axis)
-    base = np.indices(cells_shape).reshape(grid.dim, -1).T
-    conn = np.empty((grid.n_cells, 2**grid.dim), dtype=np.int64)
-    for ci, bits in enumerate(product((0, 1), repeat=grid.dim)):
-        conn[:, ci] = np.ravel_multi_index(
-            tuple(base[:, k] + bits[k] for k in range(grid.dim)), grid.nodes_per_axis
-        )
-    return conn
-
-
 def assemble_stiffness(grid, tensor):
-    """Assemble the stiffness matrix for int grad(u)^T M grad(v) dx."""
+    """Assemble the CSR stiffness matrix for int grad(u)^T M grad(v) dx.
+
+    Built as a 3^dim-point stencil (see the module docstring); the
+    result is exactly symmetric with sorted columns.
+    """
     if tensor.mu1 is None:
         ellipticity_check(tensor)
-    G, w = _reference_gradients(grid.dim)
+    dim, nodes = grid.dim, grid.nodes_per_axis
+    G, w = _reference_gradients(dim)
     Gp = G / np.asarray(grid.h)  # physical gradients
     Ke = grid.cell_volume * np.einsum(
         "g,gak,ckm,gbm->cab", w, Gp, tensor.entries, Gp, optimize=True
     )
-    conn = _cell_connectivity(grid)
-    nloc = conn.shape[1]
-    rows = np.repeat(conn, nloc, axis=1).ravel()
-    cols = np.tile(conn, (1, nloc)).ravel()
-    K = sp.coo_matrix(
-        (Ke.ravel(), (rows, cols)), shape=(grid.n_nodes, grid.n_nodes)
-    ).tocsr()
-    K = 0.5 * (K + K.T)
-    return check_operator(K.tocsr())
+    Ke = Ke.reshape(tuple(n - 1 for n in nodes) + Ke.shape[1:])
+
+    n_offsets = 3**dim
+    strides = np.cumprod((1,) + nodes[:0:-1])[::-1]
+    deltas = np.array(list(product((-1, 0, 1), repeat=dim)))
+    offsets = deltas @ strides  # ascending: C order of deltas
+    corners = list(product((0, 1), repeat=dim))
+    stencil = np.zeros((n_offsets,) + nodes)
+    for a, alpha in enumerate(corners):
+        rows = tuple(slice(c, c + n - 1) for c, n in zip(alpha, nodes))
+        for b, beta in enumerate(corners):
+            s = np.ravel_multi_index(np.subtract(beta, alpha) + 1, (3,) * dim)
+            if offsets[s] >= 0:
+                stencil[(s,) + rows] += Ke[..., a, b]
+    for s in range(n_offsets // 2):
+        # K[i, i + delta] = K[i + delta, i], stored under the mirror offset
+        dst = tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(deltas[s], nodes))
+        src = tuple(slice(max(0, d), n - max(0, -d)) for d, n in zip(deltas[s], nodes))
+        stencil[(s,) + dst] = stencil[(n_offsets - 1 - s,) + src]
+
+    # out-of-grid entries were never written, so they are zero like true zeros
+    stencil = stencil.reshape(n_offsets, -1).T
+    keep = stencil != 0.0
+    n = grid.n_nodes
+    index = np.int32 if n_offsets * n < 2**31 else np.int64
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    cols = np.arange(n, dtype=index)[:, None] + offsets.astype(index)
+    return sp.csr_matrix((stencil[keep], cols[keep], indptr), shape=(n, n))
 
 
 def assemble_mass(grid):
@@ -224,12 +258,6 @@ def build_operators(grid, mi, me=None, lam=1.0):
 
 def _values(u):
     return u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
-
-
-def monodomain_form(ops, u, v):
-    """The monodomain bilinear form (lam/(1+lam)) int grad(u)^T M_i grad(v)."""
-    uu, vv = _values(u), _values(v)
-    return float(ops.lam / (1.0 + ops.lam) * (uu @ (ops.K_i @ vv)))
 
 
 def solve_neumann(K, load_vec, *, weights, measure, precond=None, tol=1e-11, x0=None):

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .adjoint import CostConfig, run_adjoint
-from .assembly import CompatibilityError, build_operators
+from .assembly import CompatibilityError, EllipticityError, build_operators
 from .control import (
     ControlProblem,
     LineSearchStagnation,
@@ -561,7 +561,7 @@ def main(argv=None):
         return 2
     try:
         return dispatch(args)
-    except ConfigError as exc:
+    except (ConfigError, EllipticityError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except (SolverError, DivergenceError, CompatibilityError, LineSearchStagnation) as exc:

@@ -6,7 +6,7 @@ re-evaluate the same functions on finer grids instead of interpolating.
 
 from __future__ import annotations
 
-from itertools import product
+from functools import reduce
 
 import numpy as np
 
@@ -64,19 +64,16 @@ def seeded_smooth_series(grid, rng, amplitude=1.0, modes=2):
 
     Spatial basis: products of cos(pi m x / L) per axis, m <= modes;
     time basis: sin(pi q t / T), q = 1..modes.  Coefficients come from
-    ``rng``; the result is rescaled to the requested max amplitude.
+    ``rng`` in one draw, row m_tuple (C order) and column q; the result
+    is rescaled to the requested max amplitude.
     """
-    t = grid.times
-    data = np.zeros((grid.n_steps + 1, grid.n_nodes))
-    for m_tuple in product(range(modes + 1), repeat=grid.dim):
-        basis = np.ones(grid.shape)
-        for ax, m in enumerate(m_tuple):
-            x = grid.meshgrid[ax]
-            basis = basis * np.cos(np.pi * m * x / grid.lengths[ax])
-        flat = basis.ravel()
-        for q in range(1, modes + 1):
-            coef = rng.standard_normal()
-            data += coef * np.outer(np.sin(np.pi * q * t / grid.T), flat)
+    m = np.arange(modes + 1)
+    q = np.arange(1, modes + 1)
+    coef = rng.standard_normal(((modes + 1) ** grid.dim, modes))
+    tables = [np.cos((np.pi * m)[:, None] * x / L) for x, L in zip(grid.axis_coords, grid.lengths)]
+    space = reduce(np.kron, tables)  # row m_tuple (C order), column node
+    time = np.sin((np.pi * q) * grid.times[:, None] / grid.T)
+    data = time @ (coef.T @ space)
     peak = np.max(np.abs(data))
     if peak > 0:
         data *= amplitude / peak

@@ -1,11 +1,15 @@
+from itertools import product
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardioct.assembly import (
     CompatibilityError,
     EllipticityError,
+    _reference_gradients,
     assemble_mass,
     assemble_stiffness,
     bidomain_elliptic_solve,
@@ -60,6 +64,108 @@ def test_stiffness_row_sums_vanish(seed):
     assert np.max(np.abs(np.asarray(K.sum(axis=1)).ravel())) < 1e-12
 
 
+def _coo_stiffness(grid, tensor):
+    """Reference assembly: COO triplets per cell corner pair, then 0.5 (K + K^T)."""
+    G, w = _reference_gradients(grid.dim)
+    Gp = G / np.asarray(grid.h)
+    Ke = grid.cell_volume * np.einsum(
+        "g,gak,ckm,gbm->cab", w, Gp, tensor.entries, Gp, optimize=True
+    )
+    cells_shape = tuple(n - 1 for n in grid.nodes_per_axis)
+    base = np.indices(cells_shape).reshape(grid.dim, -1).T
+    conn = np.empty((grid.n_cells, 2**grid.dim), dtype=np.int64)
+    for ci, bits in enumerate(product((0, 1), repeat=grid.dim)):
+        conn[:, ci] = np.ravel_multi_index(
+            tuple(base[:, k] + bits[k] for k in range(grid.dim)), grid.nodes_per_axis
+        )
+    nloc = conn.shape[1]
+    rows = np.repeat(conn, nloc, axis=1).ravel()
+    cols = np.tile(conn, (1, nloc)).ravel()
+    K = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(grid.n_nodes, grid.n_nodes)).tocsr()
+    return (0.5 * (K + K.T)).tocsr()
+
+
+GRIDS = [
+    ((7,), (1.3,)),
+    ((2,), (0.4,)),
+    ((9, 6), (1.0, 2.5)),
+    ((2, 7), (0.3, 1.0)),
+    ((5, 7, 4), (1.0, 0.6, 2.0)),
+    ((4, 2, 5), (2.0, 0.5, 1.0)),
+]
+
+
+def _random_spd(grid, rng):
+    B = rng.standard_normal((grid.n_cells, grid.dim, grid.dim))
+    return TensorField(grid, B @ B.transpose(0, 2, 1) + 0.1 * np.eye(grid.dim))
+
+
+def _fibres(grid):
+    """0.1 I + 0.9 f f^T with f rotating in the first two axes across the cells."""
+    centres = np.meshgrid(*(0.5 * (c[1:] + c[:-1]) for c in grid.axis_coords), indexing="ij")
+    a = 0.5 * np.pi * sum(c.ravel() for c in centres)
+    f = np.stack([np.cos(a), np.sin(a), np.zeros_like(a)], axis=1)[:, : grid.dim]
+    return TensorField(grid, 0.1 * np.eye(grid.dim) + 0.9 * f[:, :, None] * f[:, None, :])
+
+
+def _assert_matches_oracle(grid, tensor):
+    K = assemble_stiffness(grid, tensor)
+    ref = _coo_stiffness(grid, tensor)
+    assert K.has_canonical_format
+    assert (K - K.T).nnz == 0
+    assert abs(K - ref).max() <= 1e-14 * abs(ref).max()
+    return K, ref
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(GRIDS), st.integers(0, 2**31 - 1))
+def test_stiffness_matches_coo_oracle_on_random_spd_cells(case, seed):
+    g = Grid(*case, 1.0, 1)
+    _assert_matches_oracle(g, _random_spd(g, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("nodes, lengths", GRIDS)
+def test_stiffness_matches_coo_oracle_on_diagonal_and_fibre_tensors(nodes, lengths):
+    g = Grid(nodes, lengths, 1.0, 1)
+    for tensor in (TensorField.diagonal(g, np.arange(1.0, g.dim + 1.0)), _fibres(g)):
+        K, ref = _assert_matches_oracle(g, tensor)
+        assert K.nnz == ref.nnz
+
+
+@pytest.mark.parametrize(
+    "nodes, coeffs",
+    [((25,) * 3, (1.0, 0.5, 0.25)), ((65,) * 2, (1.0, 0.5)), ((17,) * 2, (1.6, 1.6))],
+)
+def test_stiffness_stores_the_oracles_entries_on_benchmark_tensors(nodes, coeffs):
+    g = Grid(nodes, (1.0,) * len(nodes), 1.0, 1)
+    K, ref = _assert_matches_oracle(g, TensorField.diagonal(g, coeffs))
+    assert K.nnz == ref.nnz
+
+
+def test_build_operators_uses_no_coo_and_no_transpose(monkeypatch):
+    calls = {"coo": 0, "transpose": 0}
+    coo_init, transpose = sp.coo_matrix.__init__, sp.csr_matrix.transpose
+
+    def counting_coo_init(self, *args, **kwargs):
+        calls["coo"] += 1
+        coo_init(self, *args, **kwargs)
+
+    def counting_transpose(self, *args, **kwargs):
+        calls["transpose"] += 1
+        return transpose(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.coo_matrix, "__init__", counting_coo_init)
+    monkeypatch.setattr(sp.csr_matrix, "transpose", counting_transpose)
+    g = Grid((6, 5, 4), (1.0, 0.8, 0.6), 1.0, 1)
+    mi = TensorField.diagonal(g, (1.0, 0.5, 0.25))
+    ops = build_operators(g, mi, _fibres(g), lam=1.0)
+    assert ops.K_ie is not None
+    assert calls == {"coo": 0, "transpose": 0}
+    # the counters see the calls the guarded path would make
+    _coo_stiffness(g, mi)
+    assert calls["coo"] >= 1 and calls["transpose"] >= 1
+
+
 def test_ellipticity_rejects_indefinite_tensor():
     g = Grid((5,), (1.0,), 1.0, 1)
     with pytest.raises(EllipticityError):
@@ -69,6 +175,38 @@ def test_ellipticity_rejects_indefinite_tensor():
 def test_ellipticity_rejects_asymmetric_tensor():
     g = Grid((3, 3), (1.0, 1.0), 1.0, 1)
     entries = np.tile(np.array([[1.0, 0.5], [0.0, 1.0]]), (g.n_cells, 1, 1))
+    with pytest.raises(EllipticityError):
+        ellipticity_check(TensorField(g, entries))
+
+
+def _mixed_tensor(grid, rng):
+    """Random SPD cells with every other cell replaced by a random positive diagonal."""
+    entries = _random_spd(grid, rng).entries
+    entries[::2] = np.eye(grid.dim) * rng.uniform(0.1, 3.0, (entries[::2].shape[0], 1, grid.dim))
+    return entries
+
+
+@pytest.mark.parametrize("nodes, lengths", GRIDS)
+def test_ellipticity_bounds_match_eigvalsh_on_mixed_cells(nodes, lengths):
+    g = Grid(nodes, lengths, 1.0, 1)
+    entries = _mixed_tensor(g, np.random.default_rng(7))
+    eigs = np.linalg.eigvalsh(entries)
+    assert ellipticity_check(TensorField(g, entries)) == (eigs[:, 0].min(), eigs[:, -1].max())
+
+
+@pytest.mark.parametrize(
+    "bad_cell",
+    [
+        np.diag([1.0, -0.5]),  # indefinite, diagonal only
+        np.array([[1.0, 2.0], [2.0, 1.0]]),  # indefinite with positive diagonal
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        np.diag([np.inf, 1.0]),
+    ],
+)
+def test_ellipticity_rejects_bad_cell_among_mixed_cells(bad_cell):
+    g = Grid((5, 4), (1.0, 1.0), 1.0, 1)
+    entries = _mixed_tensor(g, np.random.default_rng(8))
+    entries[5] = bad_cell
     with pytest.raises(EllipticityError):
         ellipticity_check(TensorField(g, entries))
 

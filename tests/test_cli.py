@@ -95,6 +95,17 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config:")
 
 
+@pytest.mark.parametrize("mi", ["-1.0", "nan"])
+def test_non_elliptic_tensor_is_a_config_error(tmp_path, capsys, mi):
+    p = tmp_path / "bad.ini"
+    p.write_text(BASE.replace("[system]\n", f"[system]\nmi = {mi}\n"))
+    code = main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_missing_config_exit_code(tmp_path, capsys):
     code = main(["simulate", "--out", str(tmp_path / "o")])
     assert code == 2
