@@ -13,14 +13,20 @@ step of reversed time, alpha = e^{-eps dt}):
                                 - dt r_phi^k ]           (+ eta lift)
 
 where pb^k is the step-midpoint potential (phi^k + phi^{k+1})/2 and
-(r_phi, r_eta, r_w) are the running-cost partials.  D is the
-monodomain operator or the reduced bidomain Schur operator.  In the
-bidomain case the zero-mean elliptic multiplier
+(r_phi, r_eta, r_w) are the running-cost partials, evaluated once per
+frame.  D is the monodomain operator or the reduced bidomain operator
+A_h = K_i - K_i K_ie^+ K_i.  In the bidomain case the p1 equation
+carries the eta-tracking lift dt K_i psi_eta^k, with
+K_ie psi_eta^k = Mass r_eta^k, and the zero-mean elliptic multiplier
 
     K_ie p2^k = -K_i p1^k - Mass r_eta^k        (zero-mean gauge)
 
-is stored per frame, and the eta-tracking lift dt K_i psi_eta^k with
-K_ie psi_eta^k = Mass r_eta^k is added to the p1 equation.
+is stored per frame (r_eta shifted to weighted zero mean throughout).
+Both come from one solve of the forward step's coupled block system
+(``assembly.solve_coupled_step``) with the load [rhs; -dt Mass r_eta]:
+its Schur complement on p1 is the lifted p1 equation, and its second
+block is p2.  psi_eta itself is still solved for, because the control
+gradient reads it.
 
 With the running cost integrated by the left-rectangle rule in time,
 this backward sweep is the exact discrete transpose of the forward
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as gridmod
-from .assembly import solve_neumann
+from .assembly import reduced_operator, solve_coupled_step, solve_neumann
 from .forward import ForwardResult, ProblemConfig
 from .grid import FieldSeries, NormReport, ScalarField
 from .ionic import d_i_ion, gating_source_slope
@@ -132,13 +138,9 @@ class _BackwardSweep:
             self.alpha = float(np.exp(-config.ionic.eps * self.dt))
         self.bidomain = config.kind == "bidomain"
         if self.bidomain:
-            from .assembly import reduced_operator
-
-            self.system, self.precond = reduced_operator(
-                config.ops, self.dt, tol=config.inner_tol
-            )
+            self.system = reduced_operator(config.ops, self.dt)
         else:
-            self.system, self.precond = config.monodomain_system()
+            self.system = config.monodomain_system()
 
     def reaction_coeffs(self, k):
         """(F, f_w, s'_k, s'_{k-1}) frozen at the forward snapshot."""
@@ -158,12 +160,15 @@ class _BackwardSweep:
             sp_prev = sp_k
         return F, f_w, sp_k, sp_prev
 
-    def eta_lift(self, r_eta):
-        """Zero-mean lift psi_eta of the eta-tracking partial (bidomain)."""
+    def eta_load(self, r_eta):
+        """Mass r_bar of the weighted-zero-mean eta-tracking partial (bidomain)."""
+        g = self.config.grid
+        return self.mass * (r_eta - (g.weights @ r_eta) / g.measure)
+
+    def eta_lift(self, load):
+        """Zero-mean lift psi_eta, K_ie psi_eta = ``load`` (bidomain)."""
         ops = self.config.ops
         g = self.config.grid
-        r = r_eta - (g.weights @ r_eta) / g.measure
-        load = ops.mass * r
         if not load.any():
             return np.zeros(g.n_nodes)
         return solve_neumann(
@@ -175,25 +180,14 @@ class _BackwardSweep:
             tol=self.config.inner_tol,
         )
 
-    def elliptic_multiplier(self, p1, psi_eta, x0=None):
-        """p2 = -K_ie^+ (K_i p1) - psi_eta, zero-mean."""
-        ops = self.config.ops
-        g = self.config.grid
-        lift = solve_neumann(
-            ops.K_ie,
-            ops.K_i @ p1,
-            weights=g.weights,
-            measure=g.measure,
-            precond=ops.kie_precond,
-            tol=self.config.inner_tol,
-            x0=x0,
-        )
-        return -lift - psi_eta
+    def step(self, adj, k, partials):
+        """One backward step, from level k+1 data in ``adj`` to level k.
 
-    def step(self, adj, k, *, x0_p2=None):
-        """One backward step, from level k+1 data in ``adj`` to level k."""
+        ``partials`` are the running-cost partials (r_phi, r_eta, r_w)
+        at frame k.
+        """
         dt, alpha, mass = self.dt, self.alpha, self.mass
-        r_phi, r_eta, r_w = cost_partials(self.cost, self.traj, k)
+        r_phi, r_eta, r_w = partials
         F, f_w, sp_k, sp_prev = self.reaction_coeffs(k)
 
         p3 = alpha * adj.p3 - dt * f_w * adj.p1 - dt * r_w
@@ -204,20 +198,15 @@ class _BackwardSweep:
         )
         rhs = mass * rhs_nodal
 
-        psi_eta = None
-        if self.bidomain:
-            psi_eta = self.eta_lift(r_eta)
-            if psi_eta.any():
-                rhs = rhs + dt * (self.config.ops.K_i @ psi_eta)
-
-        p1 = cg_solve(
-            self.system, rhs, tol=self.config.cg_tol, precond=self.precond, x0=adj.p1
+        if not self.bidomain:
+            A, precond = self.system
+            p1 = cg_solve(A, rhs, tol=self.config.cg_tol, precond=precond, x0=adj.p1)
+            return AdjointState(p1=p1, p3=p3, t=k * dt), None
+        load = self.eta_load(r_eta)
+        p1, p2 = solve_coupled_step(
+            self.config.ops, self.system, rhs, -dt * load, tol=self.config.cg_tol
         )
-        p2 = None
-        if self.bidomain:
-            p2 = self.elliptic_multiplier(p1, psi_eta, x0=x0_p2)
-        state = AdjointState(p1=p1, p3=p3, t=k * dt, p2=p2)
-        return state, psi_eta
+        return AdjointState(p1=p1, p3=p3, t=k * dt, p2=p2), self.eta_lift(load)
 
 
 def run_adjoint(config, traj, cost, *, report=True):
@@ -236,31 +225,22 @@ def run_adjoint(config, traj, cost, *, report=True):
     p3 = FieldSeries.zeros(g)
     p2 = FieldSeries.zeros(g) if sweep.bidomain else None
     psi_eta = FieldSeries.zeros(g) if sweep.bidomain else None
-    r_series = {
-        "r_phi": FieldSeries.zeros(g),
-        "r_eta": FieldSeries.zeros(g),
-        "r_w": FieldSeries.zeros(g),
-    }
+    names = ("r_phi", "r_eta", "r_w")
+    r_series = {name: FieldSeries.zeros(g) for name in names}
     for k in range(n + 1):
-        rp, re, rw = cost_partials(cost, traj, k)
-        r_series["r_phi"].data[k] = rp
-        r_series["r_eta"].data[k] = re
-        r_series["r_w"].data[k] = rw
+        for name, r in zip(names, cost_partials(cost, traj, k)):
+            r_series[name].data[k] = r
 
     if sweep.bidomain:
         # Terminal elliptic multiplier from the terminal cost partials
         # (p1(T) = 0, so only the eta term can contribute).
-        psi_eta.data[n] = sweep.eta_lift(r_series["r_eta"].data[n])
+        psi_eta.data[n] = sweep.eta_lift(sweep.eta_load(r_series["r_eta"].data[n]))
         p2.data[n] = -psi_eta.data[n]
 
-    state = AdjointState(
-        p1=p1.data[n].copy(),
-        p3=p3.data[n].copy(),
-        t=g.T,
-        p2=p2.data[n].copy() if sweep.bidomain else None,
-    )
+    state = AdjointState(p1=p1.data[n].copy(), p3=p3.data[n].copy(), t=g.T)
     for k in range(n - 1, -1, -1):
-        state, lift = sweep.step(state, k, x0_p2=state.p2)
+        partials = tuple(r_series[name].data[k] for name in names)
+        state, lift = sweep.step(state, k, partials)
         p1.data[k] = state.p1
         p3.data[k] = state.p3
         if sweep.bidomain:

@@ -18,15 +18,23 @@ lumped to the tensor-trapezoid weights, which is the row-sum lumping
 of the consistent element mass and keeps the operator algebra
 consistent with ``grid.integrate``.
 
-The reduced bidomain operator is a Schur complement: applying A_h to u
-solves the intra+extra stiffness system K_ie psi = K_i u and returns
-K_i u - K_i psi, which collapses to (lam/(1+lam)) K_i u whenever the
-extracellular tensor is lam times the intracellular one.
+One bidomain step is the coupled block system
+
+    [[Mass + dt K_i, dt K_i], [dt K_i, dt K_ie]] [phi; psi] = [f; g]
+
+(``reduced_operator``, ``solve_coupled_step``).  It is symmetric
+positive semidefinite with kernel (0, constants), and its Schur
+complement on phi is Mass + dt A_h with the reduced bidomain operator
+A_h = K_i - K_i K_ie^+ K_i, which collapses to (lam/(1+lam)) K_i
+whenever the extracellular tensor is lam times the intracellular one.
+Solving the block system with one flat PCG avoids the inner K_ie
+solve that every application of the Schur complement would need.
 
 Every solve is CG preconditioned in the grid's DCT-I eigenbasis
 (``spectral``), with eigenvalues taken from the per-axis cell means of
 each tensor's diagonal: exact for constant diagonal tensors, spectrally
-equivalent (mesh-independent iteration counts) otherwise.
+equivalent (mesh-independent iteration counts) otherwise.  The block
+system gets one 2x2 inverse per mode.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ __all__ = [
     "bidomain_elliptic_solve",
     "reduced_rhs_S",
     "reduced_operator",
+    "solve_coupled_step",
 ]
 
 
@@ -134,10 +143,14 @@ def assemble_stiffness(grid, tensor):
     dim, nodes = grid.dim, grid.nodes_per_axis
     G, w = _reference_gradients(dim)
     Gp = G / np.asarray(grid.h)  # physical gradients
-    Ke = grid.cell_volume * np.einsum(
-        "g,gak,ckm,gbm->cab", w, Gp, tensor.entries, Gp, optimize=True
-    )
-    Ke = Ke.reshape(tuple(n - 1 for n in nodes) + Ke.shape[1:])
+    # Ke[a, b, c] = |cell| sum_km T[k, m, a, b] M_c[k, m], one matmul over the cells,
+    # with T[k, m, a, b] = sum_g w_g Gp[g, a, k] Gp[g, b, m] summed by BLAS over g; in
+    # this order the entries that vanish on constant diagonal tensors come out exactly
+    # zero.  The cells are the fast axis, so each Ke[a, b] below is a contiguous read.
+    T = np.tensordot(w[:, None, None] * Gp, Gp, axes=(0, 0)).transpose(1, 3, 0, 2)
+    n_corners = 2**dim
+    Ke = T.reshape(dim * dim, n_corners**2).T @ tensor.entries.reshape(-1, dim * dim).T
+    Ke = grid.cell_volume * Ke.reshape((n_corners, n_corners) + tuple(n - 1 for n in nodes))
 
     n_offsets = 3**dim
     strides = np.cumprod((1,) + nodes[:0:-1])[::-1]
@@ -150,7 +163,7 @@ def assemble_stiffness(grid, tensor):
         for b, beta in enumerate(corners):
             s = np.ravel_multi_index(np.subtract(beta, alpha) + 1, (3,) * dim)
             if offsets[s] >= 0:
-                stencil[(s,) + rows] += Ke[..., a, b]
+                stencil[(s,) + rows] += Ke[a, b]
     for s in range(n_offsets // 2):
         # K[i, i + delta] = K[i + delta, i], stored under the mirror offset
         dst = tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(deltas[s], nodes))
@@ -193,9 +206,10 @@ class SystemOperators:
     intra+extracellular stiffness (None for monodomain-only use), mass
     the lumped diagonal, and lam the extra/intra conductivity ratio used
     by the monodomain reduction.  The spectral eigenvalues and
-    preconditioners, and the monodomain step matrices, are built on
-    first use.  The dual norms need no operator: ``grid`` reads them
-    off the DCT-I coefficients.
+    preconditioners, the extracellular stiffness K_e and the monodomain
+    and coupled bidomain step systems are built on first use.  The dual
+    norms need no operator: ``grid`` reads them off the DCT-I
+    coefficients.
     """
 
     grid: Grid
@@ -206,6 +220,7 @@ class SystemOperators:
     mi: TensorField | None = None
     me: TensorField | None = None
     _step_systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _coupled_systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def spectrum_i(self):
@@ -224,6 +239,13 @@ class SystemOperators:
         )
 
     @cached_property
+    def K_e(self):
+        """Extracellular stiffness K_ie - K_i, for the coupled bidomain step."""
+        if self.K_ie is None:
+            raise ValueError("operators were built without an extracellular tensor")
+        return (self.K_ie - self.K_i).tocsr()
+
+    @cached_property
     def kie_precond(self):
         """Spectral pseudo-inverse of K_ie for the deflated elliptic solves."""
         return self.grid.spectral.inverse(self.spectrum_ie)
@@ -235,6 +257,25 @@ class SystemOperators:
             precond = self.grid.spectral.inverse(1.0 + coef * self.spectrum_i)
             self._step_systems[coef] = (A, precond)
         return self._step_systems[coef]
+
+    def coupled_system(self, dt):
+        """Coupled bidomain step operator and its block inverse, built once per dt.
+
+        See ``reduced_operator``; ``apply`` costs two sparse products,
+        K_i (phi + psi) and K_e psi.
+        """
+        if dt not in self._coupled_systems:
+            K_i, K_e, mass, n = self.K_i, self.K_e, self.mass, self.grid.n_nodes
+
+            def apply(x):
+                phi, psi = x[:n], x[n:]
+                k_sum = K_i @ (phi + psi)
+                return np.concatenate((mass * phi + dt * k_sum, dt * (k_sum + K_e @ psi)))
+
+            lam_i, lam_ie = self.spectrum_i, self.spectrum_ie
+            precond = self.grid.spectral.block_inverse(1.0 + dt * lam_i, dt * lam_i, dt * lam_ie)
+            self._coupled_systems[dt] = (apply, precond)
+        return self._coupled_systems[dt]
 
 
 def build_operators(grid, mi, me=None, lam=1.0):
@@ -273,6 +314,17 @@ def solve_neumann(K, load_vec, *, weights, measure, precond=None, tol=1e-11, x0=
     return x - (weights @ x) / measure
 
 
+def _require_compatible(load):
+    """Reject a pure-Neumann load whose total exceeds 1e-8 times its norm."""
+    norm = float(np.linalg.norm(load))
+    total = float(load.sum())
+    if abs(total) > 1e-8 * norm:
+        raise CompatibilityError(
+            f"elliptic load integrates to {total:.3e} (norm {norm:.3e}); "
+            "enforce compatibility first"
+        )
+
+
 def bidomain_elliptic_solve(ops, load, *, nodal=True, tol=1e-11, x0=None):
     """Solve K_ie phi_e = load with zero-flux boundaries and zero-mean gauge.
 
@@ -287,16 +339,10 @@ def bidomain_elliptic_solve(ops, load, *, nodal=True, tol=1e-11, x0=None):
     lv = _values(load)
     if nodal:
         lv = ops.mass * lv
-    norm = float(np.linalg.norm(lv))
-    if norm == 0.0:
+    if not lv.any():
         out = np.zeros(ops.grid.n_nodes)
         return ScalarField(ops.grid, out) if is_field else out
-    total = float(lv.sum())
-    if abs(total) > 1e-8 * norm:
-        raise CompatibilityError(
-            f"elliptic load integrates to {total:.3e} (norm {norm:.3e}); "
-            "enforce compatibility first"
-        )
+    _require_compatible(lv)
     x = solve_neumann(
         ops.K_ie,
         lv,
@@ -309,39 +355,50 @@ def bidomain_elliptic_solve(ops, load, *, nodal=True, tol=1e-11, x0=None):
     return ScalarField(ops.grid, x) if is_field else x
 
 
-def reduced_rhs_S(ops, I_i, I_e, *, tol=1e-11, cache=None):
-    """Forcing load of the reduced transmembrane system.
+def reduced_rhs_S(ops, I_i, I_e, *, tol=1e-11):
+    """Forcing load of the reduced (Schur) transmembrane system.
 
     Lifts the total current I_i + I_e through the extracellular solve
     (psi_e, zero-mean) and returns the load vector Mass I_i - K_i psi_e.
     With M_e = lam M_i this equals Mass (lam I_i - I_e)/(1+lam), the
-    monodomain forcing.
+    monodomain forcing.  The coupled step does not need it: its second
+    block row carries the lift.
     """
     ii, ie = _values(I_i), _values(I_e)
-    x0 = cache.get("psibar") if cache is not None else None
-    psibar = bidomain_elliptic_solve(ops, ii + ie, nodal=True, tol=tol, x0=x0)
-    if cache is not None:
-        cache["psibar"] = psibar
+    psibar = bidomain_elliptic_solve(ops, ii + ie, nodal=True, tol=tol)
     return ops.mass * ii - ops.K_i @ psibar
 
 
-def reduced_operator(ops, dt, *, tol=1e-11):
-    """Matrix-free application of Mass + dt * A_h plus its preconditioner.
+def reduced_operator(ops, dt):
+    """Coupled block operator of one bidomain step and its preconditioner.
 
-    A_h is the Schur complement K_i - K_i K_ie^+ K_i; each application
-    performs one deflated inner CG solve with K_ie.  The preconditioner
-    is the spectral inverse of the Schur complement of the reference
-    tensors, eigenvalues 1 + dt (lam_i - lam_i^2 / lam_ie) (the kernel
-    mode gets 1), exact when both tensors are constant and diagonal.
+    Returns ``(apply, precond)`` on stacked vectors [phi; psi] of length
+    2 N for the block matrix [[Mass + dt K_i, dt K_i], [dt K_i, dt K_ie]]
+    of the module docstring, memoized per dt on ``ops``.  The
+    preconditioner inverts, mode by mode, the DCT-I blocks
+    [[1 + dt lam_i, dt lam_i], [dt lam_i, dt lam_ie]] of the reference
+    tensors, with the pseudo-inverse [[1, 0], [0, 0]] on the constant
+    mode (lam_ie = 0); it is exact when both tensors are constant and
+    diagonal.
+
+    The name is that of the reduced operator Mass + dt A_h, the block's
+    Schur complement on phi.  It stays because ``perfbench/tracing.py``
+    looks the function up by name and times the returned ``apply`` as
+    ``assembly.reduced_apply``.
     """
-    K_i, mass = ops.K_i, ops.mass
-    inner = ops.kie_precond
+    return ops.coupled_system(dt)
 
-    def apply(v):
-        Kv = K_i @ v
-        psi = cg_solve(ops.K_ie, Kv, tol=tol, precond=inner, deflate=True)
-        return mass * v + dt * (Kv - K_i @ psi)
 
-    lam_i, lam_ie = ops.spectrum_i, ops.spectrum_ie
-    schur = lam_i - np.divide(lam_i**2, lam_ie, out=np.zeros_like(lam_i), where=lam_ie > 0)
-    return apply, ops.grid.spectral.inverse(1.0 + dt * schur)
+def solve_coupled_step(ops, system, f, g, *, tol):
+    """Solve the coupled step system ``system = reduced_operator(ops, dt)``.
+
+    ``g`` is the load of the psi row, which must sum to zero (to 1e-8
+    of its norm; CompatibilityError otherwise); its roundoff-level
+    Euclidean mean is removed.  The block PCG starts cold.  Returns
+    (phi, psi) with psi in the weighted zero-mean gauge.
+    """
+    _require_compatible(g)
+    apply, precond = system
+    x = cg_solve(apply, np.concatenate((f, g - g.mean())), tol=tol, precond=precond)
+    phi, psi = x[: f.size], x[f.size :]
+    return phi, psi - (ops.grid.weights @ psi) / ops.grid.measure

@@ -9,10 +9,17 @@ exponential relaxation with the source at the step midpoint:
 
 For the monodomain system D = (lam/(1+lam)) K_i and the forcing is
 F^k = Mass (lam I_i^k - I_e^k)/(1+lam).  For the bidomain system D is
-the reduced Schur operator A_h (matrix-free, nested elliptic solve) and
-F^k is the reduced forcing from ``assembly.reduced_rhs_S``; the
-extracellular potential is recovered at every stored frame from
-K_ie phi_e = Mass (I_i + I_e) - K_i phi_tr with zero-mean gauge.
+the reduced operator A_h = K_i - K_i K_ie^+ K_i, and the step is
+solved as the coupled block system of ``assembly``
+
+    [[Mass + dt K_i, dt K_i], [dt K_i, dt K_ie]] [phi^{k+1}; psi]
+        = [Mass (phi^k - dt i_ion^k + dt I_i^k); dt Mass (I_i + I_e)^k]
+
+by one block PCG, whose Schur complement on phi is the equation
+above.  psi is the extracellular potential with the frame-k currents,
+so it is not phi_e^{k+1}: the extracellular potential is recovered at
+every stored frame from K_ie phi_e = Mass (I_i + I_e) - K_i phi_tr
+with zero-mean gauge.
 
 Zero-flux boundary conditions are built into the assembled operators.
 """
@@ -24,7 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as gridmod
-from .assembly import SystemOperators, bidomain_elliptic_solve, reduced_operator, reduced_rhs_S
+from .assembly import (
+    SystemOperators,
+    bidomain_elliptic_solve,
+    reduced_operator,
+    solve_coupled_step,
+)
 from .grid import FieldSeries, Grid, NormReport, ScalarField
 from .ionic import IonicParams, gating_exact_update, i_ion
 from .linalg import cg_solve
@@ -132,29 +144,23 @@ def recover_phi_e(config, phi_tr, k, *, x0=None):
     return bidomain_elliptic_solve(ops, load, nodal=False, tol=config.inner_tol, x0=x0)
 
 
-def step_bidomain(state, config, k, *, system=None, caches=None):
-    """Advance one bidomain step from frame k to k+1 (reduced form)."""
+def step_bidomain(state, config, k, *, system=None):
+    """Advance one bidomain step from frame k to k+1 (coupled block solve)."""
     if system is None:
-        system = reduced_operator(config.ops, config.grid.dt, tol=config.inner_tol)
-    apply_op, precond = system
+        system = reduced_operator(config.ops, config.grid.dt)
     g = config.grid
     dt, mass = g.dt, config.ops.mass
-    caches = caches if caches is not None else {}
-    S = reduced_rhs_S(
-        config.ops,
-        config.I_i.data[k],
-        config.I_e.data[k],
-        tol=config.inner_tol,
-        cache=caches.setdefault("forcing", {}),
+    I_i, I_e = config.I_i.data[k], config.I_e.data[k]
+    f = mass * (state.phi_tr - dt * _reaction(config, state.phi_tr, state.w) + dt * I_i)
+    phi_new, psi = solve_coupled_step(
+        config.ops, system, f, dt * mass * (I_i + I_e), tol=config.cg_tol
     )
-    rhs = mass * (state.phi_tr - dt * _reaction(config, state.phi_tr, state.w)) + dt * S
-    phi_new = cg_solve(apply_op, rhs, tol=config.cg_tol, precond=precond, x0=state.phi_tr)
     if config.no_reaction:
         w_new = state.w.copy()
     else:
         w_new = gating_exact_update(config.ionic, state.w, state.phi_tr, phi_new, dt)
-    phi_e = recover_phi_e(config, phi_new, k + 1, x0=caches.get("phi_e"))
-    caches["phi_e"] = phi_e
+    # psi differs from phi_e^{k+1} only through the change of the currents
+    phi_e = recover_phi_e(config, phi_new, k + 1, x0=psi)
     return SystemState(phi_tr=phi_new, w=w_new, t=state.t + dt, phi_e=phi_e)
 
 
@@ -178,13 +184,11 @@ def run_forward(config, *, report=True):
     w.data[0] = config.w0.values
 
     phi_e = None
-    caches = {}
     if bidomain:
         phi_e = FieldSeries.zeros(g)
         phi_e.data[0] = recover_phi_e(config, phi.data[0], 0)
-        caches["phi_e"] = phi_e.data[0]
-        system = reduced_operator(config.ops, g.dt, tol=config.inner_tol)
-        stepper = lambda st, k: step_bidomain(st, config, k, system=system, caches=caches)
+        system = reduced_operator(config.ops, g.dt)
+        stepper = lambda st, k: step_bidomain(st, config, k, system=system)
     else:
         system = config.monodomain_system()
         stepper = lambda st, k: step_monodomain(st, config, k, system=system)

@@ -1,10 +1,12 @@
 """Preconditioned conjugate gradients with optional constant deflation.
 
-One solver is used for every linear system in the package: lumped-mass
-parabolic steps, pure-Neumann elliptic solves (via deflation), Riesz
-solves for dual norms, and the matrix-free reduced bidomain operator.
-The package's callers pass the DCT-I spectral preconditioners of
-``spectral``; a caller that passes only a matrix gets Jacobi.
+One solver is used for every linear system in the package: the
+lumped-mass monodomain steps, the pure-Neumann elliptic solves (via
+deflation) and the matrix-free coupled block system of a bidomain
+step, whose kernel the block preconditioner handles without
+deflation.  The package's callers pass the DCT-I spectral
+preconditioners of ``spectral``; a caller that passes only a matrix
+gets Jacobi.
 """
 
 from __future__ import annotations

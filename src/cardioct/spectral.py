@@ -11,13 +11,15 @@ axis, with theta = k pi / (n - 1),
 and the bilinear/trilinear stiffness of a constant diagonal tensor
 diag(c) is sum_a c_a K1_a (x) prod_{b != a} M1_b, so its eigenvalue is
 sum_a c_a lam_K_a prod_{b != a} lam_M_b.  Every operator the package
-solves with (lumped mass plus stiffness, the pure-Neumann stiffness,
-the reduced bidomain Schur complement) is then diagonal in this basis,
-and ``SpectralBasis.inverse`` applies its exact (pseudo-)inverse with
-two cosine transforms.  For variable tensors, such as rotating
-fibres, the inverse built from the cell-mean diagonal is spectrally
-equivalent to the operator, so preconditioned CG needs a number of
-iterations that does not grow under refinement.
+solves with (lumped mass plus stiffness, the pure-Neumann stiffness)
+is then diagonal in this basis, and ``SpectralBasis.inverse`` applies
+its exact (pseudo-)inverse with two cosine transforms.  The coupled
+bidomain step system is block diagonal in it, one 2x2 block per mode,
+and ``SpectralBasis.block_inverse`` inverts those blocks between two
+batched transforms of the stacked pair.  For variable tensors, such as
+rotating fibres, the inverse built from the cell-mean diagonal is
+spectrally equivalent to the operator, so preconditioned CG needs a
+number of iterations that does not grow under refinement.
 
 The norms of ``grid`` are diagonal in the same basis.  The H1
 seminorm quadrature differences along axis a and averages the two
@@ -143,6 +145,34 @@ class SpectralBasis:
 
         def apply(r):
             return self.transform(scale * self.transform(r.reshape(shape))).ravel()
+
+        return apply
+
+    def block_inverse(self, a, b, c):
+        """Inverse of the 2x2 block operator with eigenvalue blocks [[a, b], [b, c]].
+
+        ``a``, ``b`` and ``c`` hold one value per mode.  The operator maps
+        stacked pairs [x; y] as ``inverse`` describes for one field, with
+        the symmetric 2x2 matrix [[a, b], [b, c]] in place of each mode's
+        eigenvalue; ``apply`` takes and returns a flat vector of length
+        2 * size and transforms the pair in one batch each way.  Every
+        mode's matrix must be positive definite or have b = c = 0; those
+        modes get the pseudo-inverse [[1/a, 0], [0, 0]], so the y-part of
+        the result is W-orthogonal to constants when c vanishes on the
+        constant mode only.  The map is symmetric and positive
+        semidefinite.
+        """
+        a, b, c = (np.asarray(e, dtype=float) for e in (a, b, c))
+        singular = c <= 0.0
+        det = np.where(singular, 1.0, a * c - b * b) * self._norms
+        inv = np.stack([np.stack([c, -b]), np.stack([-b, a])]) / det
+        inv[:, :, singular] = 0.0
+        inv[0, 0, singular] = 1.0 / (a * self._norms)[singular]
+        shape = (1, 2) + self.shape
+
+        def apply(r):
+            coef = self.transform(r.reshape(shape))
+            return self.transform((inv * coef).sum(axis=1)).ravel()
 
         return apply
 

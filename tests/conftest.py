@@ -18,6 +18,17 @@ def bump_start(grid, center=0.3, width=0.12, amplitude=0.8):
     return gaussian_bump(grid, centers, width, amplitude)
 
 
+def fibres(grid):
+    """Rotating fibres with 10:1 anisotropy: in the x-y plane at the angle
+    pi/2 (x + y [+ z]) of each cell centre, conductivity 1 along them and
+    0.1 across."""
+    centres = np.meshgrid(*(0.5 * (c[1:] + c[:-1]) for c in grid.axis_coords), indexing="ij")
+    a = 0.5 * np.pi * sum(centres).ravel()
+    f = np.zeros((grid.n_cells, grid.dim))
+    f[:, 0], f[:, 1] = np.cos(a), np.sin(a)
+    return TensorField(grid, 0.1 * np.eye(grid.dim) + 0.9 * f[:, :, None] * f[:, None, :])
+
+
 def make_problem(
     grid,
     *,

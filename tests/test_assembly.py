@@ -18,6 +18,7 @@ from cardioct.assembly import (
     ellipticity_check,
     reduced_operator,
     reduced_rhs_S,
+    solve_coupled_step,
 )
 from cardioct.grid import FieldSeries, Grid, ScalarField, TensorField, lp_norm
 
@@ -274,18 +275,32 @@ def test_reduced_rhs_collapses_for_proportional_tensors():
 
 def test_reduced_operator_collapses_for_proportional_tensors():
     g = Grid((17,), (1.0,), 1.0, 4)
-    lam = 0.5
+    lam, dt, n = 0.5, g.dt, g.n_nodes
     mi = TensorField.isotropic(g, 1.0)
     ops = build_operators(g, mi, mi * lam, lam=lam)
-    apply_A, precond = reduced_operator(ops, g.dt)
+    apply_B, precond = reduced_operator(ops, dt)
     rng = np.random.default_rng(6)
-    v = rng.standard_normal(g.n_nodes)
-    expected = g.weights * v + g.dt * (lam / (1.0 + lam)) * (ops.K_i @ v)
-    assert np.allclose(apply_A(v), expected, atol=1e-9)
-    # the preconditioner is symmetric positive definite ...
-    u = rng.standard_normal(g.n_nodes)
+    K_i, K_ie = ops.K_i.toarray(), ops.K_ie.toarray()
+    B = np.block([[np.diag(g.weights) + dt * K_i, dt * K_i], [dt * K_i, dt * K_ie]])
+    v = rng.standard_normal(2 * n)
+    assert np.allclose(apply_B(v), B @ v, atol=1e-12)
+    # the preconditioner is symmetric positive semidefinite (positive on random vectors) ...
+    u = rng.standard_normal(2 * n)
     assert u @ precond(v) == pytest.approx(v @ precond(u), rel=1e-12)
     for x in (u, v):
         assert x @ precond(x) > 0
-    # ... and for constant tensors it is the exact inverse of apply_A
-    assert np.linalg.norm(precond(apply_A(v)) - v) <= 1e-10 * np.linalg.norm(v)
+    # ... and for constant tensors it inverts the block apply on its range,
+    # the vectors whose psi-block has zero Euclidean mean
+    r = rng.standard_normal(2 * n)
+    r[n:] -= r[n:].mean()
+    assert np.linalg.norm(apply_B(precond(r)) - r) <= 1e-10 * np.linalg.norm(r)
+    # the block phi is the monodomain step solution
+    phi0, I_i, I_e = rng.standard_normal((3, n))
+    I_e -= (g.weights @ (I_i + I_e)) / g.measure  # compatible currents
+    f = g.weights * (phi0 + dt * I_i)
+    g_load = dt * g.weights * (I_i + I_e)
+    phi, _ = solve_coupled_step(ops, (apply_B, precond), f, g_load, tol=1e-13)
+    mono = np.diag(g.weights) + dt * lam / (1.0 + lam) * K_i
+    load = g.weights * (phi0 + dt * (lam * I_i - I_e) / (1.0 + lam))
+    expected = np.linalg.solve(mono, load)
+    assert np.linalg.norm(phi - expected) <= 1e-10 * np.linalg.norm(expected)

@@ -9,6 +9,8 @@ from cardioct.grid import Grid, TensorField
 from cardioct.linalg import cg_solve
 from cardioct.spectral import reference_coefficients
 
+from conftest import fibres
+
 # unequal lengths and node counts in every dimension
 CASES = [
     ((7,), (1.3,), (0.7,)),
@@ -61,6 +63,28 @@ def test_exact_pseudo_inverse_of_neumann_stiffness(nodes, lengths, coeffs):
     assert abs(g.weights @ pinv(np.ones(g.n_nodes))) < 1e-12
 
 
+@pytest.mark.parametrize("nodes, lengths, coeffs", CASES)
+def test_block_inverse_of_coupled_step_system(nodes, lengths, coeffs):
+    # [[M + dt K_i, dt K_i], [dt K_i, dt K_ie]] for constant diagonal tensors
+    g = Grid(nodes, lengths, 1.0, 1)
+    dt, n = 0.3, g.n_nodes
+    coeffs_ie = tuple(1.5 * c + 0.2 for c in coeffs)
+    K_i = assemble_stiffness(g, TensorField.diagonal(g, coeffs)).toarray()
+    K_ie = assemble_stiffness(g, TensorField.diagonal(g, coeffs_ie)).toarray()
+    B = np.block([[np.diag(g.weights) + dt * K_i, dt * K_i], [dt * K_i, dt * K_ie]])
+    basis = g.spectral
+    lam_i = basis.stiffness_eigenvalues(coeffs)
+    lam_ie = basis.stiffness_eigenvalues(coeffs_ie)
+    P = _matrix(basis.block_inverse(1.0 + dt * lam_i, dt * lam_i, dt * lam_ie), 2 * n)
+    assert np.abs(P - P.T).max() < 1e-12 * np.abs(P).max()
+    # B P is the identity on the range of B (psi-block of zero sum) ...
+    Pi = np.eye(2 * n)
+    Pi[n:, n:] -= 1.0 / n
+    assert np.abs(B @ P @ Pi - Pi).max() < 1e-11
+    # ... and P maps into the weighted zero-mean gauge of psi
+    assert np.abs(g.weights @ P[n:]).max() < 1e-12 * np.abs(P).max()
+
+
 def test_dual_weights_invert_riesz_operator():
     # V diag(dual_weights) V^T is the inverse of R = K(identity) + M
     g = Grid((6, 5, 4), (1.0, 2.0, 0.5), 1.0, 1)
@@ -72,21 +96,13 @@ def test_dual_weights_invert_riesz_operator():
 
 def test_preconditioner_is_symmetric_for_variable_tensors():
     g = Grid((9, 11), (1.0, 1.5), 1.0, 1)
-    K = assemble_stiffness(g, _fibres(g))
+    K = assemble_stiffness(g, fibres(g))
     basis = g.spectral
     lam = basis.stiffness_eigenvalues(reference_coefficients(K, g))
     for eig in (1.0 + 0.1 * lam, lam):
         P = _matrix(basis.inverse(eig), g.n_nodes)
         assert np.abs(P - P.T).max() < 1e-12 * np.abs(P).max()
         assert np.linalg.eigvalsh(0.5 * (P + P.T)).min() > -1e-12 * np.abs(P).max()
-
-
-def _fibres(g):
-    """Rotating fibres with 10:1 anisotropy."""
-    x, y = np.meshgrid(*(0.5 * (c[1:] + c[:-1]) for c in g.axis_coords), indexing="ij")
-    a = 0.5 * np.pi * (x + y).ravel()
-    f = np.stack([np.cos(a), np.sin(a)], axis=1)
-    return TensorField(g, 0.1 * np.eye(2) + 0.9 * f[:, :, None] * f[:, None, :])
 
 
 def _iterations(A, b, **kwargs):
@@ -105,7 +121,7 @@ def test_iteration_counts_do_not_grow_under_refinement(system):
     spectral, jacobi = [], []
     for n in (33, 65):
         g = Grid((n, n), (1.0, 1.0), 1.0, 1)
-        K = assemble_stiffness(g, _fibres(g))
+        K = assemble_stiffness(g, fibres(g))
         lam = g.spectral.stiffness_eigenvalues(reference_coefficients(K, g))
         b = g.weights * np.random.default_rng(2).standard_normal(g.n_nodes)
         if system == "step":
