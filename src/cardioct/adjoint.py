@@ -167,18 +167,7 @@ class _BackwardSweep:
 
     def eta_lift(self, load):
         """Zero-mean lift psi_eta, K_ie psi_eta = ``load`` (bidomain)."""
-        ops = self.config.ops
-        g = self.config.grid
-        if not load.any():
-            return np.zeros(g.n_nodes)
-        return solve_neumann(
-            ops.K_ie,
-            load,
-            weights=g.weights,
-            measure=g.measure,
-            precond=ops.kie_precond,
-            tol=self.config.inner_tol,
-        )
+        return solve_neumann(self.config.ops, load, tol=self.config.inner_tol)
 
     def step(self, adj, k, partials):
         """One backward step, from level k+1 data in ``adj`` to level k.

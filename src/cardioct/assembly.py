@@ -34,7 +34,10 @@ Every solve is CG preconditioned in the grid's DCT-I eigenbasis
 (``spectral``), with eigenvalues taken from the per-axis cell means of
 each tensor's diagonal: exact for constant diagonal tensors, spectrally
 equivalent (mesh-independent iteration counts) otherwise.  The block
-system gets one 2x2 inverse per mode.
+system gets one 2x2 inverse per mode.  The pure-Neumann K_ie solve
+(``solve_neumann``) and the psi row of the block system take loads
+that sum to zero, on which these singular systems are consistent, so
+no solve deflates the constants.
 """
 
 from __future__ import annotations
@@ -47,20 +50,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import Grid, ScalarField, TensorField
-from .linalg import SolverError, cg_solve
+from .linalg import cg_solve
 from .spectral import reference_coefficients
 
 __all__ = [
     "EllipticityError",
     "CompatibilityError",
-    "SolverError",
     "SystemOperators",
     "ellipticity_check",
     "assemble_stiffness",
     "assemble_mass",
-    "check_operator",
     "build_operators",
-    "cg_solve",
     "solve_neumann",
     "bidomain_elliptic_solve",
     "reduced_rhs_S",
@@ -80,11 +80,11 @@ class CompatibilityError(ValueError):
 def ellipticity_check(tensor):
     """Validate a tensor field and return (mu1, mu2) eigenvalue bounds.
 
-    mu1 is the smallest eigenvalue over all cells, mu2 the largest;
-    both are cached on the tensor.  Cells whose off-diagonal entries
-    are all zero are read off their diagonal; only the others go
-    through ``eigvalsh``.  Raises EllipticityError for non-finite,
-    non-symmetric or non-positive-definite cells.
+    mu1 is the smallest eigenvalue over all cells, mu2 the largest.
+    Cells whose off-diagonal entries are all zero are read off their
+    diagonal; only the others go through ``eigvalsh``.  Raises
+    EllipticityError for non-finite, non-symmetric or
+    non-positive-definite cells.
     """
     e = tensor.entries
     if not np.isfinite(e).all():
@@ -104,7 +104,6 @@ def ellipticity_check(tensor):
     mu2 = float(hi.max())
     if mu1 <= 0.0:
         raise EllipticityError(f"tensor is not uniformly elliptic (min eigenvalue {mu1:g})")
-    tensor.mu1, tensor.mu2 = mu1, mu2
     return mu1, mu2
 
 
@@ -135,11 +134,11 @@ def _reference_gradients(dim):
 def assemble_stiffness(grid, tensor):
     """Assemble the CSR stiffness matrix for int grad(u)^T M grad(v) dx.
 
-    Built as a 3^dim-point stencil (see the module docstring); the
-    result is exactly symmetric with sorted columns.
+    The tensor goes through ``ellipticity_check`` first.  Built as a
+    3^dim-point stencil (see the module docstring); the result is
+    exactly symmetric with sorted columns.
     """
-    if tensor.mu1 is None:
-        ellipticity_check(tensor)
+    ellipticity_check(tensor)
     dim, nodes = grid.dim, grid.nodes_per_axis
     G, w = _reference_gradients(dim)
     Gp = G / np.asarray(grid.h)  # physical gradients
@@ -186,36 +185,24 @@ def assemble_mass(grid):
     return grid.weights.copy()
 
 
-def check_operator(K):
-    """Validate that an assembled operator is square and symmetric."""
-    n, m = K.shape
-    if n != m:
-        raise ValueError(f"operator is not square: {K.shape}")
-    defect = sp.csr_matrix(K - K.T)
-    scale = float(np.max(np.abs(K.data))) if K.nnz else 1.0
-    if defect.nnz and float(np.max(np.abs(defect.data))) > 1e-12 * scale:
-        raise ValueError("operator is not symmetric")
-    return K
-
-
 @dataclass
 class SystemOperators:
     """Assembled operators for one conductivity configuration.
 
-    K_i is the intracellular stiffness, K_ie the combined
-    intra+extracellular stiffness (None for monodomain-only use), mass
-    the lumped diagonal, and lam the extra/intra conductivity ratio used
-    by the monodomain reduction.  The spectral eigenvalues and
-    preconditioners, the extracellular stiffness K_e and the monodomain
-    and coupled bidomain step systems are built on first use.  The dual
-    norms need no operator: ``grid`` reads them off the DCT-I
-    coefficients.
+    K_i is the intracellular stiffness, K_e the extracellular one and
+    K_ie = K_i + K_e (both None for monodomain-only use), mass the
+    lumped diagonal, and lam the extra/intra conductivity ratio used by
+    the monodomain reduction.  The spectral eigenvalues and
+    preconditioners and the monodomain and coupled bidomain step
+    systems are built on first use.  The dual norms need no operator:
+    ``grid`` reads them off the DCT-I coefficients.
     """
 
     grid: Grid
     mass: np.ndarray
     K_i: sp.csr_matrix
     lam: float
+    K_e: sp.csr_matrix | None = None
     K_ie: sp.csr_matrix | None = None
     mi: TensorField | None = None
     me: TensorField | None = None
@@ -239,15 +226,12 @@ class SystemOperators:
         )
 
     @cached_property
-    def K_e(self):
-        """Extracellular stiffness K_ie - K_i, for the coupled bidomain step."""
-        if self.K_ie is None:
-            raise ValueError("operators were built without an extracellular tensor")
-        return (self.K_ie - self.K_i).tocsr()
-
-    @cached_property
     def kie_precond(self):
-        """Spectral pseudo-inverse of K_ie for the deflated elliptic solves."""
+        """Spectral pseudo-inverse of K_ie for ``solve_neumann``.
+
+        It maps the weights (hence the constant mode) to zero and is
+        positive definite on the zero-sum vectors, the range of K_ie.
+        """
         return self.grid.spectral.inverse(self.spectrum_ie)
 
     def step_system(self, coef):
@@ -279,18 +263,22 @@ class SystemOperators:
 
 
 def build_operators(grid, mi, me=None, lam=1.0):
-    """Assemble SystemOperators from intra (and optional extra) tensors."""
-    ellipticity_check(mi)
+    """Assemble SystemOperators from intra (and optional extra) tensors.
+
+    Each tensor is checked and assembled once; K_ie is the sum of the
+    two stiffness matrices, which is the stiffness of mi + me.
+    """
     K_i = assemble_stiffness(grid, mi)
-    K_ie = None
+    K_e = K_ie = None
     if me is not None:
-        ellipticity_check(me)
-        K_ie = assemble_stiffness(grid, mi + me)
+        K_e = assemble_stiffness(grid, me)
+        K_ie = K_i + K_e
     return SystemOperators(
         grid=grid,
         mass=assemble_mass(grid),
         K_i=K_i,
         lam=float(lam),
+        K_e=K_e,
         K_ie=K_ie,
         mi=mi,
         me=me,
@@ -301,28 +289,40 @@ def _values(u):
     return u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
 
 
-def solve_neumann(K, load_vec, *, weights, measure, precond=None, tol=1e-11, x0=None):
-    """Solve the singular pure-Neumann system K x = load, weighted zero-mean gauge.
+def _neumann_load(load):
+    """A pure-Neumann load with its roundoff-level Euclidean mean removed.
 
-    The load is compatibilized exactly (its Euclidean mean is removed,
-    a roundoff-level correction for admissible loads), CG runs with
-    constant deflation and ``precond`` (Jacobi when omitted), and the
-    returned field integrates to zero.
+    Raises CompatibilityError when the load's total exceeds 1e-8 times
+    its norm.
     """
-    load_vec = load_vec - load_vec.sum() / load_vec.size
-    x = cg_solve(K, load_vec, tol=tol, precond=precond, deflate=True, x0=x0)
-    return x - (weights @ x) / measure
-
-
-def _require_compatible(load):
-    """Reject a pure-Neumann load whose total exceeds 1e-8 times its norm."""
-    norm = float(np.linalg.norm(load))
     total = float(load.sum())
+    norm = float(np.linalg.norm(load))
     if abs(total) > 1e-8 * norm:
         raise CompatibilityError(
             f"elliptic load integrates to {total:.3e} (norm {norm:.3e}); "
             "enforce compatibility first"
         )
+    return load - total / load.size
+
+
+def _zero_mean(grid, x):
+    """Shift x by a constant to the weighted zero-mean gauge."""
+    return x - (grid.weights @ x) / grid.measure
+
+
+def solve_neumann(ops, load, *, tol, x0=None):
+    """Solve the pure-Neumann system K_ie x = load, weighted zero-mean gauge.
+
+    ``load`` is an assembled load vector; a zero load gives zero.  The
+    load must sum to zero (``_neumann_load``), which puts it in the
+    range of K_ie, and CG with the spectral pseudo-inverse
+    ``ops.kie_precond``, positive definite on that range, needs no
+    deflation.  The returned field integrates to zero.
+    """
+    if not load.any():
+        return np.zeros(load.size)
+    x = cg_solve(ops.K_ie, _neumann_load(load), tol=tol, precond=ops.kie_precond, x0=x0)
+    return _zero_mean(ops.grid, x)
 
 
 def bidomain_elliptic_solve(ops, load, *, nodal=True, tol=1e-11, x0=None):
@@ -330,29 +330,13 @@ def bidomain_elliptic_solve(ops, load, *, nodal=True, tol=1e-11, x0=None):
 
     ``load`` is a nodal field (functional values; paired through the
     lumped weights) unless ``nodal=False``, in which case it is already
-    an assembled load vector.  Loads whose total exceeds 1e-8 times
-    their norm are rejected as incompatible.
+    an assembled load vector.  See ``solve_neumann``.
     """
-    if ops.K_ie is None:
-        raise ValueError("operators were built without an extracellular tensor")
-    is_field = isinstance(load, ScalarField)
     lv = _values(load)
     if nodal:
         lv = ops.mass * lv
-    if not lv.any():
-        out = np.zeros(ops.grid.n_nodes)
-        return ScalarField(ops.grid, out) if is_field else out
-    _require_compatible(lv)
-    x = solve_neumann(
-        ops.K_ie,
-        lv,
-        weights=ops.grid.weights,
-        measure=ops.grid.measure,
-        precond=ops.kie_precond,
-        tol=tol,
-        x0=x0,
-    )
-    return ScalarField(ops.grid, x) if is_field else x
+    x = solve_neumann(ops, lv, tol=tol, x0=x0)
+    return ScalarField(ops.grid, x) if isinstance(load, ScalarField) else x
 
 
 def reduced_rhs_S(ops, I_i, I_e, *, tol=1e-11):
@@ -392,13 +376,10 @@ def reduced_operator(ops, dt):
 def solve_coupled_step(ops, system, f, g, *, tol):
     """Solve the coupled step system ``system = reduced_operator(ops, dt)``.
 
-    ``g`` is the load of the psi row, which must sum to zero (to 1e-8
-    of its norm; CompatibilityError otherwise); its roundoff-level
-    Euclidean mean is removed.  The block PCG starts cold.  Returns
-    (phi, psi) with psi in the weighted zero-mean gauge.
+    ``g`` is the load of the psi row, which must sum to zero, as in
+    ``solve_neumann``.  The block PCG starts cold.  Returns (phi, psi)
+    with psi in the weighted zero-mean gauge.
     """
-    _require_compatible(g)
     apply, precond = system
-    x = cg_solve(apply, np.concatenate((f, g - g.mean())), tol=tol, precond=precond)
-    phi, psi = x[: f.size], x[f.size :]
-    return phi, psi - (ops.grid.weights @ psi) / ops.grid.measure
+    x = cg_solve(apply, np.concatenate((f, _neumann_load(g))), tol=tol, precond=precond)
+    return x[: f.size], _zero_mean(ops.grid, x[f.size :])

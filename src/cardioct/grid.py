@@ -271,15 +271,14 @@ class FieldSeries:
 class TensorField:
     """Cellwise-constant symmetric conductivity tensor.
 
-    ``entries`` has shape (n_cells, dim, dim).  The ellipticity bounds
-    mu1 (smallest cell eigenvalue) and mu2 (largest) are filled in by
-    ``assembly.ellipticity_check``; they start out unknown.
+    ``entries`` has shape (n_cells, dim, dim).  Symmetry and positive
+    definiteness are checked where the tensor is assembled
+    (``assembly.ellipticity_check``), which also returns its eigenvalue
+    bounds.
     """
 
     grid: Grid
     entries: np.ndarray
-    mu1: float | None = field(default=None, compare=False)
-    mu2: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=float)
@@ -385,12 +384,6 @@ def h1_norm(fld):
     """
     g = fld.grid
     return float(coefficient_norms(g.coefficients(fld.values), g.h1_weights))
-
-
-def zero_mean_project(fld):
-    """Remove the weighted mean so the result integrates to zero."""
-    shift = integrate(fld) / fld.grid.measure
-    return ScalarField(fld.grid, fld.values - shift)
 
 
 def _l2_frames(series):

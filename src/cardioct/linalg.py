@@ -1,10 +1,13 @@
-"""Preconditioned conjugate gradients with optional constant deflation.
+"""Preconditioned conjugate gradients.
 
 One solver is used for every linear system in the package: the
-lumped-mass monodomain steps, the pure-Neumann elliptic solves (via
-deflation) and the matrix-free coupled block system of a bidomain
-step, whose kernel the block preconditioner handles without
-deflation.  The package's callers pass the DCT-I spectral
+lumped-mass monodomain steps, the pure-Neumann elliptic solves and
+the matrix-free coupled block system of a bidomain step.  The last
+two are singular with constants in their kernel; they need no
+deflation, because their loads sum to zero and their preconditioners
+are positive definite on that subspace, and on such a consistent
+system PCG converges to a solution (Kaasschieter, J. Comput. Appl.
+Math. 24, 1988).  The package's callers pass the DCT-I spectral
 preconditioners of ``spectral``; a caller that passes only a matrix
 gets Jacobi.
 """
@@ -27,10 +30,11 @@ class SolverError(RuntimeError):
         self.iterations = iterations
 
 
-def cg_solve(
-    A, b, *, tol=1e-10, maxiter=None, diag=None, precond=None, deflate=False, x0=None
-):
+def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, precond=None, x0=None):
     """Solve ``A x = b`` for symmetric positive (semi)definite ``A``.
+
+    A singular ``A`` needs a consistent ``b`` (in the range of ``A``)
+    and a preconditioner that is positive definite on that range.
 
     Parameters
     ----------
@@ -50,20 +54,14 @@ def cg_solve(
         Symmetric positive (semi)definite ``r -> z`` approximating
         ``A^{-1} r``, such as ``SpectralBasis.inverse``.  Takes
         precedence over ``diag``.
-    deflate : bool
-        Project the constant vector out of the right-hand side and
-        apply the preconditioner as ``Pi P Pi``, with ``Pi`` removing
-        the Euclidean mean, which keeps it symmetric.  This makes the
-        iteration well posed for pure-Neumann stiffness systems, whose
-        kernel is spanned by constants; the returned iterate has zero
-        Euclidean mean and callers fix their preferred gauge afterwards.
     x0 : array, optional
         Warm-start iterate.
 
     Returns
     -------
     array
-        The solution (Euclidean-zero-mean representative if deflated).
+        The solution; for a singular ``A``, one solution, in no fixed
+        gauge.
 
     Raises
     ------
@@ -82,20 +80,12 @@ def cg_solve(
             raise ValueError("Jacobi preconditioner needs a positive diagonal")
         inv_diag = 1.0 / diag
         precond = inv_diag.__mul__
-    if deflate:
-        inner = precond
-
-        def precond(r):
-            z = inner(r - r.mean())
-            return z - z.mean()
 
     b = np.asarray(b, dtype=float)
     n = b.size
     if maxiter is None:
         maxiter = 10 * n
 
-    if deflate:
-        b = b - b.mean()
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros(n)
@@ -106,8 +96,6 @@ def cg_solve(
         r = b.copy()
     else:
         x = np.array(x0, dtype=float)
-        if deflate:
-            x -= x.mean()
         r = b - matvec(x)
         if float(np.linalg.norm(r)) > b_norm:
             # the warm start is worse than a cold one (this happens when
@@ -151,6 +139,4 @@ def cg_solve(
             residual=res / b_norm,
             iterations=it,
         )
-    if deflate:
-        x -= x.mean()
     return x

@@ -29,6 +29,12 @@ def fibres(grid):
     return TensorField(grid, 0.1 * np.eye(grid.dim) + 0.9 * f[:, :, None] * f[:, None, :])
 
 
+def random_spd(grid, rng):
+    """Random SPD cells B B^T + 0.1 I."""
+    B = rng.standard_normal((grid.n_cells, grid.dim, grid.dim))
+    return TensorField(grid, B @ B.transpose(0, 2, 1) + 0.1 * np.eye(grid.dim))
+
+
 def make_problem(
     grid,
     *,

@@ -14,13 +14,14 @@ from cardioct.assembly import (
     assemble_stiffness,
     bidomain_elliptic_solve,
     build_operators,
-    check_operator,
     ellipticity_check,
     reduced_operator,
     reduced_rhs_S,
     solve_coupled_step,
 )
 from cardioct.grid import FieldSeries, Grid, ScalarField, TensorField, lp_norm
+
+from conftest import random_spd
 
 
 def test_mass_is_quadrature_weights():
@@ -96,11 +97,6 @@ GRIDS = [
 ]
 
 
-def _random_spd(grid, rng):
-    B = rng.standard_normal((grid.n_cells, grid.dim, grid.dim))
-    return TensorField(grid, B @ B.transpose(0, 2, 1) + 0.1 * np.eye(grid.dim))
-
-
 def _fibres(grid):
     """0.1 I + 0.9 f f^T with f rotating in the first two axes across the cells."""
     centres = np.meshgrid(*(0.5 * (c[1:] + c[:-1]) for c in grid.axis_coords), indexing="ij")
@@ -122,7 +118,7 @@ def _assert_matches_oracle(grid, tensor):
 @given(st.sampled_from(GRIDS), st.integers(0, 2**31 - 1))
 def test_stiffness_matches_coo_oracle_on_random_spd_cells(case, seed):
     g = Grid(*case, 1.0, 1)
-    _assert_matches_oracle(g, _random_spd(g, np.random.default_rng(seed)))
+    _assert_matches_oracle(g, random_spd(g, np.random.default_rng(seed)))
 
 
 @pytest.mark.parametrize("nodes, lengths", GRIDS)
@@ -167,6 +163,47 @@ def test_build_operators_uses_no_coo_and_no_transpose(monkeypatch):
     assert calls["coo"] >= 1 and calls["transpose"] >= 1
 
 
+def _kie_defect(grid, mi, me):
+    """Relative max-entry gap between K_ie and the stiffness of mi + me."""
+    K_ie = build_operators(grid, mi, me).K_ie
+    ref = assemble_stiffness(grid, mi + me)
+    assert K_ie.has_canonical_format
+    assert K_ie.nnz == ref.nnz
+    return abs(K_ie - ref).max() / abs(ref).max()
+
+
+@pytest.mark.parametrize("nodes, lengths", GRIDS)
+def test_kie_matches_the_stiffness_of_the_summed_fibre_tensors(nodes, lengths):
+    g = Grid(nodes, lengths, 1.0, 1)
+    mi = _fibres(g)
+    me = TensorField(g, 0.6 * np.eye(g.dim) + 0.5 * mi.entries)
+    assert _kie_defect(g, mi, me) <= 1e-15
+
+
+def test_kie_equals_the_stiffness_of_the_summed_benchmark_tensors():
+    g = Grid((17, 17), (1.0, 1.0), 1.0, 1)
+    mi, me = TensorField.diagonal(g, (1.0, 0.4)), TensorField.diagonal(g, (0.6, 1.2))
+    assert _kie_defect(g, mi, me) == 0.0
+
+
+@pytest.mark.parametrize("bidomain", [False, True])
+def test_build_operators_checks_each_tensor_once(monkeypatch, bidomain):
+    import cardioct.assembly as assembly
+
+    checked = []
+
+    def counting_check(tensor):
+        checked.append(id(tensor))
+        return ellipticity_check(tensor)
+
+    monkeypatch.setattr(assembly, "ellipticity_check", counting_check)
+    g = Grid((6, 5), (1.0, 0.8), 1.0, 1)
+    mi = _fibres(g)
+    me = TensorField.diagonal(g, (0.6, 1.2)) if bidomain else None
+    build_operators(g, mi, me)
+    assert checked == ([id(mi), id(me)] if bidomain else [id(mi)])
+
+
 def test_ellipticity_rejects_indefinite_tensor():
     g = Grid((5,), (1.0,), 1.0, 1)
     with pytest.raises(EllipticityError):
@@ -182,7 +219,7 @@ def test_ellipticity_rejects_asymmetric_tensor():
 
 def _mixed_tensor(grid, rng):
     """Random SPD cells with every other cell replaced by a random positive diagonal."""
-    entries = _random_spd(grid, rng).entries
+    entries = random_spd(grid, rng).entries
     entries[::2] = np.eye(grid.dim) * rng.uniform(0.1, 3.0, (entries[::2].shape[0], 1, grid.dim))
     return entries
 
@@ -214,18 +251,9 @@ def test_ellipticity_rejects_bad_cell_among_mixed_cells(bad_cell):
 
 def test_ellipticity_caches_bounds():
     g = Grid((5,), (1.0,), 1.0, 1)
-    t = TensorField.isotropic(g, 3.0)
-    ellipticity_check(t)
-    assert t.mu1 == pytest.approx(3.0)
-    assert t.mu2 == pytest.approx(3.0)
-
-
-def test_check_operator_rejects_asymmetric():
-    import scipy.sparse as sp
-
-    A = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        check_operator(A)
+    mu1, mu2 = ellipticity_check(TensorField.isotropic(g, 3.0))
+    assert mu1 == pytest.approx(3.0)
+    assert mu2 == pytest.approx(3.0)
 
 
 def test_build_operators_monodomain_has_no_kie():

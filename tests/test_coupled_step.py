@@ -39,14 +39,14 @@ def _nested_schur_step(ops, dt, rhs_u, I_i, I_e, tol):
 
     Outer CG on (Mass + dt A_h) phi = rhs_u - dt Mass I_i + dt S, where
     every application of A_h = K_i - K_i K_ie^+ K_i runs an inner
-    deflated K_ie solve and S is the reduced forcing; psi is then
-    K_ie^+ (Mass (I_i + I_e) - K_i phi).
+    K_ie CG on the zero-sum load K_i v and S is the reduced forcing;
+    psi is then K_ie^+ (Mass (I_i + I_e) - K_i phi).
     """
     K_i, mass = ops.K_i, ops.mass
 
     def apply(v):
         Kv = K_i @ v
-        inner = cg_solve(ops.K_ie, Kv, tol=0.1 * tol, precond=ops.kie_precond, deflate=True)
+        inner = cg_solve(ops.K_ie, Kv, tol=0.1 * tol, precond=ops.kie_precond)
         return mass * v + dt * (Kv - K_i @ inner)
 
     lam_i, lam_ie = ops.spectrum_i, ops.spectrum_ie

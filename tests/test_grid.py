@@ -18,7 +18,6 @@ from cardioct.grid import (
     refined,
     time_weights,
     write_snapshots,
-    zero_mean_project,
 )
 
 
@@ -90,17 +89,6 @@ def test_lp_norm_homogeneous(c, seed):
     cf = ScalarField(g, c * vals)
     for p in (1, 2, 4, np.inf):
         assert lp_norm(cf, p) == pytest.approx(abs(c) * lp_norm(f, p), rel=1e-10, abs=1e-12)
-
-
-@settings(max_examples=50)
-@given(st.integers(0, 2**31 - 1))
-def test_zero_mean_projection_idempotent(seed):
-    g = Grid((5, 5), (1.0, 2.0), 1.0, 1)
-    f = ScalarField(g, np.random.default_rng(seed).standard_normal(g.n_nodes))
-    p = zero_mean_project(f)
-    assert abs(integrate(p)) < 1e-12
-    pp = zero_mean_project(p)
-    assert np.allclose(pp.values, p.values, atol=1e-14)
 
 
 def test_bochner_norm_matches_direct_sum():

@@ -1,0 +1,34 @@
+"""Each script in ``scripts/`` runs to completion at a tiny size."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize_demo.py", "--nodes", "17", "--steps", "10", "--budget", "3"],
+        ["convergence_table.py", "--levels", "2"],
+        ["stability_sweep.py", "--nodes", "17", "--steps", "10"],
+        ["solver_iterations.py", "--nodes", "9,17"],
+        ["solver_iterations.py", "--dim", "3", "--nodes", "5"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_script_exits_cleanly(argv):
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
