@@ -15,14 +15,23 @@ best wall time of three runs of each: the nested Schur form, an outer CG on Mass
 every application runs an inner K_ie CG (to 1e-11), plus the
 forcing lift solve; and the coupled block PCG of
 ``assembly.solve_coupled_step``.
+
+A third table shows when ``cg_solve`` keeps a warm start.  It runs a
+10-step forward run (dt = 0.02) with the monodomain steps and, for the
+bidomain run, the recovery of phi_e at each frame, and prints the CG
+calls and the operator applications of those solves three ways: every
+warm start kept, every warm start dropped, and as the package chooses
+(cold where the spectral preconditioner is exact, warm otherwise).
 """
 
 import argparse
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import scipy.sparse as sp
 
+from cardioct import assembly, forward
 from cardioct.assembly import (
     assemble_stiffness,
     build_operators,
@@ -30,9 +39,12 @@ from cardioct.assembly import (
     reduced_rhs_S,
     solve_coupled_step,
 )
-from cardioct.grid import Grid, TensorField
+from cardioct.forward import ProblemConfig, run_forward
+from cardioct.grid import FieldSeries, Grid, ScalarField, TensorField
+from cardioct.ionic import IonicParams
 from cardioct.linalg import cg_solve
 from cardioct.spectral import reference_coefficients
+from cardioct.stimuli import gaussian_bump, pulse_series
 
 
 def solve_counted(A, b, **kwargs):
@@ -127,6 +139,65 @@ def bidomain_rows(g, label):
               f"{row[0]:>10}{1e3 * row[1]:>9.1f}{row[2]:>11}{1e3 * row[3]:>9.1f}")
 
 
+@contextmanager
+def counted_solves(mode, calls, applications):
+    """Count the CG solves on a matrix and their operator applications.
+
+    Those are the monodomain steps and the K_ie solves; the coupled
+    bidomain step passes a callable and is not counted.  ``mode`` "warm"
+    hides the preconditioner's ``exact`` mark, so every warm start is
+    kept; "cold" drops every ``x0``; "chosen" leaves both as they are.
+    """
+
+    def solve(A, b, **kwargs):
+        if mode == "cold":
+            kwargs.pop("x0", None)
+        elif mode == "warm":
+            precond = kwargs["precond"]
+            kwargs["precond"] = lambda r: precond(r)
+        if not callable(A):
+            calls[0] += 1
+            A = Counted(A, applications)
+        return cg_solve(A, b, **kwargs)
+
+    saved = forward.cg_solve, assembly.cg_solve
+    forward.cg_solve = assembly.cg_solve = solve
+    try:
+        yield
+    finally:
+        forward.cg_solve, assembly.cg_solve = saved
+
+
+def forward_problem(g, kind, mi):
+    """10-step run from a bump at 0.3 with an intracellular pulse at 0.7."""
+    me = TensorField(g, 0.6 * np.eye(g.dim) + 0.5 * mi.entries) if kind == "bidomain" else None
+    stimulus = gaussian_bump(g, (0.7,) * g.dim, 0.15, 1.0)
+    return ProblemConfig(
+        grid=g,
+        ops=build_operators(g, mi, me),
+        ionic=IonicParams("rm"),
+        kind=kind,
+        phi0=gaussian_bump(g, (0.3,) * g.dim, 0.15, 1.0),
+        w0=ScalarField.zeros(g),
+        I_i=pulse_series(g, stimulus, 0.0, g.T / 2),
+        I_e=FieldSeries.zeros(g),
+    )
+
+
+def warm_start_rows(g, label):
+    """One row per run and tensor: CG calls and applications per warm-start mode."""
+    for kind, solves in (("monodomain", "steps"), ("bidomain", "phi_e")):
+        for tname, mi in tensors(g).items():
+            row = []
+            for mode in ("warm", "cold", "chosen"):
+                calls, applications = [0], [0]
+                with counted_solves(mode, calls, applications):
+                    run_forward(forward_problem(g, kind, mi), report=False)
+                row.append(applications[0])
+            print(f"{label:<10}{solves:<8}{tname:<11}{calls[0]:>6}"
+                  f"{row[0]:>8}{row[1]:>8}{row[2]:>8}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--nodes", default="65,129", help="nodes per axis, one grid each")
@@ -155,6 +226,13 @@ def main():
     for n in (int(v) for v in args.nodes.split(",")):
         g = Grid((n,) * args.dim, (1.0,) * args.dim, 1.0, 1)
         bidomain_rows(g, "x".join([str(n)] * args.dim))
+
+    print(f"\nwarm starts, 10-step forward run: operator applications\n"
+          f"{'grid':<10}{'solves':<8}{'tensor':<11}{'calls':>6}"
+          f"{'warm':>8}{'cold':>8}{'chosen':>8}")
+    for n in (int(v) for v in args.nodes.split(",")):
+        g = Grid((n,) * args.dim, (1.0,) * args.dim, 0.2, 10)
+        warm_start_rows(g, "x".join([str(n)] * args.dim))
 
 
 if __name__ == "__main__":

@@ -33,7 +33,9 @@ solve that every application of the Schur complement would need.
 Every solve is CG preconditioned in the grid's DCT-I eigenbasis
 (``spectral``), with eigenvalues taken from the per-axis cell means of
 each tensor's diagonal: exact for constant diagonal tensors, spectrally
-equivalent (mesh-independent iteration counts) otherwise.  The block
+equivalent (mesh-independent iteration counts) otherwise.  The step and
+K_ie inverses are marked ``exact`` in the first case, so that
+``cg_solve`` drops a warm start it does not need.  The block
 system gets one 2x2 inverse per mode.  The pure-Neumann K_ie solve
 (``solve_neumann``) and the psi row of the block system take loads
 that sum to zero, on which these singular systems are consistent, so
@@ -43,7 +45,7 @@ no solve deflates the constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 import numpy as np
@@ -107,11 +109,13 @@ def ellipticity_check(tensor):
     return mu1, mu2
 
 
+@cache
 def _reference_gradients(dim):
     """Shape-function gradients at the tensor-product Gauss points.
 
     Returns (G, w) with G of shape (n_gauss, 2**dim, dim) on the unit
-    reference cell and w the Gauss weights (sum 1).
+    reference cell and w the Gauss weights (sum 1).  Built once per dim;
+    both arrays are read-only.
     """
     offset = 0.5 / np.sqrt(3.0)
     pts_1d = (0.5 - offset, 0.5 + offset)
@@ -128,6 +132,7 @@ def _reference_gradients(dim):
                     val *= xi[j] if bits[j] else 1.0 - xi[j]
                 G[gi, ci, k] = val if bits[k] else -val
     w = np.full(len(gauss), 1.0 / len(gauss))
+    G.flags.writeable = w.flags.writeable = False
     return G, w
 
 
@@ -178,6 +183,18 @@ def assemble_stiffness(grid, tensor):
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
     cols = np.arange(n, dtype=index)[:, None] + offsets.astype(index)
     return sp.csr_matrix((stencil[keep], cols[keep], indptr), shape=(n, n))
+
+
+def _constant_diagonal(tensor):
+    """True when every cell of ``tensor`` holds the same diagonal matrix.
+
+    The DCT-I inverse built from such a tensor's stiffness is exact
+    (``spectral``).  A missing tensor (None) gives False.
+    """
+    if tensor is None:
+        return False
+    e = tensor.entries
+    return bool((e == e[0]).all()) and not (e[0] - np.diag(np.diag(e[0]))).any()
 
 
 def assemble_mass(grid):
@@ -231,14 +248,24 @@ class SystemOperators:
 
         It maps the weights (hence the constant mode) to zero and is
         positive definite on the zero-sum vectors, the range of K_ie.
+        It is marked exact when ``mi`` and ``me`` are both constant and
+        diagonal, and then ``cg_solve`` ignores a warm start.
         """
-        return self.grid.spectral.inverse(self.spectrum_ie)
+        exact = _constant_diagonal(self.mi) and _constant_diagonal(self.me)
+        return self.grid.spectral.inverse(self.spectrum_ie, exact=exact)
 
     def step_system(self, coef):
-        """Matrix Mass + coef * K_i and its spectral inverse, built once per coef."""
+        """Matrix Mass + coef * K_i and its spectral inverse, built once per coef.
+
+        The inverse is marked exact when ``mi`` is constant and diagonal
+        (every cell equal, no off-diagonal entry), and then ``cg_solve``
+        ignores a warm start; otherwise the warm start is kept.
+        """
         if coef not in self._step_systems:
             A = (sp.diags(self.mass) + coef * self.K_i).tocsr()
-            precond = self.grid.spectral.inverse(1.0 + coef * self.spectrum_i)
+            precond = self.grid.spectral.inverse(
+                1.0 + coef * self.spectrum_i, exact=_constant_diagonal(self.mi)
+            )
             self._step_systems[coef] = (A, precond)
         return self._step_systems[coef]
 

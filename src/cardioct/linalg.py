@@ -10,6 +10,15 @@ system PCG converges to a solution (Kaasschieter, J. Comput. Appl.
 Math. 24, 1988).  The package's callers pass the DCT-I spectral
 preconditioners of ``spectral``; a caller that passes only a matrix
 gets Jacobi.
+
+A spectral preconditioner built for a constant diagonal tensor is the
+exact inverse of its system and says so (``precond.exact``).  Started
+cold, CG then stops after one operator application; a warm start would
+spend a second one on the residual b - A x0 and save nothing, so
+``cg_solve`` ignores ``x0`` for such a preconditioner.  For every other
+preconditioner (variable tensors: fibres, scar) it keeps the warm
+start, which saves iterations.  Callers therefore always pass their
+best ``x0`` and leave the choice here.
 """
 
 from __future__ import annotations
@@ -53,9 +62,14 @@ def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, precond=None, x0=None)
     precond : callable, optional
         Symmetric positive (semi)definite ``r -> z`` approximating
         ``A^{-1} r``, such as ``SpectralBasis.inverse``.  Takes
-        precedence over ``diag``.
+        precedence over ``diag``.  A true ``precond.exact`` attribute
+        states that it is the exact (pseudo-)inverse of ``A``.
     x0 : array, optional
-        Warm-start iterate.
+        Warm-start iterate.  Ignored when ``precond.exact`` is true:
+        with an exact preconditioner the cold start costs one operator
+        application and a warm start two (its residual plus the one
+        step).  The residual test still decides convergence, so a wrong
+        ``exact`` flag costs iterations, never accuracy.
 
     Returns
     -------
@@ -91,7 +105,7 @@ def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, precond=None, x0=None)
         return np.zeros(n)
     target = tol * b_norm
 
-    if x0 is None:
+    if x0 is None or getattr(precond, "exact", False):
         x = np.zeros(n)
         r = b.copy()
     else:

@@ -128,7 +128,7 @@ class SpectralBasis:
             pre *= n
         return (y.reshape(-1, self.shape[-1]) @ self._cos[-1]).reshape(x.shape)
 
-    def inverse(self, eigenvalues):
+    def inverse(self, eigenvalues, *, exact=False):
         """Apply V diag(1/eigenvalues) (V^T W V)^{-1} V^T, flat vector in and out.
 
         This is the inverse of the operator W V diag(eigenvalues) V^{-1};
@@ -136,6 +136,11 @@ class SpectralBasis:
         pure-Neumann stiffness gives the pseudo-inverse whose result is
         W-orthogonal to constants (zero weighted mean).  The map is
         symmetric and positive semidefinite.
+
+        ``exact`` states that the eigenvalues are those of the operator
+        the map will precondition, so that it is that operator's exact
+        (pseudo-)inverse; the returned callable carries it as
+        ``apply.exact``, which ``linalg.cg_solve`` reads to start cold.
         """
         eig = np.asarray(eigenvalues, dtype=float)
         positive = eig > 0.0
@@ -146,6 +151,7 @@ class SpectralBasis:
         def apply(r):
             return self.transform(scale * self.transform(r.reshape(shape))).ravel()
 
+        apply.exact = exact
         return apply
 
     def block_inverse(self, a, b, c):

@@ -92,6 +92,29 @@ def test_exact_preconditioner_converges_in_one_iteration():
     assert len(calls) == 1
 
 
+def test_exact_preconditioner_discards_the_warm_start():
+    A = np.diag(np.linspace(1.0, 4.0, 20))
+    b = np.linspace(1.0, 2.0, 20)
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return A @ v
+
+    def precond(r):
+        return r / np.diag(A)
+
+    precond.exact = True
+    x = cg_solve(matvec, b, tol=1e-13, precond=precond, x0=np.ones(20))
+    assert np.allclose(A @ x, b, atol=1e-12)
+    assert len(calls) == 1
+    # unmarked, the same warm start is kept: its residual is the one application
+    calls.clear()
+    x = cg_solve(matvec, b, tol=1e-13, precond=lambda r: precond(r), x0=x)
+    assert np.allclose(A @ x, b, atol=1e-12)
+    assert len(calls) == 1
+
+
 def test_precond_takes_precedence_over_diag():
     A = sp.csr_matrix(np.diag([1.0, 2.0]))
     # a nonpositive diag would be rejected on the Jacobi path

@@ -1,0 +1,145 @@
+"""Which CG solves keep their warm start.
+
+A DCT-I inverse built for a constant diagonal tensor is the exact
+inverse of its system and is marked ``exact``; ``cg_solve`` then starts
+cold and needs one operator application, where a warm start would need
+two.  Every other preconditioner keeps the caller's ``x0``.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cardioct import adjoint, assembly, forward, linalg
+from cardioct.adjoint import CostConfig, run_adjoint
+from cardioct.assembly import SystemOperators, build_operators
+from cardioct.forward import run_forward
+from cardioct.grid import Grid, TensorField
+
+from conftest import fibres, make_problem
+from test_neumann import _scar
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Record every CG call of the package: operator, keywords, applications.
+
+    The operator is wrapped in a counting closure, as the benchmark's
+    tracer does, in every module that calls ``cg_solve``.
+    """
+    record = []
+
+    def counted(A, b, **kwargs):
+        entry = {"A": A, "kwargs": kwargs, "applications": 0}
+        record.append(entry)
+        matvec = A if callable(A) else A.__matmul__
+
+        def counting(v):
+            entry["applications"] += 1
+            return matvec(v)
+
+        return linalg.cg_solve(counting, b, **kwargs)
+
+    for module in (forward, adjoint, assembly):
+        monkeypatch.setattr(module, "cg_solve", counted)
+    return record
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [Grid((9, 7), (1.0, 1.3), 0.3, 6), Grid((5, 4, 6), (1.0, 0.8, 1.2), 0.3, 4)],
+    ids=["2d", "3d"],
+)
+def test_constant_monodomain_makes_one_application_per_solve(grid, solves):
+    cfg = make_problem(grid, stimulus=0.3)
+    traj = run_forward(cfg, report=False)
+    run_adjoint(cfg, traj, CostConfig(mu=1e-2, w_phi=1.0), report=False)
+    assert len(solves) == 2 * grid.n_steps
+    # the call sites still pass their warm start; cg_solve discards it
+    assert all(s["kwargs"]["x0"] is not None for s in solves)
+    assert [s["applications"] for s in solves] == [1] * len(solves)
+
+
+def test_constant_bidomain_recovers_phi_e_with_one_application(grid2d, solves):
+    cfg = make_problem(grid2d, kind="bidomain", stimulus=0.3)
+    run_forward(cfg, report=False)
+    recover = [s for s in solves if s["A"] is cfg.ops.K_ie]
+    assert len(recover) == grid2d.n_steps + 1
+    assert sum(s["kwargs"]["x0"] is not None for s in recover) == grid2d.n_steps
+    assert [s["applications"] for s in recover] == [1] * len(recover)
+
+
+def test_fibre_steps_keep_their_warm_start(grid2d, solves):
+    cfg = make_problem(grid2d, stimulus=0.3)
+    cfg = replace(cfg, ops=build_operators(grid2d, fibres(grid2d)))
+    run_forward(cfg, report=False)
+    assert len(solves) == grid2d.n_steps
+    for s in solves:
+        assert s["kwargs"]["x0"] is not None
+        assert s["kwargs"]["precond"].exact is False
+
+
+GRID_CASES = st.integers(1, 3).flatmap(
+    lambda dim: st.tuples(
+        st.lists(st.integers(3, 7), min_size=dim, max_size=dim),
+        st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim),
+    )
+)
+COEFFS = st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3)
+
+
+def _relative_residual(A, precond, b):
+    return np.linalg.norm(A @ precond(b) - b) / np.linalg.norm(b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(GRID_CASES, COEFFS, COEFFS, st.floats(1e-3, 10.0), st.integers(0, 2**31 - 1))
+def test_constant_diagonal_inverses_are_exact(case, ci, ce, coef, seed):
+    nodes, lengths = case
+    g = Grid(tuple(nodes), tuple(lengths), 1.0, 1)
+    mi = TensorField.diagonal(g, ci[: g.dim])
+    me = TensorField.diagonal(g, ce[: g.dim])
+    ops = build_operators(g, mi, me)
+    b = np.random.default_rng(seed).standard_normal(g.n_nodes)
+    A, precond = ops.step_system(coef)
+    assert precond.exact is True
+    assert _relative_residual(A, precond, b) <= 1e-10
+    assert ops.kie_precond.exact is True
+    assert _relative_residual(ops.K_ie, ops.kie_precond, b - b.mean()) <= 1e-10
+
+
+def _off_diagonal(g):
+    cell = np.eye(g.dim) + 0.3 * (np.ones((g.dim, g.dim)) - np.eye(g.dim))
+    return TensorField(g, np.tile(cell, (g.n_cells, 1, 1)))
+
+
+def _one_cell_perturbed(g):
+    t = TensorField.isotropic(g, 1.0)
+    t.entries[g.n_cells // 2] *= 1.5
+    return t
+
+
+@pytest.mark.parametrize(
+    "make", [_off_diagonal, _one_cell_perturbed, lambda g: _scar(g, 1e-2)],
+    ids=["off-diagonal", "one-cell", "scar"],
+)
+@pytest.mark.parametrize("nodes", [(9, 7), (5, 4, 6)], ids=["2d", "3d"])
+def test_inexact_inverses_are_not_marked(make, nodes):
+    g = Grid(nodes, (1.0,) * len(nodes), 1.0, 1)
+    iso = TensorField.isotropic(g, 1.0)
+    varied = build_operators(g, make(g), iso)
+    assert varied.step_system(0.1)[1].exact is False
+    assert varied.kie_precond.exact is False
+    # a constant mi keeps its step exact; the variable me spoils only K_ie
+    mixed = build_operators(g, iso, make(g))
+    assert mixed.step_system(0.1)[1].exact is True
+    assert mixed.kie_precond.exact is False
+
+
+def test_operators_without_tensors_are_not_marked(grid2d):
+    ops = build_operators(grid2d, TensorField.isotropic(grid2d, 1.0))
+    bare = SystemOperators(grid=grid2d, mass=ops.mass, K_i=ops.K_i, lam=1.0)
+    assert bare.step_system(0.1)[1].exact is False
