@@ -141,9 +141,16 @@ class _BackwardSweep:
             self.system = reduced_operator(config.ops, self.dt)
         else:
             self.system = config.monodomain_system()
+        # (k, s'(pb^k)): the slope that step k + 1 evaluated as its s'_{k-1}
+        self._carried_slope = None
 
     def reaction_coeffs(self, k):
-        """(F, f_w, s'_k, s'_{k-1}) frozen at the forward snapshot."""
+        """(F, f_w, s'_k, s'_{k-1}) frozen at the forward snapshot.
+
+        The sweep runs k downward, so s'_{k-1} of step k is s'_k of the
+        next step; it is carried over, and each midpoint slope is
+        evaluated once per sweep.
+        """
         cfg = self.config
         if cfg.no_reaction:
             z = np.zeros(cfg.grid.n_nodes)
@@ -151,11 +158,14 @@ class _BackwardSweep:
         phi = self.traj.phi_tr.data
         w = self.traj.w.data
         F, f_w = d_i_ion(cfg.ionic, phi[k], w[k])
-        mid = 0.5 * (phi[k] + phi[k + 1])
-        sp_k = gating_source_slope(cfg.ionic, mid)
+        carried = self._carried_slope
+        if carried is not None and carried[0] == k:
+            sp_k = carried[1]
+        else:
+            sp_k = gating_source_slope(cfg.ionic, 0.5 * (phi[k] + phi[k + 1]))
         if k >= 1:
-            mid_prev = 0.5 * (phi[k - 1] + phi[k])
-            sp_prev = gating_source_slope(cfg.ionic, mid_prev)
+            sp_prev = gating_source_slope(cfg.ionic, 0.5 * (phi[k - 1] + phi[k]))
+            self._carried_slope = (k - 1, sp_prev)
         else:
             sp_prev = sp_k
         return F, f_w, sp_k, sp_prev
@@ -202,8 +212,12 @@ def run_adjoint(config, traj, cost, *, report=True):
     """Integrate the adjoint system backward from zero terminal data.
 
     Returns the multiplier trajectories with n_steps + 1 frames each;
-    the terminal frames of p1 and p3 are identically zero.
+    the terminal frames of p1 and p3 are identically zero.  The sweep
+    reads single trajectories: a batched config or trajectory raises
+    ValueError.
     """
+    for series in (config.I_i, config.I_e, traj.phi_tr):
+        series.require_unbatched("run_adjoint")
     if cost.w_eta != 0.0 and config.kind != "bidomain":
         raise ValueError("tracking the extracellular potential needs a bidomain run")
     g = config.grid

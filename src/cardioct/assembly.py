@@ -40,6 +40,11 @@ system gets one 2x2 inverse per mode.  The pure-Neumann K_ie solve
 (``solve_neumann``) and the psi row of the block system take loads
 that sum to zero, on which these singular systems are consistent, so
 no solve deflates the constants.
+
+The solves take one load, or a block of loads as the columns of an
+(n, m) array (``linalg.cg_solve``); the lumped mass then scales every
+column, and the compatibility test and the zero-mean gauge act per
+column.
 """
 
 from __future__ import annotations
@@ -273,7 +278,8 @@ class SystemOperators:
         """Coupled bidomain step operator and its block inverse, built once per dt.
 
         See ``reduced_operator``; ``apply`` costs two sparse products,
-        K_i (phi + psi) and K_e psi.
+        K_i (phi + psi) and K_e psi, on a stacked vector or on each
+        column of a (2 N, k) block.
         """
         if dt not in self._coupled_systems:
             K_i, K_e, mass, n = self.K_i, self.K_e, self.mass, self.grid.n_nodes
@@ -281,7 +287,7 @@ class SystemOperators:
             def apply(x):
                 phi, psi = x[:n], x[n:]
                 k_sum = K_i @ (phi + psi)
-                return np.concatenate((mass * phi + dt * k_sum, dt * (k_sum + K_e @ psi)))
+                return np.concatenate(((mass * phi.T).T + dt * k_sum, dt * (k_sum + K_e @ psi)))
 
             lam_i, lam_ie = self.spectrum_i, self.spectrum_ie
             precond = self.grid.spectral.block_inverse(1.0 + dt * lam_i, dt * lam_i, dt * lam_ie)
@@ -319,35 +325,40 @@ def _values(u):
 def _neumann_load(load):
     """A pure-Neumann load with its roundoff-level Euclidean mean removed.
 
-    Raises CompatibilityError when the load's total exceeds 1e-8 times
+    ``load`` is one load vector or an (n, m) block of them as columns.
+    Raises CompatibilityError when a load's total exceeds 1e-8 times
     its norm.
     """
-    total = float(load.sum())
-    norm = float(np.linalg.norm(load))
-    if abs(total) > 1e-8 * norm:
+    total = load.sum(axis=0)
+    norm = np.sqrt((load * load).sum(axis=0))
+    excess = np.abs(total) - 1e-8 * norm
+    if (excess > 0.0).any():
+        j = np.argmax(excess)
+        where = f"column {j} of the " if load.ndim == 2 else ""
         raise CompatibilityError(
-            f"elliptic load integrates to {total:.3e} (norm {norm:.3e}); "
-            "enforce compatibility first"
+            f"{where}elliptic load integrates to {total.flat[j]:.3e} "
+            f"(norm {norm.flat[j]:.3e}); enforce compatibility first"
         )
-    return load - total / load.size
+    return load - total / load.shape[0]
 
 
 def _zero_mean(grid, x):
-    """Shift x by a constant to the weighted zero-mean gauge."""
+    """Shift x (or each column of x) by a constant to the weighted zero-mean gauge."""
     return x - (grid.weights @ x) / grid.measure
 
 
 def solve_neumann(ops, load, *, tol, x0=None):
     """Solve the pure-Neumann system K_ie x = load, weighted zero-mean gauge.
 
-    ``load`` is an assembled load vector; a zero load gives zero.  The
-    load must sum to zero (``_neumann_load``), which puts it in the
+    ``load`` is an assembled load vector, or an (n, m) block of them
+    solved column by column; a zero load gives zero.  The load must
+    sum to zero (``_neumann_load``), which puts it in the
     range of K_ie, and CG with the spectral pseudo-inverse
     ``ops.kie_precond``, positive definite on that range, needs no
     deflation.  The returned field integrates to zero.
     """
     if not load.any():
-        return np.zeros(load.size)
+        return np.zeros(load.shape)
     x = cg_solve(ops.K_ie, _neumann_load(load), tol=tol, precond=ops.kie_precond, x0=x0)
     return _zero_mean(ops.grid, x)
 
@@ -357,11 +368,12 @@ def bidomain_elliptic_solve(ops, load, *, nodal=True, tol=1e-11, x0=None):
 
     ``load`` is a nodal field (functional values; paired through the
     lumped weights) unless ``nodal=False``, in which case it is already
-    an assembled load vector.  See ``solve_neumann``.
+    an assembled load vector.  An array load may be an (n, m) block of
+    loads as columns.  See ``solve_neumann``.
     """
     lv = _values(load)
     if nodal:
-        lv = ops.mass * lv
+        lv = (ops.mass * lv.T).T
     x = solve_neumann(ops, lv, tol=tol, x0=x0)
     return ScalarField(ops.grid, x) if isinstance(load, ScalarField) else x
 
@@ -404,9 +416,11 @@ def solve_coupled_step(ops, system, f, g, *, tol):
     """Solve the coupled step system ``system = reduced_operator(ops, dt)``.
 
     ``g`` is the load of the psi row, which must sum to zero, as in
-    ``solve_neumann``.  The block PCG starts cold.  Returns (phi, psi)
-    with psi in the weighted zero-mean gauge.
+    ``solve_neumann``.  ``f`` and ``g`` may be (N, m) blocks of loads as
+    columns, solved together.  The block PCG starts cold.  Returns
+    (phi, psi) with psi in the weighted zero-mean gauge.
     """
     apply, precond = system
+    n = f.shape[0]
     x = cg_solve(apply, np.concatenate((f, _neumann_load(g))), tol=tol, precond=precond)
-    return x[: f.size], _zero_mean(ops.grid, x[f.size :])
+    return x[:n], _zero_mean(ops.grid, x[n:])

@@ -116,7 +116,11 @@ def project_admissible(series, problem):
 
 
 def evaluate_cost(traj, control, cost):
-    """Tracking terms plus Tikhonov regularization of the control."""
+    """Tracking terms plus Tikhonov regularization of the control.
+
+    Returns a float, or one J per member of a batched control and its
+    trajectory (``FieldSeries`` batch axes).
+    """
     g = control.grid
     tw = rectangle_weights(g)
     chi = cost.mask_values(g)
@@ -128,18 +132,22 @@ def evaluate_cost(traj, control, cost):
         if series is None:
             raise ValueError("cost tracks a quantity the trajectory does not carry")
         dev = series.data - (target.data if target is not None else 0.0)
-        return 0.5 * weight * float(tw @ ((dev * dev) @ g.weights))
+        return 0.5 * weight * (((dev * dev) @ g.weights) @ tw)
 
     total += track(traj.phi_tr, cost.phi_des, cost.w_phi)
     total += track(traj.phi_e, cost.eta_des, cost.w_eta)
     total += track(traj.w, None, cost.w_gate)
     reg = control.data * chi
-    total += 0.5 * cost.mu * float(tw @ ((reg * reg) @ g.weights))
-    return total
+    total += 0.5 * cost.mu * (((reg * reg) @ g.weights) @ tw)
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def simulate(problem, control):
-    """Forward run with the given control; returns (J, trajectory)."""
+    """Forward run with the given control; returns (J, trajectory).
+
+    A batched control runs every member in one forward sweep
+    (``run_forward``) and gives an array of J and a batched trajectory.
+    """
     cfg = replace(problem.config, I_e=control)
     traj = run_forward(cfg, report=False)
     return evaluate_cost(traj, control, problem.cost), traj
@@ -162,6 +170,7 @@ def reduced_gradient(adj, control, config, cost):
 
 def compute_gradient(problem, control, traj):
     """Adjoint solve plus reduced gradient for the given trajectory."""
+    control.require_unbatched("compute_gradient")
     cfg = replace(problem.config, I_e=control)
     adj = run_adjoint(cfg, traj, problem.cost, report=False)
     return reduced_gradient(adj, control, cfg, problem.cost), adj
@@ -192,9 +201,9 @@ def projected_gradient_descent(problem, I0=None, *, verbose=False):
     ||g|| <= gtol (1 + ||g0||), or the iteration budget.  The recorded
     J history is non-increasing.
     """
-    I = project_admissible(
-        I0 if I0 is not None else problem.config.I_e, problem
-    )
+    I0 = I0 if I0 is not None else problem.config.I_e
+    I0.require_unbatched("projected_gradient_descent")
+    I = project_admissible(I0, problem)
     J, traj = simulate(problem, I)
     history = []
     g0_norm = None

@@ -22,6 +22,14 @@ every stored frame from K_ie phi_e = Mass (I_i + I_e) - K_i phi_tr
 with zero-mean gauge.
 
 Zero-flux boundary conditions are built into the assembled operators.
+
+A run may carry a batch of controls: I_i and I_e with one leading batch
+axis of m members (``FieldSeries``).  The states are then (m, n_nodes)
+arrays, and every step and recovery makes one ``cg_solve`` call for the
+whole batch, on the (n_nodes, m) block ``rhs.T`` of its loads; for one
+control ``rhs.T`` is the load itself.  Each member is solved as its own
+PCG, so a batched run gives each member's unbatched trajectory to
+solver precision at the Python cost of one run.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class SystemState:
-    """Fields at one time level."""
+    """Fields at one time level, (n_nodes,) or (m, n_nodes) for a batch of m."""
 
     phi_tr: np.ndarray
     w: np.ndarray
@@ -68,7 +76,9 @@ class ProblemConfig:
     unless ``enforce_compatibility`` is switched off, in which case
     incompatible data raises CompatibilityError in the elliptic solves.
     ``no_reaction`` freezes the ionic current and recovery variable
-    (pure diffusion), used by the convergence harness.
+    (pure diffusion), used by the convergence harness.  I_i and I_e may
+    carry one leading batch axis between them (``batch_shape``); the
+    run then integrates every member at once.
     """
 
     grid: Grid
@@ -93,6 +103,13 @@ class ProblemConfig:
             series = getattr(self, name)
             if series.grid != self.grid:
                 raise ValueError(f"{name} lives on a different grid")
+        if len(self.batch_shape) > 1:
+            raise ValueError(f"a run takes at most one batch axis, not {self.batch_shape}")
+
+    @property
+    def batch_shape(self):
+        """The broadcast batch axes of I_i and I_e; () for a single run."""
+        return np.broadcast_shapes(self.I_i.batch_shape, self.I_e.batch_shape)
 
     def monodomain_system(self):
         """Implicit matrix Mass + dt (lam/(1+lam)) K_i and its spectral preconditioner."""
@@ -109,9 +126,9 @@ class ForwardResult:
 
 
 def compatibility_enforce(grid, I_i, I_e):
-    """Shift each I_e frame by a constant so int(I_i + I_e) dx = 0."""
+    """Shift each I_e frame (of each batch member) by a constant so int(I_i + I_e) dx = 0."""
     shift = (I_i.data + I_e.data) @ grid.weights / grid.measure
-    return FieldSeries(grid, I_e.data - shift[:, None])
+    return FieldSeries(grid, I_e.data - shift[..., None])
 
 
 def _reaction(config, phi, w):
@@ -127,9 +144,9 @@ def step_monodomain(state, config, k, *, system=None):
     A, precond = system
     g = config.grid
     dt, lam, mass = g.dt, config.ops.lam, config.ops.mass
-    forcing = (lam * config.I_i.data[k] - config.I_e.data[k]) / (1.0 + lam)
+    forcing = (lam * config.I_i.data[..., k, :] - config.I_e.data[..., k, :]) / (1.0 + lam)
     rhs = mass * (state.phi_tr - dt * _reaction(config, state.phi_tr, state.w) + dt * forcing)
-    phi_new = cg_solve(A, rhs, tol=config.cg_tol, precond=precond, x0=state.phi_tr)
+    phi_new = cg_solve(A, rhs.T, tol=config.cg_tol, precond=precond, x0=state.phi_tr.T).T
     if config.no_reaction:
         w_new = state.w.copy()
     else:
@@ -138,10 +155,12 @@ def step_monodomain(state, config, k, *, system=None):
 
 
 def recover_phi_e(config, phi_tr, k, *, x0=None):
-    """Extracellular potential at frame k (zero-mean gauge)."""
+    """Extracellular potential at frame k (zero-mean gauge), per batch member."""
     ops = config.ops
-    load = ops.mass * (config.I_i.data[k] + config.I_e.data[k]) - ops.K_i @ phi_tr
-    return bidomain_elliptic_solve(ops, load, nodal=False, tol=config.inner_tol, x0=x0)
+    currents = config.I_i.data[..., k, :] + config.I_e.data[..., k, :]
+    load = ops.mass * currents - (ops.K_i @ phi_tr.T).T
+    x0 = None if x0 is None else x0.T
+    return bidomain_elliptic_solve(ops, load.T, nodal=False, tol=config.inner_tol, x0=x0).T
 
 
 def step_bidomain(state, config, k, *, system=None):
@@ -150,11 +169,12 @@ def step_bidomain(state, config, k, *, system=None):
         system = reduced_operator(config.ops, config.grid.dt)
     g = config.grid
     dt, mass = g.dt, config.ops.mass
-    I_i, I_e = config.I_i.data[k], config.I_e.data[k]
+    I_i, I_e = config.I_i.data[..., k, :], config.I_e.data[..., k, :]
     f = mass * (state.phi_tr - dt * _reaction(config, state.phi_tr, state.w) + dt * I_i)
     phi_new, psi = solve_coupled_step(
-        config.ops, system, f, dt * mass * (I_i + I_e), tol=config.cg_tol
+        config.ops, system, f.T, (dt * mass * (I_i + I_e)).T, tol=config.cg_tol
     )
+    phi_new, psi = phi_new.T, psi.T
     if config.no_reaction:
         w_new = state.w.copy()
     else:
@@ -165,10 +185,19 @@ def step_bidomain(state, config, k, *, system=None):
 
 
 def run_forward(config, *, report=True):
-    """Integrate the system over all steps and report trajectory norms."""
+    """Integrate the system over all steps and report trajectory norms.
+
+    A batched config (``ProblemConfig.batch_shape``) gives series with
+    the same batch axis, one trajectory per member; the norm report
+    reads single series, so ``report=True`` rejects a batch.
+    """
     g = config.grid
     n = g.n_steps
     bidomain = config.kind == "bidomain"
+    batch = config.batch_shape
+    if report:
+        for series in (config.I_i, config.I_e):
+            series.require_unbatched("run_forward(report=True)")
 
     if bidomain and config.enforce_compatibility:
         config = ProblemConfig(
@@ -178,15 +207,15 @@ def run_forward(config, *, report=True):
             }
         )
 
-    phi = FieldSeries.zeros(g)
-    w = FieldSeries.zeros(g)
-    phi.data[0] = config.phi0.values
-    w.data[0] = config.w0.values
+    phi = FieldSeries.zeros(g, batch)
+    w = FieldSeries.zeros(g, batch)
+    phi.data[..., 0, :] = config.phi0.values
+    w.data[..., 0, :] = config.w0.values
 
     phi_e = None
     if bidomain:
-        phi_e = FieldSeries.zeros(g)
-        phi_e.data[0] = recover_phi_e(config, phi.data[0], 0)
+        phi_e = FieldSeries.zeros(g, batch)
+        phi_e.data[..., 0, :] = recover_phi_e(config, phi.data[..., 0, :], 0)
         system = reduced_operator(config.ops, g.dt)
         stepper = lambda st, k: step_bidomain(st, config, k, system=system)
     else:
@@ -194,19 +223,19 @@ def run_forward(config, *, report=True):
         stepper = lambda st, k: step_monodomain(st, config, k, system=system)
 
     state = SystemState(
-        phi_tr=phi.data[0].copy(),
-        w=w.data[0].copy(),
+        phi_tr=phi.data[..., 0, :].copy(),
+        w=w.data[..., 0, :].copy(),
         t=0.0,
-        phi_e=phi_e.data[0].copy() if bidomain else None,
+        phi_e=phi_e.data[..., 0, :].copy() if bidomain else None,
     )
     for k in range(n):
         state = stepper(state, k)
         if not np.all(np.isfinite(state.phi_tr)):
             raise DivergenceError(f"non-finite transmembrane potential at step {k + 1}")
-        phi.data[k + 1] = state.phi_tr
-        w.data[k + 1] = state.w
+        phi.data[..., k + 1, :] = state.phi_tr
+        w.data[..., k + 1, :] = state.w
         if bidomain:
-            phi_e.data[k + 1] = state.phi_e
+            phi_e.data[..., k + 1, :] = state.phi_e
 
     rep = forward_report(config, phi, w, phi_e) if report else NormReport()
     return ForwardResult(phi_tr=phi, w=w, report=rep, phi_e=phi_e, I_e_used=config.I_e)

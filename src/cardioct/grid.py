@@ -218,6 +218,13 @@ class FieldSeries:
 
     Frame k lives at time k * dt; a series always carries n_steps + 1
     frames so trajectories, controls and targets share one layout.
+
+    ``data`` may carry leading batch axes, (*batch, n_frames, n_nodes):
+    a batch of series on one grid, such as the controls and
+    trajectories of one batched ``run_forward``.  Frame k of every
+    member is ``data[..., k, :]``, and an unbatched series broadcasts
+    against a batched one.  Code that reads frames as ``data[k]`` takes
+    unbatched series only and says so through ``require_unbatched``.
     """
 
     grid: Grid
@@ -226,13 +233,25 @@ class FieldSeries:
     def __post_init__(self):
         d = np.asarray(self.data, dtype=float)
         expected = (self.grid.n_steps + 1, self.grid.n_nodes)
-        if d.shape != expected:
-            raise ValueError(f"series shape {d.shape} != expected {expected}")
+        if d.shape[-2:] != expected:
+            raise ValueError(f"series shape {d.shape} != expected (*batch, *{expected})")
         self.data = np.ascontiguousarray(d)
 
     @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros((grid.n_steps + 1, grid.n_nodes)))
+    def zeros(cls, grid, batch_shape=()):
+        return cls(grid, np.zeros(tuple(batch_shape) + (grid.n_steps + 1, grid.n_nodes)))
+
+    @property
+    def batch_shape(self):
+        """The leading batch axes of ``data``; () for a single series."""
+        return self.data.shape[:-2]
+
+    def require_unbatched(self, what):
+        """Raise ValueError if the series is a batch; ``what`` names its reader."""
+        if self.batch_shape:
+            raise ValueError(
+                f"{what} takes a single series, not a batch of shape {self.batch_shape}"
+            )
 
     @classmethod
     def constant(cls, grid, field_or_value):
@@ -255,7 +274,7 @@ class FieldSeries:
 
     @property
     def n_frames(self):
-        return self.data.shape[0]
+        return self.data.shape[-2]
 
     def __len__(self):
         return self.n_frames

@@ -19,6 +19,16 @@ spend a second one on the residual b - A x0 and save nothing, so
 preconditioner (variable tensors: fibres, scar) it keeps the warm
 start, which saves iterations.  Callers therefore always pass their
 best ``x0`` and leave the choice here.
+
+Several right-hand sides of one system are solved together as the
+columns of an (n, m) block.  Each column is its own PCG, with its own
+step lengths, residual test, warm-start choice and iteration cap; the
+block only shares the operator and preconditioner calls, which then
+act on (n, k) blocks of the k columns still iterating.  A column that
+converges is retired: it is stored and dropped from the block, so no
+arithmetic is spent on it afterwards.  A single right-hand side is the
+case m = 1 kept one-dimensional, with scalar inner products and no
+column bookkeeping, so it costs what a one-vector PCG costs.
 """
 
 from __future__ import annotations
@@ -29,14 +39,25 @@ import numpy as np
 class SolverError(RuntimeError):
     """Raised when CG does not reach the requested tolerance.
 
-    Carries the final relative residual and the iteration count so
-    callers can report how close the solve got.
+    Carries the final relative residual (of the worst column, for a
+    block of right-hand sides) and the iteration count so callers can
+    report how close the solve got.
     """
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+
+
+def _row_dots(u, v):
+    """Inner products of the matching rows of two (k, n) blocks, as a (k, 1) column.
+
+    A stack of (1, n) @ (n, 1) products: each row's product is the BLAS
+    dot that ``np.dot`` takes for one vector, so a column's inner
+    products are bit-identical to those of its single solve.
+    """
+    return (u[:, None, :] @ v[:, :, None])[:, 0]
 
 
 def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, precond=None, x0=None):
@@ -49,11 +70,15 @@ def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, precond=None, x0=None)
     ----------
     A : scipy sparse matrix, or callable ``v -> A @ v``
         Operator.  A callable must be accompanied by ``precond`` or
-        ``diag``.
-    b : array
-        Right-hand side.
+        ``diag``.  For a block ``b`` it receives (n, k) blocks, one
+        column per unconverged right-hand side.
+    b : array, shape (n,) or (n, m)
+        Right-hand side, or m right-hand sides as columns, each solved
+        as its own PCG (see the module docstring).  A zero column gives
+        a zero column.
     tol : float
-        Relative residual target ``||b - A x|| <= tol * ||b||``.
+        Relative residual target ``||b - A x|| <= tol * ||b||``, per
+        column.
     maxiter : int, optional
         Iteration cap; defaults to ``10 * n``.
     diag : array, optional
@@ -61,28 +86,36 @@ def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, precond=None, x0=None)
         ``precond`` is given.  Taken from ``A.diagonal()`` when omitted.
     precond : callable, optional
         Symmetric positive (semi)definite ``r -> z`` approximating
-        ``A^{-1} r``, such as ``SpectralBasis.inverse``.  Takes
-        precedence over ``diag``.  A true ``precond.exact`` attribute
-        states that it is the exact (pseudo-)inverse of ``A``.
+        ``A^{-1} r``, such as ``SpectralBasis.inverse``; like ``A`` it
+        maps (n, k) blocks column by column.  Takes precedence over
+        ``diag``.  A true ``precond.exact`` attribute states that it is
+        the exact (pseudo-)inverse of ``A``.
     x0 : array, optional
-        Warm-start iterate.  Ignored when ``precond.exact`` is true:
-        with an exact preconditioner the cold start costs one operator
-        application and a warm start two (its residual plus the one
-        step).  The residual test still decides convergence, so a wrong
-        ``exact`` flag costs iterations, never accuracy.
+        Warm-start iterate, shaped like ``b``.  Ignored when
+        ``precond.exact`` is true: with an exact preconditioner the cold
+        start costs one operator application and a warm start two (its
+        residual plus the one step).  The residual test still decides
+        convergence, so a wrong ``exact`` flag costs iterations, never
+        accuracy.  A column whose warm start has a larger residual than
+        the cold start is started cold.
 
     Returns
     -------
-    array
+    array, shaped like ``b``
         The solution; for a singular ``A``, one solution, in no fixed
         gauge.
 
     Raises
     ------
     SolverError
-        If the tolerance is not reached within ``maxiter`` iterations,
-        or if a direction of nonpositive curvature shows up.
+        If a column does not reach the tolerance within ``maxiter``
+        iterations, or if a direction of nonpositive curvature shows up;
+        it reports the column with the largest relative residual.
     """
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (1, 2):
+        raise ValueError(f"cg_solve takes b of shape (n,) or (n, m), not {b.shape}")
+    block = b.ndim == 2
     matvec = A if callable(A) else A.__matmul__
     if precond is None:
         if diag is None:
@@ -93,64 +126,107 @@ def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, precond=None, x0=None)
         if np.any(diag <= 0.0):
             raise ValueError("Jacobi preconditioner needs a positive diagonal")
         inv_diag = 1.0 / diag
-        precond = inv_diag.__mul__
-
-    b = np.asarray(b, dtype=float)
-    n = b.size
+        precond = (inv_diag[:, None] if block else inv_diag).__mul__
     if maxiter is None:
-        maxiter = 10 * n
+        maxiter = 10 * b.shape[0]
+    if x0 is not None and getattr(precond, "exact", False):
+        x0 = None
 
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return np.zeros(n)
+    rows = None
+    if block:
+        # The iteration runs on the transposed (m, n) block, one row per
+        # column of b, so that the vector updates sweep contiguous rows
+        # and the per-column scalars are (k, 1) arrays that broadcast
+        # over them; A and precond still see (n, k) columns.
+        op, pre = matvec, precond
+        matvec = lambda v: np.ascontiguousarray(op(v.T).T)
+        precond = lambda v: np.ascontiguousarray(pre(v.T).T)
+        dot = _row_dots
+        b = np.ascontiguousarray(b.T)
+        out = np.zeros(b.shape)
+        b_norm = np.sqrt(dot(b, b))
+        rows = np.flatnonzero(b_norm)  # zero columns stay zero
+        if rows.size == 0:
+            return out.T
+        if x0 is not None:
+            x0 = np.asarray(x0, dtype=float).T
+        if rows.size < len(b):
+            b, b_norm = b[rows], b_norm[rows]
+            x0 = None if x0 is None else x0[rows]
+    else:
+        dot = np.dot
+        b_norm = np.sqrt(dot(b, b))
+        if b_norm == 0.0:
+            return np.zeros(b.shape)
     target = tol * b_norm
 
-    if x0 is None or getattr(precond, "exact", False):
-        x = np.zeros(n)
+    if x0 is None:
+        x = np.zeros(b.shape)
         r = b.copy()
     else:
         x = np.array(x0, dtype=float)
         r = b - matvec(x)
-        if float(np.linalg.norm(r)) > b_norm:
-            # the warm start is worse than a cold one (this happens when
-            # the load collapses between calls); discard it so that the
-            # iteration stays scale invariant
-            x = np.zeros(n)
-            r = b.copy()
+        # a warm start worse than a cold one (this happens when the load
+        # collapses between calls) is discarded, so that the iteration
+        # stays scale invariant
+        worse = np.sqrt(dot(r, r)) > b_norm
+        if worse.any():
+            x = np.where(worse, 0.0, x)
+            r = np.where(worse, b, r)
 
-    z = precond(r)
-    p = z.copy()
-    rz = float(r @ z)
-    res = float(np.linalg.norm(r))
-
+    res = np.sqrt(dot(r, r))
+    p = rz = None
     it = 0
-    while res > target and it < maxiter:
+    while True:
+        done = res <= target
+        if not block:
+            if done:
+                return x
+        elif done.any():
+            done = done[:, 0]
+            if rows.size == len(out) and done.all():
+                return x.T  # every column converged together
+            out[rows[done]] = x[done]
+            keep = ~done
+            if not keep.any():
+                return out.T
+            x, r, res, target, b_norm, rows = (
+                a[keep] for a in (x, r, res, target, b_norm, rows)
+            )
+            if p is not None:
+                p, rz = p[keep], rz[keep]
+        if it >= maxiter:
+            raise _stalled(res / b_norm, it, tol, rows)
+        z = precond(r)
+        rz_new = dot(r, z)
+        p = z if p is None else z + (rz_new / rz) * p
+        rz = rz_new
         Ap = matvec(p)
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
+        pAp = dot(p, Ap)
+        if (pAp <= 0.0).any():
             raise SolverError(
                 f"cg_solve hit nonpositive curvature at iteration {it}",
-                residual=res / b_norm,
+                residual=float(np.max(res / b_norm)),
                 iterations=it,
             )
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        res = float(np.linalg.norm(r))
-        if res <= target:
-            it += 1
-            break
-        z = precond(r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        res = np.sqrt(dot(r, r))
         it += 1
 
-    if res > target:
-        raise SolverError(
-            f"cg_solve stalled after {it} iterations "
-            f"(relative residual {res / b_norm:.3e}, target {tol:.3e})",
-            residual=res / b_norm,
-            iterations=it,
-        )
-    return x
+
+def _stalled(rel, iterations, tol, rows):
+    """SolverError for the unconverged column with the largest relative residual.
+
+    ``rows`` maps the block's rows to the columns of b (None for a 1-D b).
+    """
+    worst = int(np.argmax(rel))
+    where = "" if rows is None else f" in column {rows[worst]}"
+    rel = float(np.max(rel))
+    return SolverError(
+        f"cg_solve stalled after {iterations} iterations{where} "
+        f"(relative residual {rel:.3e}, target {tol:.3e})",
+        residual=rel,
+        iterations=iterations,
+    )

@@ -129,7 +129,10 @@ class SpectralBasis:
         return (y.reshape(-1, self.shape[-1]) @ self._cos[-1]).reshape(x.shape)
 
     def inverse(self, eigenvalues, *, exact=False):
-        """Apply V diag(1/eigenvalues) (V^T W V)^{-1} V^T, flat vector in and out.
+        """Apply V diag(1/eigenvalues) (V^T W V)^{-1} V^T to a flat vector.
+
+        The returned ``apply`` maps a vector of length ``size``, or an
+        (size, k) block column by column, to the same shape.
 
         This is the inverse of the operator W V diag(eigenvalues) V^{-1};
         modes with a zero eigenvalue get the inverse 0, which for the
@@ -149,7 +152,9 @@ class SpectralBasis:
         shape = self.shape
 
         def apply(r):
-            return self.transform(scale * self.transform(r.reshape(shape))).ravel()
+            # columns become leading batch axes of the transform
+            z = self.transform(scale * self.transform(r.T.reshape(r.shape[1:] + shape)))
+            return z.reshape(r.T.shape).T
 
         apply.exact = exact
         return apply
@@ -161,7 +166,8 @@ class SpectralBasis:
         stacked pairs [x; y] as ``inverse`` describes for one field, with
         the symmetric 2x2 matrix [[a, b], [b, c]] in place of each mode's
         eigenvalue; ``apply`` takes and returns a flat vector of length
-        2 * size and transforms the pair in one batch each way.  Every
+        2 * size, or a (2 * size, k) block of such columns, and
+        transforms all the pairs in one batch each way.  Every
         mode's matrix must be positive definite or have b = c = 0; those
         modes get the pseudo-inverse [[1/a, 0], [0, 0]], so the y-part of
         the result is W-orthogonal to constants when c vanishes on the
@@ -174,11 +180,12 @@ class SpectralBasis:
         inv = np.stack([np.stack([c, -b]), np.stack([-b, a])]) / det
         inv[:, :, singular] = 0.0
         inv[0, 0, singular] = 1.0 / (a * self._norms)[singular]
-        shape = (1, 2) + self.shape
+        shape, pair_axis = (1, 2) + self.shape, -1 - len(self.shape)
 
         def apply(r):
-            coef = self.transform(r.reshape(shape))
-            return self.transform((inv * coef).sum(axis=1)).ravel()
+            coef = self.transform(r.T.reshape(r.shape[1:] + shape))
+            z = self.transform((inv * coef).sum(axis=pair_axis))
+            return z.reshape(r.T.shape).T
 
         return apply
 

@@ -435,6 +435,13 @@ def gradient_check(problem, *, n_directions=5, seed=0, deltas=None):
     is chosen by a three-point plateau rule: among a geometric ladder
     of steps, take the one whose FD value moves least relative to its
     neighbors.  Reports the worst relative error over all directions.
+
+    The whole ladder of a direction, the controls base +- delta d for
+    every delta, is one batched ``simulate``: one forward sweep whose
+    solves take all 2 len(deltas) controls as columns.  That sweep
+    holds 2 len(deltas) trajectories (phi, w and, for bidomain runs,
+    phi_e, each (n_steps + 1) x n_nodes doubles) at once, where a
+    sequential ladder held one.
     """
     if deltas is None:
         deltas = [1e-2 * 0.5**j for j in range(6)]
@@ -442,18 +449,17 @@ def gradient_check(problem, *, n_directions=5, seed=0, deltas=None):
     base = project_admissible(problem.config.I_e, problem)
     J0, traj = simulate(problem, base)
     grad, _ = compute_gradient(problem, base, traj)
+    # +delta and -delta of each step, side by side in the batch
+    steps = np.outer(deltas, [1.0, -1.0]).ravel()
 
     rel_errors, chosen, gds, fds = [], [], [], []
     for _ in range(n_directions):
         d = random_admissible_direction(problem, rng)
         gd = control_inner(grad, d)
-        fd_ladder = []
-        for delta in deltas:
-            plus = FieldSeries(base.grid, base.data + delta * d.data)
-            minus = FieldSeries(base.grid, base.data - delta * d.data)
-            J_plus, _ = simulate(problem, plus)
-            J_minus, _ = simulate(problem, minus)
-            fd_ladder.append((J_plus - J_minus) / (2.0 * delta))
+        ladder = FieldSeries(base.grid, base.data + steps[:, None, None] * d.data)
+        J, _ = simulate(problem, ladder)
+        J_plus, J_minus = J.reshape(-1, 2).T
+        fd_ladder = (J_plus - J_minus) / (2.0 * np.asarray(deltas))
         scale = max(abs(gd), max(abs(f) for f in fd_ladder), 1e-300)
         best_j, best_disp = 0, np.inf
         for j in range(len(deltas)):
