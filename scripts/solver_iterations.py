@@ -19,9 +19,10 @@ forcing lift solve; and the coupled block PCG of
 A third table shows when ``cg_solve`` keeps a warm start.  It runs a
 10-step forward run (dt = 0.02) with the monodomain steps and, for the
 bidomain run, the recovery of phi_e at each frame, and prints the CG
-calls and the operator applications of those solves three ways: every
-warm start kept, every warm start dropped, and as the package chooses
-(cold where the spectral preconditioner is exact, warm otherwise).
+calls and the operator applications of those solves three ways: PCG
+with every warm start kept, PCG with every warm start dropped, and as
+the package chooses (x = P b with no application where the spectral
+preconditioner is exact, warm PCG otherwise).
 """
 
 import argparse
@@ -145,16 +146,17 @@ def counted_solves(mode, calls, applications):
 
     Those are the monodomain steps and the K_ie solves; the coupled
     bidomain step passes a callable and is not counted.  ``mode`` "warm"
-    hides the preconditioner's ``exact`` mark, so every warm start is
-    kept; "cold" drops every ``x0``; "chosen" leaves both as they are.
+    and "cold" hide the preconditioner's ``exact`` mark, so that every
+    solve runs PCG; "warm" keeps every warm start and "cold" drops every
+    ``x0``.  "chosen" leaves both as they are.
     """
 
     def solve(A, b, **kwargs):
-        if mode == "cold":
-            kwargs.pop("x0", None)
-        elif mode == "warm":
+        if mode != "chosen":
             precond = kwargs["precond"]
             kwargs["precond"] = lambda r: precond(r)
+        if mode == "cold":
+            kwargs.pop("x0", None)
         if not callable(A):
             calls[0] += 1
             A = Counted(A, applications)

@@ -204,10 +204,6 @@ class ScalarField:
         """Evaluate ``fn(x)``, ``fn(x, y)`` or ``fn(x, y, z)`` at the nodes."""
         return cls(grid, np.asarray(fn(*grid.meshgrid), dtype=float).ravel())
 
-    @property
-    def values_nd(self):
-        return self.values.reshape(self.grid.shape)
-
     def copy(self):
         return ScalarField(self.grid, self.values.copy())
 
@@ -392,17 +388,6 @@ def coefficient_norms(coeffs, weights):
     ``coeffs`` were computed from by ``Grid.coefficients``.
     """
     return np.sqrt((coeffs * coeffs) @ weights)
-
-
-def h1_norm(fld):
-    """Discrete H^1 norm: lumped L^2 part plus cell-quadrature gradient part.
-
-    The gradient part differences along each axis and averages the two
-    cell-edge nodes along the others; it is read off the DCT-I
-    coefficients together with the L^2 part (``Grid.h1_weights``).
-    """
-    g = fld.grid
-    return float(coefficient_norms(g.coefficients(fld.values), g.h1_weights))
 
 
 def _l2_frames(series):

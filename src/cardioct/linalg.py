@@ -12,13 +12,22 @@ preconditioners of ``spectral``; a caller that passes only a matrix
 gets Jacobi.
 
 A spectral preconditioner built for a constant diagonal tensor is the
-exact inverse of its system and says so (``precond.exact``).  Started
-cold, CG then stops after one operator application; a warm start would
-spend a second one on the residual b - A x0 and save nothing, so
-``cg_solve`` ignores ``x0`` for such a preconditioner.  For every other
-preconditioner (variable tensors: fibres, scar) it keeps the warm
-start, which saves iterations.  Callers therefore always pass their
-best ``x0`` and leave the choice here.
+exact inverse of its system and says so (``precond.exact``).  Its
+accuracy is measured once, when the system is built: ``assembly``
+probes the relative residual rho = ||A P b - b|| / ||b|| on a random
+and a smooth load, stores it as ``precond.residual`` and raises
+``SolverError`` when it exceeds 1e-6, that is, when the ``exact`` mark
+is wrong.  ``cg_solve`` then solves such a system directly, x = P b,
+with no operator application, whenever ``tol >= 100 rho``; this is the
+first iterate of a cold PCG (whose step length is 1 for an exact P)
+without the residual test, and ``x0`` plays no part in it.  A tighter
+tolerance, at the roundoff level of the system, and a preconditioner
+marked exact but never probed take the PCG iteration, started cold:
+with an exact P a warm start would spend one more operator application
+on the residual b - A x0 and save nothing.  For every other
+preconditioner (variable tensors: fibres, scar) the iteration keeps
+the warm start, which saves iterations.  Callers therefore always pass
+their best ``x0`` and leave the choice here.
 
 Several right-hand sides of one system are solved together as the
 columns of an (n, m) block.  Each column is its own PCG, with its own
@@ -89,14 +98,17 @@ def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, precond=None, x0=None)
         ``A^{-1} r``, such as ``SpectralBasis.inverse``; like ``A`` it
         maps (n, k) blocks column by column.  Takes precedence over
         ``diag``.  A true ``precond.exact`` attribute states that it is
-        the exact (pseudo-)inverse of ``A``.
+        the exact (pseudo-)inverse of ``A``, and ``precond.residual``,
+        when present, is its probed relative residual rho (see the
+        module docstring).  With both, and ``tol >= 100 * rho``, the
+        result is ``precond(b)``, computed with no operator application
+        and no residual test.
     x0 : array, optional
         Warm-start iterate, shaped like ``b``.  Ignored when
-        ``precond.exact`` is true: with an exact preconditioner the cold
-        start costs one operator application and a warm start two (its
-        residual plus the one step).  The residual test still decides
-        convergence, so a wrong ``exact`` flag costs iterations, never
-        accuracy.  A column whose warm start has a larger residual than
+        ``precond.exact`` is true: the direct solve needs none, and
+        with an exact preconditioner the cold PCG costs one operator
+        application and a warm start two (its residual plus the one
+        step).  A column whose warm start has a larger residual than
         the cold start is started cold.
 
     Returns
@@ -115,6 +127,10 @@ def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, precond=None, x0=None)
     b = np.asarray(b, dtype=float)
     if b.ndim not in (1, 2):
         raise ValueError(f"cg_solve takes b of shape (n,) or (n, m), not {b.shape}")
+    if getattr(precond, "exact", False):
+        if tol >= 100.0 * getattr(precond, "residual", np.inf):
+            return precond(b)
+        x0 = None
     block = b.ndim == 2
     matvec = A if callable(A) else A.__matmul__
     if precond is None:
@@ -129,8 +145,6 @@ def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, precond=None, x0=None)
         precond = (inv_diag[:, None] if block else inv_diag).__mul__
     if maxiter is None:
         maxiter = 10 * b.shape[0]
-    if x0 is not None and getattr(precond, "exact", False):
-        x0 = None
 
     rows = None
     if block:

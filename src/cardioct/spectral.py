@@ -143,7 +143,9 @@ class SpectralBasis:
         ``exact`` states that the eigenvalues are those of the operator
         the map will precondition, so that it is that operator's exact
         (pseudo-)inverse; the returned callable carries it as
-        ``apply.exact``, which ``linalg.cg_solve`` reads to start cold.
+        ``apply.exact``.  ``linalg.cg_solve`` solves with such a map
+        directly, x = apply(b), once ``assembly`` has probed its
+        residual (``apply.residual``).
         """
         eig = np.asarray(eigenvalues, dtype=float)
         positive = eig > 0.0
@@ -159,7 +161,7 @@ class SpectralBasis:
         apply.exact = exact
         return apply
 
-    def block_inverse(self, a, b, c):
+    def block_inverse(self, a, b, c, *, exact=False):
         """Inverse of the 2x2 block operator with eigenvalue blocks [[a, b], [b, c]].
 
         ``a``, ``b`` and ``c`` hold one value per mode.  The operator maps
@@ -172,7 +174,8 @@ class SpectralBasis:
         modes get the pseudo-inverse [[1/a, 0], [0, 0]], so the y-part of
         the result is W-orthogonal to constants when c vanishes on the
         constant mode only.  The map is symmetric and positive
-        semidefinite.
+        semidefinite.  ``exact`` is carried as ``apply.exact``, as in
+        ``inverse``.
         """
         a, b, c = (np.asarray(e, dtype=float) for e in (a, b, c))
         singular = c <= 0.0
@@ -187,6 +190,7 @@ class SpectralBasis:
             z = self.transform((inv * coef).sum(axis=pair_axis))
             return z.reshape(r.T.shape).T
 
+        apply.exact = exact
         return apply
 
 

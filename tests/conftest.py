@@ -10,6 +10,8 @@ from cardioct import (
     TensorField,
     build_operators,
 )
+from cardioct import adjoint, assembly, forward, linalg
+from cardioct.grid import coefficient_norms
 from cardioct.stimuli import gaussian_bump, pulse_series
 
 
@@ -27,6 +29,22 @@ def fibres(grid):
     f = np.zeros((grid.n_cells, grid.dim))
     f[:, 0], f[:, 1] = np.cos(a), np.sin(a)
     return TensorField(grid, 0.1 * np.eye(grid.dim) + 0.9 * f[:, :, None] * f[:, None, :])
+
+
+def h1_norm(fld):
+    """Discrete H^1 norm of one field, read off its DCT-I coefficients.
+
+    The lumped L^2 part plus the cell-quadrature gradient part, which
+    differences along each axis and averages the two cell-edge nodes
+    along the others (``Grid.h1_weights``).
+    """
+    g = fld.grid
+    return float(coefficient_norms(g.coefficients(fld.values), g.h1_weights))
+
+
+def values_nd(fld):
+    """The values of a ScalarField on the grid's node shape."""
+    return fld.values.reshape(fld.grid.shape)
 
 
 def random_spd(grid, rng):
@@ -73,6 +91,49 @@ def make_problem(
         I_e=I_e,
         **kwargs,
     )
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Record every CG call of the package: operator, load, keywords, result, applications.
+
+    The operator is wrapped in a counting closure, as the benchmark's
+    tracer does, in every module that calls ``cg_solve``.
+    """
+    record = []
+
+    def counted(A, b, **kwargs):
+        matvec = A if callable(A) else A.__matmul__
+        entry = {"A": A, "matvec": matvec, "b": b, "kwargs": kwargs, "applications": 0}
+        record.append(entry)
+
+        def counting(v):
+            entry["applications"] += 1
+            return matvec(v)
+
+        entry["x"] = linalg.cg_solve(counting, b, **kwargs)
+        return entry["x"]
+
+    for module in (forward, adjoint, assembly):
+        monkeypatch.setattr(module, "cg_solve", counted)
+    return record
+
+
+def meets_tolerance(solve):
+    """Whether a recorded solve's residual, recomputed from its operator, is within its tol.
+
+    Checked per column: ||b - A x|| <= tol ||b||.
+    """
+    b = solve["b"]
+    residual = np.linalg.norm(b - solve["matvec"](solve["x"]), axis=0)
+    return bool(np.all(residual <= solve["kwargs"]["tol"] * np.linalg.norm(b, axis=0)))
+
+
+def assert_direct(solve):
+    """The recorded solve made no operator application and returned P b within its tol."""
+    assert solve["applications"] == 0
+    assert np.array_equal(solve["x"], solve["kwargs"]["precond"](solve["b"]))
+    assert meets_tolerance(solve)
 
 
 @pytest.fixture

@@ -125,17 +125,29 @@ def test_jacobi_columns_equal_their_single_solves(case, m, zero, seed):
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.sampled_from(GRIDS), st.integers(1, 5), st.integers(0, 2**31 - 1))
-def test_exact_columns_take_one_application_and_ignore_x0(case, m, seed):
+@given(st.sampled_from(GRIDS), st.integers(1, 5), st.sets(st.integers(0, 4), max_size=2),
+       st.integers(0, 2**31 - 1))
+def test_exact_columns_are_solved_directly_and_ignore_x0(case, m, zero, seed):
     rng = np.random.default_rng(seed)
     g = Grid(*case, 1.0, 1)
     A, precond = build_operators(g, _tensor(g, "constant", rng)).step_system(0.05)
-    assert precond.exact
-    B = rng.standard_normal((g.n_nodes, m))
+    assert precond.exact and 100.0 * precond.residual <= 1e-10
+    B = _load_block(rng, g.n_nodes, m, zero)
     matvec, widths = _counting(A)
     X = cg_solve(matvec, B, tol=1e-10, precond=precond, x0=rng.standard_normal(B.shape))
-    assert widths == [m]
+    assert widths == []
+    assert np.array_equal(X, precond(B))
+    R = B - A @ X
+    assert np.all(np.linalg.norm(R, axis=0) <= 1e-10 * np.linalg.norm(B, axis=0))
     _assert_columns_match(X, B, lambda b, _: cg_solve(A, b, tol=1e-10, precond=precond))
+    # below 100 times the probed residual the columns take the PCG iteration
+    tol = 10.0 * precond.residual
+    matvec, widths = _counting(A)
+    X = cg_solve(matvec, B, tol=tol, precond=precond)
+    nonzero = np.count_nonzero(B.any(axis=0))
+    assert widths[:1] == ([nonzero] if nonzero else [])
+    R = B - A @ X
+    assert np.all(np.linalg.norm(R, axis=0) <= tol * np.linalg.norm(B, axis=0))
 
 
 @settings(max_examples=15, deadline=None)

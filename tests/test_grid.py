@@ -11,7 +11,6 @@ from cardioct.grid import (
     bochner_norm,
     dual_norm,
     export_csv,
-    h1_norm,
     integrate,
     lp_norm,
     read_snapshots,
@@ -19,6 +18,8 @@ from cardioct.grid import (
     time_weights,
     write_snapshots,
 )
+
+from conftest import h1_norm
 
 
 def test_grid_basic_geometry():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_problem
+from conftest import h1_norm, make_problem, values_nd
 from cardioct.assembly import assemble_stiffness
 from cardioct.forward import run_forward
 from cardioct.grid import (
@@ -13,7 +13,6 @@ from cardioct.grid import (
     TensorField,
     bochner_norm,
     dual_norm,
-    h1_norm,
     time_weights,
 )
 
@@ -31,7 +30,7 @@ GRIDS = [
 def _grad_sq_integral(fld):
     """Integral of |grad field|^2 from cell-centered axis differences."""
     g = fld.grid
-    v = fld.values_nd
+    v = values_nd(fld)
     total = 0.0
     for axis in range(g.dim):
         d = np.diff(v, axis=axis) / g.h[axis]

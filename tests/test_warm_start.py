@@ -1,9 +1,10 @@
-"""Which CG solves keep their warm start.
+"""Which CG solves are direct, and which keep their warm start.
 
-A DCT-I inverse built for a constant diagonal tensor is the exact
-inverse of its system and is marked ``exact``; ``cg_solve`` then starts
-cold and needs one operator application, where a warm start would need
-two.  Every other preconditioner keeps the caller's ``x0``.
+A DCT-I inverse P built for a constant diagonal tensor is the exact
+inverse of its system and is marked ``exact``; once its residual is
+probed, ``cg_solve`` returns P b with no operator application and
+ignores the caller's ``x0``.  Every other preconditioner keeps the
+warm start.
 """
 
 from dataclasses import replace
@@ -13,39 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cardioct import adjoint, assembly, forward, linalg
 from cardioct.adjoint import CostConfig, run_adjoint
 from cardioct.assembly import SystemOperators, build_operators
 from cardioct.forward import run_forward
 from cardioct.grid import Grid, TensorField
 
-from conftest import fibres, make_problem
+from conftest import assert_direct, fibres, make_problem
 from test_neumann import _scar
-
-
-@pytest.fixture
-def solves(monkeypatch):
-    """Record every CG call of the package: operator, keywords, applications.
-
-    The operator is wrapped in a counting closure, as the benchmark's
-    tracer does, in every module that calls ``cg_solve``.
-    """
-    record = []
-
-    def counted(A, b, **kwargs):
-        entry = {"A": A, "kwargs": kwargs, "applications": 0}
-        record.append(entry)
-        matvec = A if callable(A) else A.__matmul__
-
-        def counting(v):
-            entry["applications"] += 1
-            return matvec(v)
-
-        return linalg.cg_solve(counting, b, **kwargs)
-
-    for module in (forward, adjoint, assembly):
-        monkeypatch.setattr(module, "cg_solve", counted)
-    return record
 
 
 @pytest.mark.parametrize(
@@ -53,23 +28,27 @@ def solves(monkeypatch):
     [Grid((9, 7), (1.0, 1.3), 0.3, 6), Grid((5, 4, 6), (1.0, 0.8, 1.2), 0.3, 4)],
     ids=["2d", "3d"],
 )
-def test_constant_monodomain_makes_one_application_per_solve(grid, solves):
+def test_constant_monodomain_solves_directly(grid, solves):
     cfg = make_problem(grid, stimulus=0.3)
     traj = run_forward(cfg, report=False)
     run_adjoint(cfg, traj, CostConfig(mu=1e-2, w_phi=1.0), report=False)
     assert len(solves) == 2 * grid.n_steps
-    # the call sites still pass their warm start; cg_solve discards it
+    # the call sites still pass their warm start; cg_solve does not use it
     assert all(s["kwargs"]["x0"] is not None for s in solves)
-    assert [s["applications"] for s in solves] == [1] * len(solves)
+    for s in solves:
+        assert_direct(s)
 
 
-def test_constant_bidomain_recovers_phi_e_with_one_application(grid2d, solves):
+def test_constant_bidomain_recovers_phi_e_directly(grid2d, solves):
     cfg = make_problem(grid2d, kind="bidomain", stimulus=0.3)
     run_forward(cfg, report=False)
     recover = [s for s in solves if s["A"] is cfg.ops.K_ie]
     assert len(recover) == grid2d.n_steps + 1
     assert sum(s["kwargs"]["x0"] is not None for s in recover) == grid2d.n_steps
-    assert [s["applications"] for s in recover] == [1] * len(recover)
+    # the coupled steps are direct too
+    assert len(solves) == 2 * grid2d.n_steps + 1
+    for s in solves:
+        assert_direct(s)
 
 
 def test_fibre_steps_keep_their_warm_start(grid2d, solves):
@@ -133,10 +112,12 @@ def test_inexact_inverses_are_not_marked(make, nodes):
     varied = build_operators(g, make(g), iso)
     assert varied.step_system(0.1)[1].exact is False
     assert varied.kie_precond.exact is False
-    # a constant mi keeps its step exact; the variable me spoils only K_ie
+    assert varied.coupled_system(0.1)[1].exact is False
+    # a constant mi keeps its step exact; the variable me spoils K_ie and the block
     mixed = build_operators(g, iso, make(g))
     assert mixed.step_system(0.1)[1].exact is True
     assert mixed.kie_precond.exact is False
+    assert mixed.coupled_system(0.1)[1].exact is False
 
 
 def test_operators_without_tensors_are_not_marked(grid2d):
