@@ -21,8 +21,10 @@ A third table shows when ``cg_solve`` keeps a warm start.  It runs a
 bidomain run, the recovery of phi_e at each frame, and prints the CG
 calls and the operator applications of those solves three ways: PCG
 with every warm start kept, PCG with every warm start dropped, and as
-the package chooses (x = P b with no application where the spectral
-preconditioner is exact, warm PCG otherwise).
+the package chooses (where the spectral preconditioner is exact,
+x = P b, whose residual is tested with one application on the first
+solve and at tolerances below 100 times the preconditioner's residual
+estimate; warm PCG otherwise).
 """
 
 import argparse

@@ -35,13 +35,9 @@ Every solve is CG preconditioned in the grid's DCT-I eigenbasis
 each tensor's diagonal: exact for constant diagonal tensors, spectrally
 equivalent (mesh-independent iteration counts) otherwise.  The block
 system gets one 2x2 inverse per mode.  The step, K_ie and block
-inverses are marked ``exact`` in the first case.  Each such inverse P
-is probed once, when its system is first built (``_probed``): the
-relative residual ||A P b - b|| / ||b|| of a random and a smooth load
-is stored as ``P.residual``, and a value above 1e-6 raises
-``SolverError``.  ``cg_solve`` then solves the system directly,
-x = P b, at every tolerance above 100 times that residual.  Building
-the operators runs no probe.  The pure-Neumann K_ie solve
+inverses are marked ``exact`` in the first case, and ``cg_solve`` then
+solves their systems directly, x = P b, once the first solve of each
+system has measured its residual (``linalg``).  The pure-Neumann K_ie solve
 (``solve_neumann``) and the psi row of the block system take loads
 that sum to zero, on which these singular systems are consistent, so
 no solve deflates the constants.
@@ -62,7 +58,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .grid import Grid, ScalarField, TensorField
-from .linalg import SolverError, cg_solve
+from .linalg import cg_solve
 from .spectral import reference_coefficients
 
 __all__ = [
@@ -207,44 +203,6 @@ def _constant_diagonal(tensor):
     return bool((e == e[0]).all()) and not (e[0] - np.diag(np.diag(e[0]))).any()
 
 
-def _probe_loads(grid, parts):
-    """A random load and the lowest cosine mode along axis 0, as two columns.
-
-    Each column stacks ``parts`` loads of ``n_nodes`` entries, and each
-    of them sums to zero, so that the pure-Neumann K_ie and the psi row
-    of the coupled block are consistent.  The cosine load is the mass
-    times the mode, whose solution is the mode scaled by its inverse
-    eigenvalue: the smoothest load has the largest solution.
-    """
-    n = grid.n_nodes
-    rng = np.random.default_rng(0)
-    mode = grid.weights * np.cos(np.pi * grid.coords[:, 0] / grid.lengths[0])
-    loads = np.stack([rng.standard_normal((parts, n)), np.tile(mode, (parts, 1))], axis=-1)
-    loads -= loads.mean(axis=1, keepdims=True)
-    return loads.reshape(parts * n, 2)
-
-
-def _probed(grid, matvec, precond, parts=1):
-    """Store the probed residual of an inverse marked exact as ``precond.residual``.
-
-    The residual is rho = max ||A P b - b|| / ||b|| over the two
-    ``_probe_loads``.  Above 1e-6 the ``exact`` mark is wrong and
-    SolverError is raised.  An unmarked ``precond`` is returned as it is.
-    """
-    if precond.exact:
-        loads = _probe_loads(grid, parts)
-        err = matvec(precond(loads)) - loads
-        rho = float(np.max(np.linalg.norm(err, axis=0) / np.linalg.norm(loads, axis=0)))
-        if rho > 1e-6:
-            raise SolverError(
-                f"spectral inverse marked exact leaves the relative residual {rho:.3e} "
-                "(above 1e-6) on its probe loads",
-                residual=rho,
-            )
-        precond.residual = rho
-    return precond
-
-
 def assemble_mass(grid):
     """Lumped mass diagonal (equals the quadrature weights)."""
     return grid.weights.copy()
@@ -296,27 +254,25 @@ class SystemOperators:
 
         It maps the weights (hence the constant mode) to zero and is
         positive definite on the zero-sum vectors, the range of K_ie.
-        It is marked exact, and probed, when ``mi`` and ``me`` are both
-        constant and diagonal; ``cg_solve`` then solves directly.
+        It is marked exact when ``mi`` and ``me`` are both constant and
+        diagonal; ``cg_solve`` then solves directly.
         """
         exact = _constant_diagonal(self.mi) and _constant_diagonal(self.me)
-        precond = self.grid.spectral.inverse(self.spectrum_ie, exact=exact)
-        return _probed(self.grid, self.K_ie.__matmul__, precond)
+        return self.grid.spectral.inverse(self.spectrum_ie, exact=exact)
 
     def step_system(self, coef):
         """Matrix Mass + coef * K_i and its spectral inverse, built once per coef.
 
-        The inverse is marked exact, and probed, when ``mi`` is constant
-        and diagonal (every cell equal, no off-diagonal entry);
-        ``cg_solve`` then solves directly.  Otherwise PCG keeps the
-        warm start.
+        The inverse is marked exact when ``mi`` is constant and diagonal
+        (every cell equal, no off-diagonal entry); ``cg_solve`` then
+        solves directly.  Otherwise PCG keeps the warm start.
         """
         if coef not in self._step_systems:
             A = (sp.diags(self.mass) + coef * self.K_i).tocsr()
             precond = self.grid.spectral.inverse(
                 1.0 + coef * self.spectrum_i, exact=_constant_diagonal(self.mi)
             )
-            self._step_systems[coef] = (A, _probed(self.grid, A.__matmul__, precond))
+            self._step_systems[coef] = (A, precond)
         return self._step_systems[coef]
 
     def coupled_system(self, dt):
@@ -324,8 +280,8 @@ class SystemOperators:
 
         See ``reduced_operator``; ``apply`` costs two sparse products,
         K_i (phi + psi) and K_e psi, on a stacked vector or on each
-        column of a (2 N, k) block.  The block inverse is marked exact,
-        and probed, under the rule of ``kie_precond``.
+        column of a (2 N, k) block.  The block inverse is marked exact
+        under the rule of ``kie_precond``.
         """
         if dt not in self._coupled_systems:
             K_i, K_e, mass, n = self.K_i, self.K_e, self.mass, self.grid.n_nodes
@@ -340,7 +296,7 @@ class SystemOperators:
             precond = self.grid.spectral.block_inverse(
                 1.0 + dt * lam_i, dt * lam_i, dt * lam_ie, exact=exact
             )
-            self._coupled_systems[dt] = (apply, _probed(self.grid, apply, precond, parts=2))
+            self._coupled_systems[dt] = (apply, precond)
         return self._coupled_systems[dt]
 
 
@@ -450,8 +406,8 @@ def reduced_operator(ops, dt):
     preconditioner inverts, mode by mode, the DCT-I blocks
     [[1 + dt lam_i, dt lam_i], [dt lam_i, dt lam_ie]] of the reference
     tensors, with the pseudo-inverse [[1, 0], [0, 0]] on the constant
-    mode (lam_ie = 0); it is exact, and marked and probed as such, when
-    both tensors are constant and diagonal.
+    mode (lam_ie = 0); it is exact, and marked as such, when both
+    tensors are constant and diagonal.
 
     The name is that of the reduced operator Mass + dt A_h, the block's
     Schur complement on phi.  It stays because ``perfbench/tracing.py``

@@ -12,22 +12,30 @@ preconditioners of ``spectral``; a caller that passes only a matrix
 gets Jacobi.
 
 A spectral preconditioner built for a constant diagonal tensor is the
-exact inverse of its system and says so (``precond.exact``).  Its
-accuracy is measured once, when the system is built: ``assembly``
-probes the relative residual rho = ||A P b - b|| / ||b|| on a random
-and a smooth load, stores it as ``precond.residual`` and raises
-``SolverError`` when it exceeds 1e-6, that is, when the ``exact`` mark
-is wrong.  ``cg_solve`` then solves such a system directly, x = P b,
-with no operator application, whenever ``tol >= 100 rho``; this is the
-first iterate of a cold PCG (whose step length is 1 for an exact P)
-without the residual test, and ``x0`` plays no part in it.  A tighter
-tolerance, at the roundoff level of the system, and a preconditioner
-marked exact but never probed take the PCG iteration, started cold:
-with an exact P a warm start would spend one more operator application
-on the residual b - A x0 and save nothing.  For every other
-preconditioner (variable tensors: fibres, scar) the iteration keeps
-the warm start, which saves iterations.  Callers therefore always pass
-their best ``x0`` and leave the choice here.
+exact inverse of its system and says so (``precond.exact``).  Every
+solve of such a system starts from x = P b, the first iterate of a
+cold PCG (whose step length is 1 for an exact P), and the caller's
+``x0`` plays no part.  The residual test of P b, one operator
+application, is made on the first solve with each preconditioner: a
+relative residual rho above 1e-6 raises ``SolverError`` (the ``exact``
+mark is wrong), and otherwise the estimate
+
+    precond.residual = max(rho, eps * max(precond.condition, 100))
+
+is stored.  rho is that of one load only; eps times the condition
+number of the operator's spectrum (``precond.condition``, set by
+``spectral``) is the order of the residual on its worst load, the
+softest mode, whose solution is the largest; 100 eps is the order of
+the roundoff of a residual itself, from the stencil sums and the
+transforms.  Every later solve with ``tol >= 100 precond.residual``
+returns P b directly, with no operator application, and checks only
+that it is finite.  A tighter tolerance, at the roundoff level of the
+system, keeps the residual test, and PCG iterates on from P b when the
+test fails.  So whenever P b meets ``tol`` it is the result, whichever
+solve of the system it is.  For every other preconditioner (variable
+tensors: fibres, scar) the iteration keeps the caller's warm start,
+which saves iterations.  Callers therefore always pass their best
+``x0`` and leave the choice here.
 
 Several right-hand sides of one system are solved together as the
 columns of an (n, m) block.  Each column is its own PCG, with its own
@@ -98,18 +106,16 @@ def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, precond=None, x0=None)
         ``A^{-1} r``, such as ``SpectralBasis.inverse``; like ``A`` it
         maps (n, k) blocks column by column.  Takes precedence over
         ``diag``.  A true ``precond.exact`` attribute states that it is
-        the exact (pseudo-)inverse of ``A``, and ``precond.residual``,
-        when present, is its probed relative residual rho (see the
-        module docstring).  With both, and ``tol >= 100 * rho``, the
-        result is ``precond(b)``, computed with no operator application
-        and no residual test.
+        the exact (pseudo-)inverse of ``A``; the first solve with it
+        stores ``precond.residual``, using ``precond.condition`` when
+        present, and every later one returns ``precond(b)``, with no
+        operator application and no residual test, whenever
+        ``tol >= 100 * precond.residual`` (see the module docstring).
     x0 : array, optional
         Warm-start iterate, shaped like ``b``.  Ignored when
-        ``precond.exact`` is true: the direct solve needs none, and
-        with an exact preconditioner the cold PCG costs one operator
-        application and a warm start two (its residual plus the one
-        step).  A column whose warm start has a larger residual than
-        the cold start is started cold.
+        ``precond.exact`` is true: the solve then starts from
+        ``precond(b)``.  A column whose warm start has a larger residual
+        than the cold start is started cold.
 
     Returns
     -------
@@ -122,15 +128,23 @@ def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, precond=None, x0=None)
     SolverError
         If a column does not reach the tolerance within ``maxiter``
         iterations, or if a direction of nonpositive curvature shows up;
-        it reports the column with the largest relative residual.
+        it reports the column with the largest relative residual.  Also
+        if the first solve with a preconditioner marked exact leaves a
+        relative residual above 1e-6, and if a direct solve gives a
+        non-finite result (a non-finite load).
     """
     b = np.asarray(b, dtype=float)
     if b.ndim not in (1, 2):
         raise ValueError(f"cg_solve takes b of shape (n,) or (n, m), not {b.shape}")
+    unmeasured = None  # an exact preconditioner on its first solve
     if getattr(precond, "exact", False):
+        x0 = precond(b)
         if tol >= 100.0 * getattr(precond, "residual", np.inf):
-            return precond(b)
-        x0 = None
+            if not np.isfinite(x0.sum()):
+                raise SolverError("cg_solve got a non-finite load")
+            return x0
+        if not hasattr(precond, "residual"):
+            unmeasured = precond
     block = b.ndim == 2
     matvec = A if callable(A) else A.__matmul__
     if precond is None:
@@ -180,6 +194,8 @@ def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, precond=None, x0=None)
     else:
         x = np.array(x0, dtype=float)
         r = b - matvec(x)
+        if unmeasured is not None:
+            _store_residual(unmeasured, np.sqrt(dot(r, r)) / b_norm)
         # a warm start worse than a cold one (this happens when the load
         # collapses between calls) is discarded, so that the iteration
         # stays scale invariant
@@ -228,6 +244,27 @@ def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, precond=None, x0=None)
         r -= alpha * Ap
         res = np.sqrt(dot(r, r))
         it += 1
+
+
+def _store_residual(precond, rel):
+    """Store ``precond.residual`` from the first solve of a system marked exact.
+
+    ``rel`` holds the relative residuals of x = P b, one per column;
+    see the module docstring for the estimate.  A non-finite
+    load stores nothing: its PCG stalls and reports it.
+    """
+    rho = float(np.max(rel))
+    if not np.isfinite(rho):
+        return
+    if rho > 1e-6:
+        raise SolverError(
+            f"a preconditioner marked exact leaves the relative residual {rho:.3e} "
+            "(above 1e-6) on its first solve",
+            residual=rho,
+            iterations=0,
+        )
+    condition = getattr(precond, "condition", 1.0)
+    precond.residual = max(rho, np.finfo(float).eps * max(condition, 100.0))
 
 
 def _stalled(rel, iterations, tol, rows):

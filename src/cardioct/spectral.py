@@ -143,12 +143,14 @@ class SpectralBasis:
         ``exact`` states that the eigenvalues are those of the operator
         the map will precondition, so that it is that operator's exact
         (pseudo-)inverse; the returned callable carries it as
-        ``apply.exact``.  ``linalg.cg_solve`` solves with such a map
-        directly, x = apply(b), once ``assembly`` has probed its
-        residual (``apply.residual``).
+        ``apply.exact``, and the ratio of the largest to the smallest
+        positive eigenvalue as ``apply.condition``.  ``linalg.cg_solve``
+        solves with an exact map directly, x = apply(b), after its first
+        solve has stored the map's residual (``apply.residual``).
         """
         eig = np.asarray(eigenvalues, dtype=float)
         positive = eig > 0.0
+        condition = eig.max() / eig[positive].min()
         scale = np.zeros(self.shape)
         scale[positive] = 1.0 / (self._norms[positive] * eig[positive])
         shape = self.shape
@@ -158,7 +160,7 @@ class SpectralBasis:
             z = self.transform(scale * self.transform(r.T.reshape(r.shape[1:] + shape)))
             return z.reshape(r.T.shape).T
 
-        apply.exact = exact
+        apply.exact, apply.condition = exact, float(condition)
         return apply
 
     def block_inverse(self, a, b, c, *, exact=False):
@@ -174,11 +176,14 @@ class SpectralBasis:
         modes get the pseudo-inverse [[1/a, 0], [0, 0]], so the y-part of
         the result is W-orthogonal to constants when c vanishes on the
         constant mode only.  The map is symmetric and positive
-        semidefinite.  ``exact`` is carried as ``apply.exact``, as in
-        ``inverse``.
+        semidefinite.  ``exact`` and ``condition`` are carried as in
+        ``inverse``, from the eigenvalues of the 2x2 matrices (a alone
+        on the singular modes).
         """
         a, b, c = (np.asarray(e, dtype=float) for e in (a, b, c))
         singular = c <= 0.0
+        largest = (a + c) / 2.0 + np.hypot((a - c) / 2.0, b)
+        smallest = np.where(singular, a, (a * c - b * b) / largest)
         det = np.where(singular, 1.0, a * c - b * b) * self._norms
         inv = np.stack([np.stack([c, -b]), np.stack([-b, a])]) / det
         inv[:, :, singular] = 0.0
@@ -190,7 +195,7 @@ class SpectralBasis:
             z = self.transform((inv * coef).sum(axis=pair_axis))
             return z.reshape(r.T.shape).T
 
-        apply.exact = exact
+        apply.exact, apply.condition = exact, float(largest.max() / smallest.min())
         return apply
 
 

@@ -97,6 +97,9 @@ def make_problem(
 def solves(monkeypatch):
     """Record every CG call of the package: operator, load, keywords, result, applications.
 
+    Also the ``residual`` of the preconditioner when the call began
+    (None before the first solve of an exact system).
+
     The operator is wrapped in a counting closure, as the benchmark's
     tracer does, in every module that calls ``cg_solve``.
     """
@@ -105,6 +108,8 @@ def solves(monkeypatch):
     def counted(A, b, **kwargs):
         matvec = A if callable(A) else A.__matmul__
         entry = {"A": A, "matvec": matvec, "b": b, "kwargs": kwargs, "applications": 0}
+        # the residual estimate of an exact preconditioner as the solve began
+        entry["residual"] = getattr(kwargs.get("precond"), "residual", None)
         record.append(entry)
 
         def counting(v):
@@ -134,6 +139,20 @@ def assert_direct(solve):
     assert solve["applications"] == 0
     assert np.array_equal(solve["x"], solve["kwargs"]["precond"](solve["b"]))
     assert meets_tolerance(solve)
+
+
+def assert_exact(solve):
+    """A recorded solve of an exact system returned P b within its tol.
+
+    The first solve of the system (no residual yet) tests the residual
+    of P b with one operator application; every later one is direct.
+    """
+    if solve["residual"] is None:
+        assert solve["applications"] == 1
+        assert np.array_equal(solve["x"], solve["kwargs"]["precond"](solve["b"]))
+        assert meets_tolerance(solve)
+    else:
+        assert_direct(solve)
 
 
 @pytest.fixture

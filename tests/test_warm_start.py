@@ -1,10 +1,10 @@
 """Which CG solves are direct, and which keep their warm start.
 
 A DCT-I inverse P built for a constant diagonal tensor is the exact
-inverse of its system and is marked ``exact``; once its residual is
-probed, ``cg_solve`` returns P b with no operator application and
-ignores the caller's ``x0``.  Every other preconditioner keeps the
-warm start.
+inverse of its system and is marked ``exact``; ``cg_solve`` ignores
+the caller's ``x0`` and returns P b, testing its residual with one
+operator application on the system's first solve and with none after
+that.  Every other preconditioner keeps the warm start.
 """
 
 from dataclasses import replace
@@ -19,7 +19,7 @@ from cardioct.assembly import SystemOperators, build_operators
 from cardioct.forward import run_forward
 from cardioct.grid import Grid, TensorField
 
-from conftest import assert_direct, fibres, make_problem
+from conftest import assert_exact, fibres, make_problem
 from test_neumann import _scar
 
 
@@ -35,8 +35,9 @@ def test_constant_monodomain_solves_directly(grid, solves):
     assert len(solves) == 2 * grid.n_steps
     # the call sites still pass their warm start; cg_solve does not use it
     assert all(s["kwargs"]["x0"] is not None for s in solves)
+    assert [s["applications"] for s in solves] == [1] + [0] * (len(solves) - 1)
     for s in solves:
-        assert_direct(s)
+        assert_exact(s)
 
 
 def test_constant_bidomain_recovers_phi_e_directly(grid2d, solves):
@@ -45,10 +46,12 @@ def test_constant_bidomain_recovers_phi_e_directly(grid2d, solves):
     recover = [s for s in solves if s["A"] is cfg.ops.K_ie]
     assert len(recover) == grid2d.n_steps + 1
     assert sum(s["kwargs"]["x0"] is not None for s in recover) == grid2d.n_steps
+    assert recover[0]["applications"] == 1
+    assert all(s["applications"] == 0 for s in recover[1:])
     # the coupled steps are direct too
     assert len(solves) == 2 * grid2d.n_steps + 1
     for s in solves:
-        assert_direct(s)
+        assert_exact(s)
 
 
 def test_fibre_steps_keep_their_warm_start(grid2d, solves):
