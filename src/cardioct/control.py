@@ -31,6 +31,13 @@ from .forward import ProblemConfig, run_forward
 from .grid import FieldSeries
 
 
+# Armijo slope, halving budget of one line search, and the relative
+# decrease below which the descent stops.
+ARMIJO_C = 1e-4
+MAX_HALVINGS = 40
+REL_DECREASE_TOL = 1e-10
+
+
 class LineSearchStagnation(RuntimeError):
     """Armijo backtracking exhausted its halving budget."""
 
@@ -49,9 +56,6 @@ class ControlProblem:
     radius: float | None = None
     budget: int = 50
     gtol: float = 1e-6
-    armijo_c: float = 1e-4
-    max_halvings: int = 40
-    rel_decrease_tol: float = 1e-10
 
 
 @dataclass
@@ -235,24 +239,24 @@ def projected_gradient_descent(problem, I0=None, *, verbose=False):
         prev_I = I.data.copy()
         prev_grad = grad.data.copy()
         accepted = False
-        for _ in range(problem.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             trial = FieldSeries(I.grid, I.data - alpha * grad.data)
             trial = project_admissible(trial, problem)
             slope = control_inner(grad, FieldSeries(I.grid, trial.data - I.data))
             J_trial, traj_trial = simulate(problem, trial)
-            if J_trial <= J + problem.armijo_c * slope:
+            if J_trial <= J + ARMIJO_C * slope:
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
             raise LineSearchStagnation(
-                f"no Armijo step after {problem.max_halvings} halvings at iteration {it}"
+                f"no Armijo step after {MAX_HALVINGS} halvings at iteration {it}"
             )
 
         rel_drop = (J - J_trial) / max(abs(J), 1e-300)
         I, J, traj = trial, J_trial, traj_trial
         last_step = alpha
-        if rel_drop < problem.rel_decrease_tol:
+        if rel_drop < REL_DECREASE_TOL:
             status = "decrease"
             break
 

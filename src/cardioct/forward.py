@@ -21,6 +21,12 @@ so it is not phi_e^{k+1}: the extracellular potential is recovered at
 every stored frame from K_ie phi_e = Mass (I_i + I_e) - K_i phi_tr
 with zero-mean gauge.
 
+``run_forward`` steps over the series it returns: step k reads frame k
+of phi and w and writes frame k + 1.  ``step_monodomain`` and
+``step_bidomain`` give the new potentials (phi^{k+1}, and for the
+bidomain system phi_e^{k+1} as well); ``run_forward`` stores them,
+checks that phi stays finite and makes the gating update.
+
 Zero-flux boundary conditions are built into the assembled operators.
 
 A run may carry a batch of controls: I_i and I_e with one leading batch
@@ -34,7 +40,7 @@ solver precision at the Python cost of one run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,16 +60,6 @@ KINDS = ("monodomain", "bidomain")
 
 class DivergenceError(RuntimeError):
     """A forward step produced non-finite values."""
-
-
-@dataclass
-class SystemState:
-    """Fields at one time level, (n_nodes,) or (m, n_nodes) for a batch of m."""
-
-    phi_tr: np.ndarray
-    w: np.ndarray
-    t: float
-    phi_e: np.ndarray | None = None
 
 
 @dataclass
@@ -111,9 +107,16 @@ class ProblemConfig:
         """The broadcast batch axes of I_i and I_e; () for a single run."""
         return np.broadcast_shapes(self.I_i.batch_shape, self.I_e.batch_shape)
 
-    def monodomain_system(self):
-        """Implicit matrix Mass + dt (lam/(1+lam)) K_i and its spectral preconditioner."""
-        return self.ops.step_system(self.grid.dt * self.ops.lam / (1.0 + self.ops.lam))
+    def step_system(self):
+        """The implicit system of one step and its spectral preconditioner.
+
+        Monodomain: the matrix Mass + dt (lam/(1+lam)) K_i.  Bidomain:
+        the coupled block operator of ``assembly.reduced_operator``.
+        """
+        dt = self.grid.dt
+        if self.kind == "bidomain":
+            return reduced_operator(self.ops, dt)
+        return self.ops.step_system(dt * self.ops.lam / (1.0 + self.ops.lam))
 
 
 @dataclass
@@ -137,21 +140,13 @@ def _reaction(config, phi, w):
     return i_ion(config.ionic, phi, w)
 
 
-def step_monodomain(state, config, k, *, system=None):
-    """Advance one monodomain step from frame k to k+1."""
-    if system is None:
-        system = config.monodomain_system()
+def step_monodomain(config, system, phi, w, k):
+    """phi^{k+1} of one monodomain step from phi^k and w^k."""
     A, precond = system
-    g = config.grid
-    dt, lam, mass = g.dt, config.ops.lam, config.ops.mass
+    dt, lam, mass = config.grid.dt, config.ops.lam, config.ops.mass
     forcing = (lam * config.I_i.data[..., k, :] - config.I_e.data[..., k, :]) / (1.0 + lam)
-    rhs = mass * (state.phi_tr - dt * _reaction(config, state.phi_tr, state.w) + dt * forcing)
-    phi_new = cg_solve(A, rhs.T, tol=config.cg_tol, precond=precond, x0=state.phi_tr.T).T
-    if config.no_reaction:
-        w_new = state.w.copy()
-    else:
-        w_new = gating_exact_update(config.ionic, state.w, state.phi_tr, phi_new, dt)
-    return SystemState(phi_tr=phi_new, w=w_new, t=state.t + dt)
+    rhs = mass * (phi - dt * _reaction(config, phi, w) + dt * forcing)
+    return cg_solve(A, rhs.T, tol=config.cg_tol, precond=precond, x0=phi.T).T
 
 
 def recover_phi_e(config, phi_tr, k, *, x0=None):
@@ -163,36 +158,28 @@ def recover_phi_e(config, phi_tr, k, *, x0=None):
     return bidomain_elliptic_solve(ops, load.T, nodal=False, tol=config.inner_tol, x0=x0).T
 
 
-def step_bidomain(state, config, k, *, system=None):
-    """Advance one bidomain step from frame k to k+1 (coupled block solve)."""
-    if system is None:
-        system = reduced_operator(config.ops, config.grid.dt)
-    g = config.grid
-    dt, mass = g.dt, config.ops.mass
+def step_bidomain(config, system, phi, w, k):
+    """(phi^{k+1}, phi_e^{k+1}) of one bidomain step from phi^k and w^k."""
+    dt, mass = config.grid.dt, config.ops.mass
     I_i, I_e = config.I_i.data[..., k, :], config.I_e.data[..., k, :]
-    f = mass * (state.phi_tr - dt * _reaction(config, state.phi_tr, state.w) + dt * I_i)
+    f = mass * (phi - dt * _reaction(config, phi, w) + dt * I_i)
     phi_new, psi = solve_coupled_step(
         config.ops, system, f.T, (dt * mass * (I_i + I_e)).T, tol=config.cg_tol
     )
-    phi_new, psi = phi_new.T, psi.T
-    if config.no_reaction:
-        w_new = state.w.copy()
-    else:
-        w_new = gating_exact_update(config.ionic, state.w, state.phi_tr, phi_new, dt)
+    phi_new = phi_new.T
     # psi differs from phi_e^{k+1} only through the change of the currents
-    phi_e = recover_phi_e(config, phi_new, k + 1, x0=psi)
-    return SystemState(phi_tr=phi_new, w=w_new, t=state.t + dt, phi_e=phi_e)
+    return phi_new, recover_phi_e(config, phi_new, k + 1, x0=psi.T)
 
 
 def run_forward(config, *, report=True):
     """Integrate the system over all steps and report trajectory norms.
 
+    Step k reads frame k of the returned series and writes frame k + 1.
     A batched config (``ProblemConfig.batch_shape``) gives series with
     the same batch axis, one trajectory per member; the norm report
     reads single series, so ``report=True`` rejects a batch.
     """
     g = config.grid
-    n = g.n_steps
     bidomain = config.kind == "bidomain"
     batch = config.batch_shape
     if report:
@@ -200,42 +187,31 @@ def run_forward(config, *, report=True):
             series.require_unbatched("run_forward(report=True)")
 
     if bidomain and config.enforce_compatibility:
-        config = ProblemConfig(
-            **{
-                **config.__dict__,
-                "I_e": compatibility_enforce(g, config.I_i, config.I_e),
-            }
-        )
+        config = replace(config, I_e=compatibility_enforce(g, config.I_i, config.I_e))
 
     phi = FieldSeries.zeros(g, batch)
     w = FieldSeries.zeros(g, batch)
     phi.data[..., 0, :] = config.phi0.values
     w.data[..., 0, :] = config.w0.values
-
     phi_e = None
     if bidomain:
         phi_e = FieldSeries.zeros(g, batch)
         phi_e.data[..., 0, :] = recover_phi_e(config, phi.data[..., 0, :], 0)
-        system = reduced_operator(config.ops, g.dt)
-        stepper = lambda st, k: step_bidomain(st, config, k, system=system)
-    else:
-        system = config.monodomain_system()
-        stepper = lambda st, k: step_monodomain(st, config, k, system=system)
+    system = config.step_system()
 
-    state = SystemState(
-        phi_tr=phi.data[..., 0, :].copy(),
-        w=w.data[..., 0, :].copy(),
-        t=0.0,
-        phi_e=phi_e.data[..., 0, :].copy() if bidomain else None,
-    )
-    for k in range(n):
-        state = stepper(state, k)
-        if not np.all(np.isfinite(state.phi_tr)):
-            raise DivergenceError(f"non-finite transmembrane potential at step {k + 1}")
-        phi.data[..., k + 1, :] = state.phi_tr
-        w.data[..., k + 1, :] = state.w
+    for k in range(g.n_steps):
+        phi_k, w_k = phi.data[..., k, :], w.data[..., k, :]
         if bidomain:
-            phi_e.data[..., k + 1, :] = state.phi_e
+            phi_next, phi_e.data[..., k + 1, :] = step_bidomain(config, system, phi_k, w_k, k)
+        else:
+            phi_next = step_monodomain(config, system, phi_k, w_k, k)
+        if not np.all(np.isfinite(phi_next)):
+            raise DivergenceError(f"non-finite transmembrane potential at step {k + 1}")
+        phi.data[..., k + 1, :] = phi_next
+        if config.no_reaction:
+            w.data[..., k + 1, :] = w_k
+        else:
+            w.data[..., k + 1, :] = gating_exact_update(config.ionic, w_k, phi_k, phi_next, g.dt)
 
     rep = forward_report(config, phi, w, phi_e) if report else NormReport()
     return ForwardResult(phi_tr=phi, w=w, report=rep, phi_e=phi_e, I_e_used=config.I_e)

@@ -163,10 +163,13 @@ class Grid:
         return self.spectral.transform(data * self.weights)
 
 
-def refined(grid, space=2, time=2):
-    """A grid with each axis refined `space`-fold and `time`-fold more steps."""
-    nodes = tuple((n - 1) * space + 1 for n in grid.nodes_per_axis)
-    return Grid(nodes, grid.lengths, grid.T, grid.n_steps * time)
+REFINEMENT = 2
+
+
+def refined(grid):
+    """A grid with every axis and the time interval refined ``REFINEMENT``-fold."""
+    nodes = tuple((n - 1) * REFINEMENT + 1 for n in grid.nodes_per_axis)
+    return Grid(nodes, grid.lengths, grid.T, grid.n_steps * REFINEMENT)
 
 
 def time_weights(grid):
@@ -428,17 +431,11 @@ def bochner_norm(series, p_time, spatial):
     """Time-Lp norm of a spatial norm over the frames of a series.
 
     ``spatial`` is "L2", "L4" or "H1", each evaluated for all frames in
-    one vectorised pass (H1 through one batched DCT-I), or any callable
-    on ScalarField, evaluated frame by frame.  ``p_time`` is 1, 2, 4 or
-    inf.  Finite p uses trapezoid weights in time, inf takes the max
-    over frames (the discrete C^0 norm).
+    one vectorised pass (H1 through one batched DCT-I).  ``p_time`` is
+    1, 2, 4 or inf.  Finite p uses trapezoid weights in time, inf takes
+    the max over frames (the discrete C^0 norm).
     """
-    frames = _FRAME_NORMS.get(spatial)
-    if frames is not None:
-        per_frame = frames(series)
-    else:
-        per_frame = np.array([spatial(series.frame(k)) for k in range(series.n_frames)])
-    return time_norm(series.grid, per_frame, p_time)
+    return time_norm(series.grid, _FRAME_NORMS[spatial](series), p_time)
 
 
 def dual_norm(fld):

@@ -67,11 +67,6 @@ def i_ion(par, phi, w):
     return phi * ((b * phi - (a + 1.0) * b) * phi + a * b + w)
 
 
-def g_gate(par, phi, w):
-    """Recovery right-hand side g with dw/dt + g = 0."""
-    return par.eps * (w - gating_source(par, phi))
-
-
 def d_i_ion(par, phi, w):
     """Partial derivatives (d i_ion/d phi, d i_ion/d w)."""
     a = par.a
@@ -81,17 +76,6 @@ def d_i_ion(par, phi, w):
     b = par.b
     d_phi = 3.0 * b * phi**2 - 2.0 * (a + 1.0) * b * phi + a * b + w
     return d_phi, np.asarray(phi, dtype=float)
-
-
-def d_g(par, phi, w):
-    """Partial derivatives (d g/d phi, d g/d w)."""
-    eps, kappa = par.eps, par.kappa
-    if par.kind == "ap":
-        d_phi = -eps * kappa * ((par.a + 1.0) - 2.0 * phi)
-    else:
-        d_phi = -eps * kappa * np.ones_like(np.asarray(phi, dtype=float))
-    d_w = eps * np.ones_like(np.asarray(phi, dtype=float))
-    return d_phi, d_w
 
 
 def gating_source(par, phi):

@@ -54,6 +54,23 @@ from .grid import (
 )
 from .ionic import IonicParams
 
+# Largest max/median spread of the stability ratios that counts as stable.
+STABILITY_SPREAD_BOUND = 2.0
+# Solver tolerances of ``monodomain_limit_check`` (see its docstring).
+LIMIT_CG_TOL = 1e-12
+LIMIT_INNER_TOL = 1e-13
+# Grids the regularity monitor visits, and the largest growth per refinement.
+REGULARITY_LEVELS = 2
+REGULARITY_BOUND = 1.1
+# Convergence study: base grid, steps and horizon of the spatial study
+# (exact solution) and of the temporal study (self-convergence).
+SPATIAL_BASE_NODES = 17
+SPATIAL_BASE_STEPS = 8
+SPATIAL_T = 0.1
+TEMPORAL_NODES = 33
+TEMPORAL_BASE_STEPS = 25
+TEMPORAL_T = 1.0
+
 
 # ---------------------------------------------------------------------------
 # norm bundles
@@ -109,7 +126,7 @@ class StabilityReport:
         return list(zip(self.scales, self.lhs, self.rhs, self.ratios))
 
 
-def stability_experiment(config, direction, scales, *, spread_bound=2.0):
+def stability_experiment(config, direction, scales):
     """Perturb the data by s * direction and compare energy vs. data norms.
 
     ``direction`` is a pair of FieldSeries (dI_i, dI_e).  Every scale
@@ -151,7 +168,7 @@ def stability_experiment(config, direction, scales, *, spread_bound=2.0):
         ratios=ratios,
         fitted_constant=fitted,
         spread=spread,
-        stable=bool(np.isfinite(spread) and spread <= spread_bound),
+        stable=bool(np.isfinite(spread) and spread <= STABILITY_SPREAD_BOUND),
     )
 
 
@@ -179,14 +196,15 @@ class LimitReport:
     lam: float
 
 
-def monodomain_limit_check(config, *, cg_tol=1e-12, inner_tol=1e-13):
+def monodomain_limit_check(config):
     """Run the bidomain twin with M_e = lam M_i and compare trajectories.
 
     Returns the relative C0-in-time L2 discrepancy of the transmembrane
     potentials.  Tolerances are tightened beyond the run defaults
-    because the comparison isolates pure solver error.  The stimulus
-    pair is compatibilized up front so both systems integrate the same
-    data (the equivalence only makes sense for admissible stimuli).
+    (``LIMIT_CG_TOL``, ``LIMIT_INNER_TOL``) because the comparison
+    isolates pure solver error.  The stimulus pair is compatibilized up
+    front so both systems integrate the same data (the equivalence only
+    makes sense for admissible stimuli).
     """
     if config.kind != "monodomain":
         raise ValueError("limit check starts from a monodomain configuration")
@@ -197,9 +215,14 @@ def monodomain_limit_check(config, *, cg_tol=1e-12, inner_tol=1e-13):
     me = config.ops.mi * lam
     ops_bi = build_operators(g, config.ops.mi, me, lam=lam)
     I_e = compatibility_enforce(g, config.I_i, config.I_e)
-    cfg_mono = replace(config, cg_tol=cg_tol, I_e=I_e)
+    cfg_mono = replace(config, cg_tol=LIMIT_CG_TOL, I_e=I_e)
     cfg_bi = replace(
-        config, ops=ops_bi, kind="bidomain", cg_tol=cg_tol, inner_tol=inner_tol, I_e=I_e
+        config,
+        ops=ops_bi,
+        kind="bidomain",
+        cg_tol=LIMIT_CG_TOL,
+        inner_tol=LIMIT_INNER_TOL,
+        I_e=I_e,
     )
     mono = run_forward(cfg_mono, report=False)
     bi = run_forward(cfg_bi, report=False)
@@ -220,16 +243,16 @@ class RegularityReport:
     bounded: bool
 
 
-def regularity_monitor(base_grid, make_config, *, levels=2, bound=1.1):
+def regularity_monitor(base_grid, make_config):
     """Track the L4-in-time H1 norm of phi under grid/time refinement.
 
-    ``make_config(grid)`` builds the problem at each level from
-    analytic data.  The monitor passes if each refinement changes the
-    norm by at most `bound` (growth ratio <= bound).
+    ``make_config(grid)`` builds the problem at each of
+    ``REGULARITY_LEVELS`` levels from analytic data.  The monitor passes
+    if each refinement grows the norm by at most ``REGULARITY_BOUND``.
     """
     values = []
     g = base_grid
-    for _ in range(levels):
+    for _ in range(REGULARITY_LEVELS):
         res = run_forward(make_config(g), report=False)
         values.append(gridmod.bochner_norm(res.phi_tr, 4, "H1"))
         g = refined(g)
@@ -237,7 +260,7 @@ def regularity_monitor(base_grid, make_config, *, levels=2, bound=1.1):
     return RegularityReport(
         values=values,
         ratios=ratios,
-        bounded=bool(all(r <= bound for r in ratios)),
+        bounded=bool(all(r <= REGULARITY_BOUND for r in ratios)),
     )
 
 
@@ -325,13 +348,13 @@ class ConvergenceReport:
         return mono_s and mono_t
 
 
-def _spatial_study(base_nodes, levels, base_steps, T):
+def _spatial_study(levels):
     """Pure-diffusion mode against phi(x,t) = e^{-t} cos(pi x)."""
     errors = []
     for lvl in range(levels):
-        nodes = (base_nodes - 1) * 2**lvl + 1
-        steps = base_steps * 4**lvl
-        g = Grid(nodes, 1.0, T, steps)
+        nodes = (SPATIAL_BASE_NODES - 1) * 2**lvl + 1
+        steps = SPATIAL_BASE_STEPS * 4**lvl
+        g = Grid(nodes, 1.0, SPATIAL_T, steps)
         mi = TensorField.isotropic(g, 2.0 / np.pi**2)
         ops = build_operators(g, mi, lam=1.0)
         cfg = ProblemConfig(
@@ -346,19 +369,19 @@ def _spatial_study(base_nodes, levels, base_steps, T):
             no_reaction=True,
         )
         res = run_forward(cfg, report=False)
-        exact = np.exp(-T) * np.cos(np.pi * g.coords[:, 0])
+        exact = np.exp(-SPATIAL_T) * np.cos(np.pi * g.coords[:, 0])
         err = lp_norm(ScalarField(g, res.phi_tr.data[-1] - exact), 2)
         errors.append(err)
     orders = [float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)]
     return errors, orders
 
 
-def _temporal_study(nodes, base_steps, levels, T):
+def _temporal_study(levels):
     """Self-convergence of a smooth excitation under time-step halving."""
     finals = []
     the_grid = None
     for lvl in range(levels):
-        g = Grid(nodes, 1.0, T, base_steps * 2**lvl)
+        g = Grid(TEMPORAL_NODES, 1.0, TEMPORAL_T, TEMPORAL_BASE_STEPS * 2**lvl)
         the_grid = g
         mi = TensorField.isotropic(g, 1.0)
         ops = build_operators(g, mi, lam=1.0)
@@ -387,24 +410,10 @@ def _temporal_study(nodes, base_steps, levels, T):
     return errors, orders
 
 
-def convergence_study(
-    *,
-    spatial_base_nodes=17,
-    spatial_levels=3,
-    spatial_base_steps=8,
-    spatial_T=0.1,
-    temporal_nodes=33,
-    temporal_base_steps=25,
-    temporal_levels=4,
-    temporal_T=1.0,
-):
+def convergence_study(*, spatial_levels=3, temporal_levels=4):
     """Observed orders: ~2 in space (exact solution), ~1 in time (self)."""
-    s_err, s_ord = _spatial_study(
-        spatial_base_nodes, spatial_levels, spatial_base_steps, spatial_T
-    )
-    t_err, t_ord = _temporal_study(
-        temporal_nodes, temporal_base_steps, temporal_levels, temporal_T
-    )
+    s_err, s_ord = _spatial_study(spatial_levels)
+    t_err, t_ord = _temporal_study(temporal_levels)
     return ConvergenceReport(
         spatial_errors=s_err,
         spatial_orders=s_ord,

@@ -4,7 +4,8 @@ from dataclasses import replace
 
 from cardioct.adjoint import CostConfig, run_adjoint
 from cardioct.forward import run_forward
-from cardioct.grid import FieldSeries, Grid, integrate
+from cardioct.grid import FieldSeries, Grid, ScalarField, integrate
+from cardioct.ionic import gating_source_slope
 
 from conftest import make_problem
 
@@ -86,3 +87,33 @@ def test_control_mask_leaves_tracking_untouched(grid1d):
     full = run_adjoint(cfg, res, CostConfig(w_phi=1.0), report=False)
     masked = run_adjoint(cfg, res, CostConfig(w_phi=1.0, mask=mask), report=False)
     assert np.array_equal(masked.p1.data, full.p1.data)
+
+
+@pytest.mark.parametrize("kind", ["monodomain", "bidomain"])
+def test_one_step_adjoint_frame_zero(kind):
+    # Frame 0 of p1 and p3 is invisible to the gradient checks (the gradient
+    # reads p1[1:]); with one step it is all the sweep computes, and its
+    # s'_{k-1} term is s'_0 itself.
+    g = Grid((9, 9), (1.0, 1.0), 0.3, 1)
+    cfg = make_problem(g, kind=kind, model="ap", stimulus=0.3)
+    cfg = replace(cfg, w0=ScalarField(g, np.full(g.n_nodes, 0.5)))
+    cost = CostConfig(mu=1e-2, w_phi=1.0, w_gate=0.5)
+    traj = run_forward(cfg, report=False)
+    adj = run_adjoint(cfg, traj, cost, report=False)
+    dt, mass = g.dt, cfg.ops.mass
+    phi, w = traj.phi_tr.data, traj.w.data
+    alpha = np.exp(-cfg.ionic.eps * dt)
+
+    p3 = -dt * cost.w_gate * w[0]
+    assert np.array_equal(adj.p3.data[0], p3)
+    slope = gating_source_slope(cfg.ionic, 0.5 * (phi[0] + phi[1]))
+    load = mass * (0.5 * (1.0 - alpha) * slope * p3 - dt * cost.w_phi * phi[0])
+    apply, _ = cfg.step_system()
+    if kind == "bidomain":
+        # the coupled block system, with no eta load in its second row
+        x = np.concatenate((adj.p1.data[0], adj.p2.data[0]))
+        load = np.concatenate((load, np.zeros(g.n_nodes)))
+    else:
+        x = adj.p1.data[0]
+        apply = apply.__matmul__
+    assert np.linalg.norm(apply(x) - load) <= 1e-9 * np.linalg.norm(load)

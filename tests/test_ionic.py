@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from cardioct.ionic import (
     IonicParams,
-    d_g,
     d_i_ion,
-    g_gate,
     gating_exact_update,
     gating_source,
     gating_source_slope,
@@ -50,7 +48,7 @@ def test_rest_state_is_equilibrium():
     for kind in ("fhn", "rm", "ap"):
         par = IonicParams(kind)
         assert i_ion(par, 0.0, 0.0) == 0.0
-        assert g_gate(par, 0.0, 0.0) == 0.0
+        assert gating_source(par, 0.0) == 0.0
 
 
 def test_gating_exact_update_closed_form():
@@ -85,18 +83,6 @@ def test_current_derivatives_match_fd(kind, a, phi, w):
     fd_w = (i_ion(par, phi, w + h) - i_ion(par, phi, w - h)) / (2 * h)
     scale = 1.0 + abs(fd_phi)
     assert abs(dphi - fd_phi) <= 1e-6 * scale
-    assert abs(dw - fd_w) <= 1e-6 * (1.0 + abs(fd_w))
-
-
-@settings(max_examples=150)
-@given(st.sampled_from(["fhn", "rm", "ap"]), avals, phis, ws)
-def test_gating_derivatives_match_fd(kind, a, phi, w):
-    par = IonicParams(kind, a=a)
-    h = 1e-6
-    dphi, dw = d_g(par, phi, w)
-    fd_phi = (g_gate(par, phi + h, w) - g_gate(par, phi - h, w)) / (2 * h)
-    fd_w = (g_gate(par, phi, w + h) - g_gate(par, phi, w - h)) / (2 * h)
-    assert abs(dphi - fd_phi) <= 1e-6 * (1.0 + abs(fd_phi))
     assert abs(dw - fd_w) <= 1e-6 * (1.0 + abs(fd_w))
 
 

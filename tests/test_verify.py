@@ -100,7 +100,7 @@ def test_regularity_monitor_bounded(grid1d):
     def build(g):
         return make_problem(g, stimulus=0.3)
 
-    rep = regularity_monitor(grid1d, build, levels=2)
+    rep = regularity_monitor(grid1d, build)
     assert len(rep.values) == 2
     assert rep.bounded
 
