@@ -8,9 +8,11 @@ the node at the fixed offset corner_b - corner_a in {-1, 0, 1}^dim,
 so the matrix is a 3^dim-point stencil with node-dependent weights.
 The entries with a nonnegative flat offset are summed into one
 stencil array per offset, one slice-add over the cells per corner
-pair; the weights of each negative offset are a shifted copy of its
-mirror (K[i, i + d] = K[i + d, i]), so K is exactly symmetric with no
-symmetrization pass.  Rows are the nodes in C order and the offsets
+pair.  A constant tensor (``TensorField.constant``) is checked and
+contracted as one cell, whose element matrix each slice-add
+broadcasts over the cells.  The weights of each negative offset are
+a shifted copy of its mirror (K[i, i + d] = K[i + d, i]), so K is
+exactly symmetric with no symmetrization pass.  Rows are the nodes in C order and the offsets
 ascend in flat order, so dropping the out-of-grid and exactly-zero
 entries leaves CSR arrays with sorted columns, written directly (no
 COO triplets, no index sort, no transpose).  The mass matrix is
@@ -85,16 +87,21 @@ class CompatibilityError(ValueError):
     """A pure-Neumann load does not integrate to zero."""
 
 
+def _cells(tensor):
+    """The cells to check and contract: one cell of a constant tensor, else all."""
+    return tensor.entries[:1] if tensor.constant else tensor.entries
+
+
 def ellipticity_check(tensor):
     """Validate a tensor field and return (mu1, mu2) eigenvalue bounds.
 
     mu1 is the smallest eigenvalue over all cells, mu2 the largest.
-    Cells whose off-diagonal entries are all zero are read off their
-    diagonal; only the others go through ``eigvalsh``.  Raises
-    EllipticityError for non-finite, non-symmetric or
-    non-positive-definite cells.
+    A constant tensor is checked on its one stored cell.  Cells whose
+    off-diagonal entries are all zero are read off their diagonal; only
+    the others go through ``eigvalsh``.  Raises EllipticityError for
+    non-finite, non-symmetric or non-positive-definite cells.
     """
-    e = tensor.entries
+    e = _cells(tensor)
     if not np.isfinite(e).all():
         raise EllipticityError("tensor has a non-finite entry")
     scale = float(np.max(np.abs(e))) or 1.0
@@ -147,7 +154,9 @@ def assemble_stiffness(grid, tensor):
 
     The tensor goes through ``ellipticity_check`` first.  Built as a
     3^dim-point stencil (see the module docstring); the result is
-    exactly symmetric with sorted columns.
+    exactly symmetric with sorted columns.  A constant tensor is
+    contracted as one cell, whose element matrix every slice-add
+    broadcasts over the cells.
     """
     ellipticity_check(tensor)
     dim, nodes = grid.dim, grid.nodes_per_axis
@@ -156,11 +165,14 @@ def assemble_stiffness(grid, tensor):
     # Ke[a, b, c] = |cell| sum_km T[k, m, a, b] M_c[k, m], one matmul over the cells,
     # with T[k, m, a, b] = sum_g w_g Gp[g, a, k] Gp[g, b, m] summed by BLAS over g; in
     # this order the entries that vanish on constant diagonal tensors come out exactly
-    # zero.  The cells are the fast axis, so each Ke[a, b] below is a contiguous read.
+    # zero.  The cells are the fast axis, so each Ke[a, b] below is a contiguous read;
+    # a constant tensor gives one cell, of shape (1,) * dim, which broadcasts.
     T = np.tensordot(w[:, None, None] * Gp, Gp, axes=(0, 0)).transpose(1, 3, 0, 2)
     n_corners = 2**dim
-    Ke = T.reshape(dim * dim, n_corners**2).T @ tensor.entries.reshape(-1, dim * dim).T
-    Ke = grid.cell_volume * Ke.reshape((n_corners, n_corners) + tuple(n - 1 for n in nodes))
+    cells = _cells(tensor)
+    Ke = T.reshape(dim * dim, n_corners**2).T @ cells.reshape(-1, dim * dim).T
+    cells_shape = (1,) * dim if tensor.constant else tuple(n - 1 for n in nodes)
+    Ke = grid.cell_volume * Ke.reshape((n_corners, n_corners) + cells_shape)
 
     n_offsets = 3**dim
     strides = np.cumprod((1,) + nodes[:0:-1])[::-1]
@@ -197,10 +209,10 @@ def _constant_diagonal(tensor):
     The DCT-I inverse built from such a tensor's stiffness is exact
     (``spectral``).  A missing tensor (None) gives False.
     """
-    if tensor is None:
+    if tensor is None or not tensor.constant:
         return False
-    e = tensor.entries
-    return bool((e == e[0]).all()) and not (e[0] - np.diag(np.diag(e[0]))).any()
+    cell = tensor.entries[0]
+    return not (cell - np.diag(np.diag(cell))).any()
 
 
 def assemble_mass(grid):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adjoint import AdjointResult, CostConfig, run_adjoint
+from .adjoint import CostConfig, run_adjoint
 from .forward import ProblemConfig, run_forward
 from .grid import FieldSeries
 

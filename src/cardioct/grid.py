@@ -293,6 +293,14 @@ class TensorField:
     definiteness are checked where the tensor is assembled
     (``assembly.ellipticity_check``), which also returns its eigenvalue
     bounds.
+
+    A tensor whose cells are all equal is ``constant``, and the assembly
+    checks and contracts only its first cell.  Its ``entries`` are then
+    a read-only broadcast view of that cell (stride 0 on the cell axis):
+    ``isotropic`` and ``diagonal`` build such views, a stride-0 array is
+    kept as it is, and a full array whose cells are all equal is
+    collapsed into one, except on a one-cell grid, where it is kept.
+    Sums and scalings of constant tensors stay constant.
     """
 
     grid: Grid
@@ -305,19 +313,30 @@ class TensorField:
             raise ValueError(
                 f"tensor entries shape {e.shape} != {(self.grid.n_cells, d, d)}"
             )
-        self.entries = np.ascontiguousarray(e)
+        if len(e) > 1 and e.strides[0] != 0 and (e == e[0]).all():
+            e = np.broadcast_to(e[0].copy(), e.shape)
+        self.entries = e if e.strides[0] == 0 else np.ascontiguousarray(e)
+
+    @classmethod
+    def _of_cell(cls, grid, cell):
+        """The constant tensor holding ``cell`` in every cell."""
+        return cls(grid, np.broadcast_to(cell, (grid.n_cells,) + cell.shape))
 
     @classmethod
     def isotropic(cls, grid, value):
-        eye = np.eye(grid.dim) * float(value)
-        return cls(grid, np.tile(eye, (grid.n_cells, 1, 1)))
+        return cls._of_cell(grid, np.eye(grid.dim) * float(value))
 
     @classmethod
     def diagonal(cls, grid, diag):
         diag = np.asarray(diag, dtype=float)
         if diag.shape != (grid.dim,):
             raise ValueError("diagonal needs one entry per axis")
-        return cls(grid, np.tile(np.diag(diag), (grid.n_cells, 1, 1)))
+        return cls._of_cell(grid, np.diag(diag))
+
+    @property
+    def constant(self):
+        """True when every cell holds the same matrix: one cell, or a stride-0 view."""
+        return len(self.entries) == 1 or self.entries.strides[0] == 0
 
     def __add__(self, other):
         if other.grid is not self.grid and other.grid != self.grid:

@@ -39,7 +39,6 @@ from .control import (
     simulate,
 )
 from .forward import (
-    ForwardResult,
     ProblemConfig,
     compatibility_enforce,
     run_forward,

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -139,6 +140,44 @@ def test_stiffness_stores_the_oracles_entries_on_benchmark_tensors(nodes, coeffs
     assert K.nnz == ref.nnz
 
 
+def _constant_cell_tensors(g):
+    d = g.dim
+    off = np.eye(d) + 0.3 * (np.ones((d, d)) - np.eye(d))
+    diag = TensorField.diagonal(g, np.arange(1.0, d + 1.0))
+    return [
+        TensorField.isotropic(g, 1.7),
+        diag,
+        TensorField(g, np.tile(off, (g.n_cells, 1, 1))),
+        TensorField(g, np.broadcast_to(2.0 * off, (g.n_cells, d, d))),
+        diag * 0.5 + TensorField.isotropic(g, 0.6),
+    ]
+
+
+@pytest.mark.parametrize("nodes, lengths", GRIDS + [((2, 2), (0.5, 1.0)), ((2, 2, 2), (1.0, 0.7, 0.4))])
+def test_constant_tensors_match_the_einsum_oracle(nodes, lengths):
+    g = Grid(nodes, lengths, 1.0, 1)
+    for tensor in _constant_cell_tensors(g):
+        assert tensor.constant
+        _assert_matches_oracle(g, tensor)
+
+
+def _assembly_peak(g, tensor):
+    tracemalloc.start()
+    try:
+        assemble_stiffness(g, tensor)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_constant_tensor_is_contracted_as_one_cell():
+    # the per-cell element array of a varied tensor is the largest buffer at 25^3
+    g = Grid((25,) * 3, (1.0,) * 3, 1.0, 1)
+    constant = _assembly_peak(g, TensorField.diagonal(g, (1.0, 0.5, 0.25)))
+    varied = _assembly_peak(g, random_spd(g, np.random.default_rng(0)))
+    assert constant < 0.75 * varied
+
+
 def test_build_operators_uses_no_coo_and_no_transpose(monkeypatch):
     calls = {"coo": 0, "transpose": 0}
     coo_init, transpose = sp.coo_matrix.__init__, sp.csr_matrix.transpose
@@ -215,6 +254,23 @@ def test_ellipticity_rejects_asymmetric_tensor():
     entries = np.tile(np.array([[1.0, 0.5], [0.0, 1.0]]), (g.n_cells, 1, 1))
     with pytest.raises(EllipticityError):
         ellipticity_check(TensorField(g, entries))
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        np.array([[1.0, 0.5], [0.0, 1.0]]),  # non-symmetric
+        np.array([[1.0, 2.0], [2.0, 1.0]]),  # indefinite
+        np.diag([1.0, -0.5]),
+    ],
+)
+def test_ellipticity_rejects_a_bad_constant_cell(cell):
+    g = Grid((5, 4), (1.0, 1.0), 1.0, 1)
+    tensor = TensorField(g, np.broadcast_to(cell, (g.n_cells, 2, 2)))
+    assert tensor.constant
+    with pytest.raises(EllipticityError):
+        ellipticity_check(tensor)
 
 
 def _mixed_tensor(grid, rng):

@@ -19,7 +19,8 @@ from cardioct.grid import (
     write_snapshots,
 )
 
-from conftest import h1_norm
+from conftest import fibres, h1_norm
+from test_neumann import _scar
 
 
 def test_grid_basic_geometry():
@@ -161,3 +162,35 @@ def test_tensor_field_algebra():
     c = a + b
     assert np.allclose(c.entries, 5.0 * np.eye(1))
     assert np.allclose((a * 2.0).entries, 4.0 * np.eye(1))
+
+
+def _constant_tensors(g):
+    mi, me = TensorField.diagonal(g, np.arange(1.0, g.dim + 1.0)), TensorField.isotropic(g, 0.6)
+    tiled = TensorField(g, np.tile(np.diag(np.arange(2.0, g.dim + 2.0)), (g.n_cells, 1, 1)))
+    return {"isotropic": me, "diagonal": mi, "tiled": tiled, "scaled": mi * 2, "sum": mi + me}
+
+
+@pytest.mark.parametrize("nodes", [(6,), (5, 4), (4, 3, 5)], ids=["1d", "2d", "3d"])
+def test_constant_tensors_are_stored_as_one_broadcast_cell(nodes):
+    g = Grid(nodes, (1.0,) * len(nodes), 1.0, 1)
+    for name, t in _constant_tensors(g).items():
+        assert t.constant, name
+        assert t.entries.shape == (g.n_cells, g.dim, g.dim)
+        assert t.entries.strides[0] == 0, name
+        with pytest.raises(ValueError):
+            t.entries[0, 0, 0] = 5.0
+
+
+@pytest.mark.parametrize("nodes", [(6,), (5, 4), (4, 6, 5)], ids=["1d", "2d", "3d"])
+def test_varied_tensors_are_not_constant(nodes):
+    g = Grid(nodes, (1.0,) * len(nodes), 1.0, 1)
+    perturbed = np.tile(np.eye(g.dim), (g.n_cells, 1, 1))
+    perturbed[g.n_cells // 2] *= 1.5
+    varied = {"scar": _scar(g, 1e-2), "one-cell": TensorField(g, perturbed)}
+    if g.dim > 1:
+        varied["fibres"] = fibres(g)
+    for name, t in varied.items():
+        assert not t.constant, name
+        assert t.entries.flags.writeable, name
+    assert not (varied["scar"] + TensorField.isotropic(g, 1.0)).constant
+    assert not (varied["scar"] * 2.0).constant

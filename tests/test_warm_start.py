@@ -99,9 +99,10 @@ def _off_diagonal(g):
 
 
 def _one_cell_perturbed(g):
-    t = TensorField.isotropic(g, 1.0)
-    t.entries[g.n_cells // 2] *= 1.5
-    return t
+    # a constant tensor's entries are a read-only view: perturb the full array first
+    entries = np.tile(np.eye(g.dim), (g.n_cells, 1, 1))
+    entries[g.n_cells // 2] *= 1.5
+    return TensorField(g, entries)
 
 
 @pytest.mark.parametrize(
