@@ -5,20 +5,23 @@ cells with a cellwise-constant symmetric conductivity tensor and
 2-point Gauss quadrature per axis (exact for these integrands).  On
 the structured grid every element entry Ke[a, b] couples a node to
 the node at the fixed offset corner_b - corner_a in {-1, 0, 1}^dim,
-so the matrix is a 3^dim-point stencil with node-dependent weights.
-The entries with a nonnegative flat offset are summed into one
-stencil array per offset, one slice-add over the cells per corner
-pair.  A constant tensor (``TensorField.constant``) is checked and
-contracted as one cell, whose element matrix each slice-add
-broadcasts over the cells.  The weights of each negative offset are
-a shifted copy of its mirror (K[i, i + d] = K[i + d, i]), so K is
-exactly symmetric with no symmetrization pass.  Rows are the nodes in C order and the offsets
-ascend in flat order, so dropping the out-of-grid and exactly-zero
-entries leaves CSR arrays with sorted columns, written directly (no
-COO triplets, no index sort, no transpose).  The mass matrix is
-lumped to the tensor-trapezoid weights, which is the row-sum lumping
-of the consistent element mass and keeps the operator algebra
-consistent with ``grid.integrate``.
+so the matrix is a 3^dim-point stencil with node-dependent weights,
+and it is kept as that stencil: a ``scipy.sparse.dia_matrix`` with
+one diagonal per flat offset, data[r, j] = K[j - offsets[r], j].
+The entries with a nonnegative flat offset are summed into their
+diagonal, one slice-add over the cells per corner pair.  A constant
+tensor (``TensorField.constant``) is checked and contracted as one
+cell, whose element matrix each slice-add broadcasts over the cells.
+The weights of each negative offset are a shifted copy of its mirror
+(K[j - d, j] = K[j, j - d]), so K is exactly symmetric with no
+symmetrization pass.  Out-of-grid entries are never written and stay
+zero; ``tocsr`` drops them with the exact zeros, which gives sorted
+columns.  The stiffness matrices stay DIA (sums, scalings and
+products keep the format); only the matrices handed to
+``cg_solve``, the step matrix and K_ie, are converted to CSR, once
+each.  The mass matrix is lumped to the tensor-trapezoid weights,
+which is the row-sum lumping of the consistent element mass and
+keeps the operator algebra consistent with ``grid.integrate``.
 
 One bidomain step is the coupled block system
 
@@ -150,11 +153,12 @@ def _reference_gradients(dim):
 
 
 def assemble_stiffness(grid, tensor):
-    """Assemble the CSR stiffness matrix for int grad(u)^T M grad(v) dx.
+    """Assemble the stiffness matrix for int grad(u)^T M grad(v) dx.
 
-    The tensor goes through ``ellipticity_check`` first.  Built as a
-    3^dim-point stencil (see the module docstring); the result is
-    exactly symmetric with sorted columns.  A constant tensor is
+    The tensor goes through ``ellipticity_check`` first.  Returns the
+    3^dim-point stencil as a ``scipy.sparse.dia_matrix`` (see the
+    module docstring): exactly symmetric, with zeros stored for the
+    out-of-grid entries, which ``tocsr`` drops.  A constant tensor is
     contracted as one cell, whose element matrix every slice-add
     broadcasts over the cells.
     """
@@ -174,33 +178,27 @@ def assemble_stiffness(grid, tensor):
     cells_shape = (1,) * dim if tensor.constant else tuple(n - 1 for n in nodes)
     Ke = grid.cell_volume * Ke.reshape((n_corners, n_corners) + cells_shape)
 
-    n_offsets = 3**dim
     strides = np.cumprod((1,) + nodes[:0:-1])[::-1]
     deltas = np.array(list(product((-1, 0, 1), repeat=dim)))
-    offsets = deltas @ strides  # ascending: C order of deltas
+    # deltas that differ across an axis of 2 nodes can share a flat offset; no node
+    # pair has two deltas, so they share one stencil row without overlapping
+    offsets, row = np.unique(deltas @ strides, return_inverse=True)
     corners = list(product((0, 1), repeat=dim))
-    stencil = np.zeros((n_offsets,) + nodes)
-    for a, alpha in enumerate(corners):
-        rows = tuple(slice(c, c + n - 1) for c, n in zip(alpha, nodes))
-        for b, beta in enumerate(corners):
-            s = np.ravel_multi_index(np.subtract(beta, alpha) + 1, (3,) * dim)
-            if offsets[s] >= 0:
-                stencil[(s,) + rows] += Ke[a, b]
-    for s in range(n_offsets // 2):
-        # K[i, i + delta] = K[i + delta, i], stored under the mirror offset
-        dst = tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(deltas[s], nodes))
-        src = tuple(slice(max(0, d), n - max(0, -d)) for d, n in zip(deltas[s], nodes))
-        stencil[(s,) + dst] = stencil[(n_offsets - 1 - s,) + src]
-
-    # out-of-grid entries were never written, so they are zero like true zeros
-    stencil = stencil.reshape(n_offsets, -1).T
-    keep = stencil != 0.0
+    # DIA layout, indexed by the column node j: stencil[r, j] = K[j - offsets[r], j]
+    stencil = np.zeros((len(offsets),) + nodes)
+    for b, beta in enumerate(corners):
+        cols = tuple(slice(c, c + n - 1) for c, n in zip(beta, nodes))
+        for a, alpha in enumerate(corners):
+            r = row[np.ravel_multi_index(np.subtract(beta, alpha) + 1, (3,) * dim)]
+            if offsets[r] >= 0:
+                stencil[(r,) + cols] += Ke[a, b]
+    for s in range(len(deltas) // 2):
+        # K[j - delta, j] = K[j, j - delta], stored under the mirror delta -delta
+        dst = tuple(slice(max(0, d), n - max(0, -d)) for d, n in zip(deltas[s], nodes))
+        src = tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(deltas[s], nodes))
+        stencil[(row[s],) + dst] = stencil[(row[-1 - s],) + src]
     n = grid.n_nodes
-    index = np.int32 if n_offsets * n < 2**31 else np.int64
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    cols = np.arange(n, dtype=index)[:, None] + offsets.astype(index)
-    return sp.csr_matrix((stencil[keep], cols[keep], indptr), shape=(n, n))
+    return sp.dia_matrix((stencil.reshape(len(offsets), n), offsets), shape=(n, n))
 
 
 def _constant_diagonal(tensor):
@@ -227,17 +225,18 @@ class SystemOperators:
     K_i is the intracellular stiffness, K_e the extracellular one and
     K_ie = K_i + K_e (both None for monodomain-only use), mass the
     lumped diagonal, and lam the extra/intra conductivity ratio used by
-    the monodomain reduction.  The spectral eigenvalues and
-    preconditioners and the monodomain and coupled bidomain step
-    systems are built on first use.  The dual norms need no operator:
+    the monodomain reduction.  K_i and K_e are DIA stencils; K_ie, a
+    ``cg_solve`` operand, is CSR, like the step matrices.  The spectral
+    eigenvalues and preconditioners and the monodomain and coupled
+    bidomain step systems are built on first use.  The dual norms need no operator:
     ``grid`` reads them off the DCT-I coefficients.
     """
 
     grid: Grid
     mass: np.ndarray
-    K_i: sp.csr_matrix
+    K_i: sp.dia_matrix
     lam: float
-    K_e: sp.csr_matrix | None = None
+    K_e: sp.dia_matrix | None = None
     K_ie: sp.csr_matrix | None = None
     mi: TensorField | None = None
     me: TensorField | None = None
@@ -273,7 +272,7 @@ class SystemOperators:
         return self.grid.spectral.inverse(self.spectrum_ie, exact=exact)
 
     def step_system(self, coef):
-        """Matrix Mass + coef * K_i and its spectral inverse, built once per coef.
+        """CSR matrix Mass + coef * K_i and its spectral inverse, built once per coef.
 
         The inverse is marked exact when ``mi`` is constant and diagonal
         (every cell equal, no off-diagonal entry); ``cg_solve`` then
@@ -316,13 +315,14 @@ def build_operators(grid, mi, me=None, lam=1.0):
     """Assemble SystemOperators from intra (and optional extra) tensors.
 
     Each tensor is checked and assembled once; K_ie is the sum of the
-    two stiffness matrices, which is the stiffness of mi + me.
+    two stiffness matrices, which is the stiffness of mi + me, summed
+    in DIA and converted to CSR once.
     """
     K_i = assemble_stiffness(grid, mi)
     K_e = K_ie = None
     if me is not None:
         K_e = assemble_stiffness(grid, me)
-        K_ie = K_i + K_e
+        K_ie = (K_i + K_e).tocsr()
     return SystemOperators(
         grid=grid,
         mass=assemble_mass(grid),

@@ -6,8 +6,6 @@ re-evaluate the same functions on finer grids instead of interpolating.
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 
 from .grid import FieldSeries, ScalarField
@@ -70,11 +68,13 @@ def seeded_smooth_series(grid, rng, amplitude=1.0, modes=2):
     m = np.arange(modes + 1)
     q = np.arange(1, modes + 1)
     coef = rng.standard_normal(((modes + 1) ** grid.dim, modes))
-    tables = [np.cos((np.pi * m)[:, None] * x / L) for x, L in zip(grid.axis_coords, grid.lengths)]
-    space = reduce(np.kron, tables)  # row m_tuple (C order), column node
+    # contract one mode axis at a time with its axis's cosine table: no Kronecker table
+    space = coef.T.reshape((modes,) + (modes + 1,) * grid.dim)
+    for x, L in zip(grid.axis_coords, grid.lengths):
+        space = np.tensordot(space, np.cos((np.pi * m)[:, None] * x / L), axes=(1, 0))
     time = np.sin((np.pi * q) * grid.times[:, None] / grid.T)
-    data = time @ (coef.T @ space)
-    peak = np.max(np.abs(data))
+    data = time @ space.reshape(modes, -1)
+    peak = max(data.max(), -data.min())
     if peak > 0:
         data *= amplitude / peak
     return FieldSeries(grid, data)

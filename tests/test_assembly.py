@@ -107,7 +107,11 @@ def _fibres(grid):
 
 
 def _assert_matches_oracle(grid, tensor):
+    # DIA stores padding and the out-of-grid zeros of its diagonals; the
+    # entries are compared on the CSR form that the solves are handed
     K = assemble_stiffness(grid, tensor)
+    assert K.format == "dia"
+    K = K.tocsr()
     ref = _coo_stiffness(grid, tensor)
     assert K.has_canonical_format
     assert (K - K.T).nnz == 0
@@ -170,6 +174,13 @@ def _assembly_peak(g, tensor):
         tracemalloc.stop()
 
 
+def test_constant_tensor_assembly_peaks_at_its_stencil():
+    # the stencil holds 27 diagonals of N nodes at 25^3; nothing else that size is made
+    g = Grid((25,) * 3, (1.0,) * 3, 1.0, 1)
+    peak = _assembly_peak(g, TensorField.diagonal(g, (1.0, 0.5, 0.25)))
+    assert peak <= 1.2 * 27 * g.n_nodes * 8
+
+
 def test_constant_tensor_is_contracted_as_one_cell():
     # the per-cell element array of a varied tensor is the largest buffer at 25^3
     g = Grid((25,) * 3, (1.0,) * 3, 1.0, 1)
@@ -202,10 +213,35 @@ def test_build_operators_uses_no_coo_and_no_transpose(monkeypatch):
     assert calls["coo"] >= 1 and calls["transpose"] >= 1
 
 
+def test_stiffness_stays_dia_and_solve_operands_are_csr():
+    g = Grid((6, 5), (1.0, 0.8), 1.0, 1)
+    ops = build_operators(g, _fibres(g), TensorField.diagonal(g, (0.6, 1.2)))
+    assert ops.K_i.format == ops.K_e.format == "dia"
+    assert ops.K_ie.format == "csr"
+    assert ops.step_system(0.3)[0].format == "csr"
+
+
+def test_monodomain_build_operators_makes_no_csr(monkeypatch):
+    calls = [0]
+    csr_init = sp.csr_matrix.__init__
+
+    def counting_csr_init(self, *args, **kwargs):
+        calls[0] += 1
+        csr_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csr_matrix, "__init__", counting_csr_init)
+    g = Grid((6, 5, 4), (1.0, 0.8, 0.6), 1.0, 1)
+    ops = build_operators(g, TensorField.diagonal(g, (1.0, 0.5, 0.25)), lam=1.0)
+    assert calls[0] == 0
+    # the counter sees the conversion of the step matrix
+    ops.step_system(0.1)
+    assert calls[0] >= 1
+
+
 def _kie_defect(grid, mi, me):
     """Relative max-entry gap between K_ie and the stiffness of mi + me."""
     K_ie = build_operators(grid, mi, me).K_ie
-    ref = assemble_stiffness(grid, mi + me)
+    ref = assemble_stiffness(grid, mi + me).tocsr()
     assert K_ie.has_canonical_format
     assert K_ie.nnz == ref.nnz
     return abs(K_ie - ref).max() / abs(ref).max()

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -37,3 +38,16 @@ def test_seeded_series_matches_the_scalar_loop(nodes, lengths, modes):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     # the draws consumed the same stream
     assert rng.standard_normal() == rng_ref.standard_normal()
+
+
+def test_seeded_series_peaks_near_its_output():
+    # 7 frames at 25^3: no (3^d, N) Kronecker table of the cosine modes is made
+    g = Grid((25,) * 3, (1.0,) * 3, 1.0, 6)
+    tracemalloc.start()
+    try:
+        series = seeded_smooth_series(g, np.random.default_rng(0), 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.data.shape == (7, g.n_nodes)
+    assert peak <= 3 * series.data.nbytes
