@@ -18,13 +18,15 @@ forcing lift solve; and the coupled block PCG of
 
 A third table shows when ``cg_solve`` keeps a warm start.  It runs a
 10-step forward run (dt = 0.02) with the monodomain steps and, for the
-bidomain run, the recovery of phi_e at each frame, and prints the CG
-calls and the operator applications of those solves three ways: PCG
-with every warm start kept, PCG with every warm start dropped, and as
-the package chooses (where the spectral preconditioner is exact,
-x = P b, whose residual is tested with one application on the first
-solve and at tolerances below 100 times the preconditioner's residual
-estimate; warm PCG otherwise).
+bidomain run, the K_ie solves of phi_e: the current lifts of all
+frames, in blocks of frames, and the frame-0 recovery, both started
+cold.  It prints the CG calls and the operator applications of those
+solves, one per vector (a product with a block of k columns counts k),
+three ways: PCG with every warm start kept, PCG with every warm start
+dropped, and as the package chooses (where the spectral preconditioner
+is exact, x = P b, whose residual is tested with one application on the
+first solve and at tolerances below 100 times the preconditioner's
+residual estimate; warm PCG otherwise).
 """
 
 import argparse
@@ -87,13 +89,13 @@ def systems(g, K, b):
 
 
 class Counted:
-    """A sparse matrix whose products with vectors are counted."""
+    """A sparse matrix whose products are counted, one per vector (column of a block)."""
 
     def __init__(self, A, count):
         self.A, self.count = A, count
 
     def __matmul__(self, v):
-        self.count[0] += 1
+        self.count[0] += v.shape[1] if v.ndim == 2 else 1
         return self.A @ v
 
 

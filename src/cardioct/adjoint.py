@@ -26,7 +26,9 @@ Both come from one solve of the forward step's coupled block system
 (``assembly.solve_coupled_step``) with the load [rhs; -dt Mass r_eta]:
 its Schur complement on p1 is the lifted p1 equation, and its second
 block is p2.  psi_eta itself is still solved for, because the control
-gradient reads it.
+gradient reads it; it depends on the data only, so all its frames are
+solved before the sweep, in blocks of frames
+(``assembly.solve_neumann_frames``).
 
 ``run_adjoint`` steps over the series it returns: step k reads frame
 k + 1 and writes frame k.  The slope s'(pb^{k-1}) that step k
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as gridmod
-from .assembly import solve_coupled_step, solve_neumann
+from .assembly import solve_coupled_step, solve_neumann_frames
 from .grid import FieldSeries, NormReport
 from .ionic import d_i_ion, gating_source_slope
 from .linalg import cg_solve
@@ -144,18 +146,25 @@ def run_adjoint(config, traj, cost, *, report=True):
         return gating_source_slope(config.ionic, 0.5 * (phi[k] + phi[k + 1]))
 
     def eta_load(k):
-        """Mass r_bar^k of the weighted-zero-mean eta-tracking partial."""
-        return ops.mass * (r_eta[k] - (g.weights @ r_eta[k]) / g.measure)
+        """Mass r_bar^k of the weighted-zero-mean eta-tracking partial.
 
-    p1 = FieldSeries.zeros(g)
-    p3 = FieldSeries.zeros(g)
+        ``k`` is one frame, or an index of frames (one load per row).
+        """
+        r = r_eta[k]
+        return ops.mass * (r - (r @ g.weights)[..., None] / g.measure)
+
     p2 = psi_eta = None
     if bidomain:
-        p2 = FieldSeries.zeros(g)
+        # psi_eta reads the data only: solved for every frame before the
+        # sweep, and before the other multipliers exist, to keep the peak low
         psi_eta = FieldSeries.zeros(g)
+        solve_neumann_frames(ops, eta_load, psi_eta.data, tol=config.inner_tol)
+    p1 = FieldSeries.zeros(g)
+    p3 = FieldSeries.zeros(g)
+    if bidomain:
+        p2 = FieldSeries.zeros(g)
         # Terminal elliptic multiplier from the terminal cost partials
         # (p1(T) = 0, so only the eta term can contribute).
-        psi_eta.data[n] = solve_neumann(ops, eta_load(n), tol=config.inner_tol)
         p2.data[n] = -psi_eta.data[n]
 
     # s'_k of step k is s'_{k-1} of step k + 1; s'_{-1} is taken as s'_0
@@ -174,11 +183,9 @@ def run_adjoint(config, traj, cost, *, report=True):
             - dt * r_phi[k]
         )
         if bidomain:
-            load = eta_load(k)
             p1.data[k], p2.data[k] = solve_coupled_step(
-                ops, system, rhs, -dt * load, tol=config.cg_tol
+                ops, system, rhs, -dt * eta_load(k), tol=config.cg_tol
             )
-            psi_eta.data[k] = solve_neumann(ops, load, tol=config.inner_tol)
         else:
             A, precond = system
             p1.data[k] = cg_solve(A, rhs, tol=config.cg_tol, precond=precond, x0=p1_next)

@@ -75,11 +75,16 @@ __all__ = [
     "assemble_mass",
     "build_operators",
     "solve_neumann",
+    "solve_neumann_frames",
     "bidomain_elliptic_solve",
     "reduced_rhs_S",
     "reduced_operator",
     "solve_coupled_step",
 ]
+
+
+# Most values (frames x nodes) of one block of ``solve_neumann_frames``.
+FRAME_BLOCK_VALUES = 2**16
 
 
 class EllipticityError(ValueError):
@@ -378,6 +383,25 @@ def solve_neumann(ops, load, *, tol, x0=None):
         return np.zeros(load.shape)
     x = cg_solve(ops.K_ie, _neumann_load(load), tol=tol, precond=ops.kie_precond, x0=x0)
     return _zero_mean(ops.grid, x)
+
+
+def solve_neumann_frames(ops, load, out, *, tol):
+    """Solve K_ie x = load for every frame of a series, in blocks of frames.
+
+    ``out`` is a (*batch, n_frames, N) array that receives the
+    solutions.  ``load(index)`` returns the assembled loads of the
+    frames at ``index``, a tuple of index arrays into ``out.shape[:-1]``,
+    as a (frames, N) array; each load must sum to zero.  The frames go
+    through ``solve_neumann`` as the columns of blocks of at most
+    ``FRAME_BLOCK_VALUES`` values, so the temporaries of a solve stay a
+    fraction of one series however long the series is.
+    """
+    frames = out.shape[:-1]
+    step = max(1, FRAME_BLOCK_VALUES // out.shape[-1])
+    total = int(np.prod(frames))
+    for start in range(0, total, step):
+        index = np.unravel_index(np.arange(start, min(start + step, total)), frames)
+        out[index] = solve_neumann(ops, load(index).T, tol=tol).T
 
 
 def bidomain_elliptic_solve(ops, load, *, nodal=True, tol=1e-11, x0=None):

@@ -17,24 +17,33 @@ solved as the coupled block system of ``assembly``
 
 by one block PCG, whose Schur complement on phi is the equation
 above.  psi is the extracellular potential with the frame-k currents,
-so it is not phi_e^{k+1}: the extracellular potential is recovered at
-every stored frame from K_ie phi_e = Mass (I_i + I_e) - K_i phi_tr
-with zero-mean gauge.
+so it is not phi_e^{k+1}, which solves K_ie phi_e = Mass (I_i + I_e)^{k+1}
+- K_i phi^{k+1} with zero-mean gauge.  The two differ by the lift of
+the change of the currents:
+
+    phi_e^{k+1} = psi + lift^{k+1} - lift^k,   lift^k = K_ie^+ Mass (I_i + I_e)^k
+
+The lifts depend on the data only, so ``run_forward`` solves them for
+all frames before the sweep (``assembly.solve_neumann_frames``) and
+each step adds its difference to psi; only frame 0 is recovered
+(``recover_phi_e``).  phi_e^{k+1} thus carries the error of psi, the
+coupled step's ``cg_tol`` (a block residual), plus that of the lifts,
+``inner_tol``; compatibility is tested on the frame loads themselves.
 
 ``run_forward`` steps over the series it returns: step k reads frame k
-of phi and w and writes frame k + 1.  ``step_monodomain`` and
-``step_bidomain`` give the new potentials (phi^{k+1}, and for the
-bidomain system phi_e^{k+1} as well); ``run_forward`` stores them,
-checks that phi stays finite and makes the gating update.
+of phi and w and writes frame k + 1.  ``step_monodomain`` gives
+phi^{k+1} and ``step_bidomain`` gives (phi^{k+1}, psi); ``run_forward``
+stores them, checks that phi stays finite and makes the gating update.
 
 Zero-flux boundary conditions are built into the assembled operators.
 
 A run may carry a batch of controls: I_i and I_e with one leading batch
 axis of m members (``FieldSeries``).  The states are then (m, n_nodes)
-arrays, and every step and recovery makes one ``cg_solve`` call for the
-whole batch, on the (n_nodes, m) block ``rhs.T`` of its loads; for one
-control ``rhs.T`` is the load itself.  Each member is solved as its own
-PCG, so a batched run gives each member's unbatched trajectory to
+arrays, and every step and the frame-0 recovery make one ``cg_solve``
+call for the whole batch, on the (n_nodes, m) block ``rhs.T`` of its
+loads; for one control ``rhs.T`` is the load itself.  The lift blocks
+take the frames of all members alike.  Each member is solved as its
+own PCG, so a batched run gives each member's unbatched trajectory to
 solver precision at the Python cost of one run.
 """
 
@@ -50,6 +59,7 @@ from .assembly import (
     bidomain_elliptic_solve,
     reduced_operator,
     solve_coupled_step,
+    solve_neumann_frames,
 )
 from .grid import FieldSeries, Grid, NormReport, ScalarField
 from .ionic import IonicParams, gating_exact_update, i_ion
@@ -127,6 +137,27 @@ class ForwardResult:
     phi_e: FieldSeries | None = None
     I_e_used: FieldSeries | None = None
 
+    def member(self, i):
+        """Member i of a batched run as an unbatched result with no report.
+
+        Every series is copied, so the result does not keep the batch
+        alive; a series without a batch axis is shared by all members.
+        """
+
+        def pick(series):
+            if series is None:
+                return None
+            data = series.data[i] if series.batch_shape else series.data
+            return FieldSeries(series.grid, data.copy())
+
+        return ForwardResult(
+            phi_tr=pick(self.phi_tr),
+            w=pick(self.w),
+            report=NormReport(),
+            phi_e=pick(self.phi_e),
+            I_e_used=pick(self.I_e_used),
+        )
+
 
 def compatibility_enforce(grid, I_i, I_e):
     """Shift each I_e frame (of each batch member) by a constant so int(I_i + I_e) dx = 0."""
@@ -149,26 +180,44 @@ def step_monodomain(config, system, phi, w, k):
     return cg_solve(A, rhs.T, tol=config.cg_tol, precond=precond, x0=phi.T).T
 
 
-def recover_phi_e(config, phi_tr, k, *, x0=None):
+def recover_phi_e(config, phi_tr, k):
     """Extracellular potential at frame k (zero-mean gauge), per batch member."""
     ops = config.ops
     currents = config.I_i.data[..., k, :] + config.I_e.data[..., k, :]
     load = ops.mass * currents - (ops.K_i @ phi_tr.T).T
-    x0 = None if x0 is None else x0.T
-    return bidomain_elliptic_solve(ops, load.T, nodal=False, tol=config.inner_tol, x0=x0).T
+    return bidomain_elliptic_solve(ops, load.T, nodal=False, tol=config.inner_tol).T
+
+
+def _current_lifts(config, out):
+    """Write lift^k = K_ie^+ Mass (I_i + I_e)^k of every frame and member into ``out``.
+
+    ``out`` is shaped like the run's series; the lifts are solved to
+    ``inner_tol`` in blocks of frames (``solve_neumann_frames``).
+    """
+    I_i = np.broadcast_to(config.I_i.data, out.shape)
+    I_e = np.broadcast_to(config.I_e.data, out.shape)
+
+    def load(index):
+        currents = I_i[index]
+        currents += I_e[index]
+        currents *= config.ops.mass
+        return currents
+
+    solve_neumann_frames(config.ops, load, out, tol=config.inner_tol)
 
 
 def step_bidomain(config, system, phi, w, k):
-    """(phi^{k+1}, phi_e^{k+1}) of one bidomain step from phi^k and w^k."""
+    """(phi^{k+1}, psi) of one bidomain step from phi^k and w^k.
+
+    psi is phi_e^{k+1} with the frame-k currents (module docstring).
+    """
     dt, mass = config.grid.dt, config.ops.mass
     I_i, I_e = config.I_i.data[..., k, :], config.I_e.data[..., k, :]
     f = mass * (phi - dt * _reaction(config, phi, w) + dt * I_i)
     phi_new, psi = solve_coupled_step(
         config.ops, system, f.T, (dt * mass * (I_i + I_e)).T, tol=config.cg_tol
     )
-    phi_new = phi_new.T
-    # psi differs from phi_e^{k+1} only through the change of the currents
-    return phi_new, recover_phi_e(config, phi_new, k + 1, x0=psi.T)
+    return phi_new.T, psi.T
 
 
 def run_forward(config, *, report=True):
@@ -177,7 +226,11 @@ def run_forward(config, *, report=True):
     Step k reads frame k of the returned series and writes frame k + 1.
     A batched config (``ProblemConfig.batch_shape``) gives series with
     the same batch axis, one trajectory per member; the norm report
-    reads single series, so ``report=True`` rejects a batch.
+    reads single series, so ``report=True`` rejects a batch.  For a
+    bidomain run, phi_e is psi of each step plus the change of the
+    current lifts (module docstring): it is accurate to ``cg_tol`` of
+    the coupled step plus ``inner_tol`` of the lifts, and frame 0, which
+    is recovered, to ``inner_tol``.
     """
     g = config.grid
     bidomain = config.kind == "bidomain"
@@ -189,20 +242,29 @@ def run_forward(config, *, report=True):
     if bidomain and config.enforce_compatibility:
         config = replace(config, I_e=compatibility_enforce(g, config.I_i, config.I_e))
 
+    phi_e = None
+    if bidomain:
+        # phi_e holds the lifts until each step overwrites its frame; they
+        # are solved before phi and w exist, which keeps the peak low
+        phi_e = FieldSeries.zeros(g, batch)
+        _current_lifts(config, phi_e.data)
+        lift = phi_e.data[..., 0, :].copy()
+        phi_e.data[..., 0, :] = recover_phi_e(config, config.phi0.values, 0)
     phi = FieldSeries.zeros(g, batch)
     w = FieldSeries.zeros(g, batch)
     phi.data[..., 0, :] = config.phi0.values
     w.data[..., 0, :] = config.w0.values
-    phi_e = None
-    if bidomain:
-        phi_e = FieldSeries.zeros(g, batch)
-        phi_e.data[..., 0, :] = recover_phi_e(config, phi.data[..., 0, :], 0)
     system = config.step_system()
 
     for k in range(g.n_steps):
         phi_k, w_k = phi.data[..., k, :], w.data[..., k, :]
         if bidomain:
-            phi_next, phi_e.data[..., k + 1, :] = step_bidomain(config, system, phi_k, w_k, k)
+            phi_next, psi = step_bidomain(config, system, phi_k, w_k, k)
+            # phi_e^{k+1} = psi + lift^{k+1} - lift^k, in place of lift^{k+1}
+            frame = phi_e.data[..., k + 1, :]
+            psi -= lift
+            lift = frame.copy()
+            frame += psi
         else:
             phi_next = step_monodomain(config, system, phi_k, w_k, k)
         if not np.all(np.isfinite(phi_next)):

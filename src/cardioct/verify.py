@@ -131,6 +131,7 @@ def stability_experiment(config, direction, scales):
     ``direction`` is a pair of FieldSeries (dI_i, dI_e).  Every scale
     must be positive and the direction nonzero; the zero-perturbation
     (uniqueness) probe is `identical_run_difference`, not a scale here.
+    The base run and the perturbed runs are one batched ``run_forward``.
     """
     dIi, dIe = direction
     if not (np.any(dIi.data) or np.any(dIe.data)):
@@ -139,16 +140,21 @@ def stability_experiment(config, direction, scales):
     if any(s <= 0 for s in scales):
         raise ValueError("perturbation scales must be positive")
 
-    base = run_forward(config, report=False)
     g = config.grid
-    lhs_list, rhs_list, ratios = [], [], []
-    for s in scales:
-        cfg = replace(
+    # the base run (scale 0) and every perturbed run, as one batch
+    factors = np.array([0.0] + scales)[:, None, None]
+    runs = run_forward(
+        replace(
             config,
-            I_i=FieldSeries(g, config.I_i.data + s * dIi.data),
-            I_e=FieldSeries(g, config.I_e.data + s * dIe.data),
-        )
-        pert = run_forward(cfg, report=False)
+            I_i=FieldSeries(g, config.I_i.data + factors * dIi.data),
+            I_e=FieldSeries(g, config.I_e.data + factors * dIe.data),
+        ),
+        report=False,
+    )
+    base = runs.member(0)
+    lhs_list, rhs_list, ratios = [], [], []
+    for i, s in enumerate(scales, 1):
+        pert = runs.member(i)
         lhs = difference_bundle(base, pert, config.kind)
         d_ii = FieldSeries(g, s * dIi.data)
         d_ie = FieldSeries(g, pert.I_e_used.data - base.I_e_used.data)
@@ -441,31 +447,45 @@ def gradient_check(problem, *, n_directions=5, seed=0, deltas=None):
 
     For each seeded unit direction in the control subspace the FD step
     is chosen by a three-point plateau rule: among a geometric ladder
-    of steps, take the one whose FD value moves least relative to its
-    neighbors.  Reports the worst relative error over all directions.
+    of at least two steps, take the one whose FD value moves least
+    relative to its neighbors.  Reports the worst relative error over
+    all directions.
 
     The whole ladder of a direction, the controls base +- delta d for
     every delta, is one batched ``simulate``: one forward sweep whose
-    solves take all 2 len(deltas) controls as columns.  That sweep
-    holds 2 len(deltas) trajectories (phi, w and, for bidomain runs,
+    solves take all 2 len(deltas) controls as columns.  The first
+    direction's batch also carries the base control, as member 0, whose
+    trajectory is copied out for the one adjoint sweep of the gradient;
+    so a check makes n_directions forward sweeps in all.  A sweep holds
+    2 len(deltas) (+ 1) trajectories (phi, w and, for bidomain runs,
     phi_e, each (n_steps + 1) x n_nodes doubles) at once, where a
     sequential ladder held one.
     """
     if deltas is None:
         deltas = [1e-2 * 0.5**j for j in range(6)]
+    if n_directions < 1:
+        raise ValueError(f"gradient_check needs n_directions >= 1, not {n_directions}")
+    if len(deltas) < 2:
+        raise ValueError(
+            f"gradient_check needs at least two deltas for its plateau rule, not {len(deltas)}"
+        )
     rng = np.random.default_rng(seed)
     base = project_admissible(problem.config.I_e, problem)
-    J0, traj = simulate(problem, base)
-    grad, _ = compute_gradient(problem, base, traj)
     # +delta and -delta of each step, side by side in the batch
     steps = np.outer(deltas, [1.0, -1.0]).ravel()
 
     rel_errors, chosen, gds, fds = [], [], [], []
-    for _ in range(n_directions):
+    for i in range(n_directions):
         d = random_admissible_direction(problem, rng)
+        # the first ladder also carries the base control, as member 0
+        ladder = np.concatenate(([0.0], steps)) if i == 0 else steps
+        controls = FieldSeries(base.grid, base.data + ladder[:, None, None] * d.data)
+        J, batch = simulate(problem, controls)
+        if i == 0:
+            base_traj = batch.member(0)
+            J, batch = J[1:], None  # frees the batch before the adjoint sweep
+            grad, _ = compute_gradient(problem, base, base_traj)
         gd = control_inner(grad, d)
-        ladder = FieldSeries(base.grid, base.data + steps[:, None, None] * d.data)
-        J, _ = simulate(problem, ladder)
         J_plus, J_minus = J.reshape(-1, 2).T
         fd_ladder = (J_plus - J_minus) / (2.0 * np.asarray(deltas))
         scale = max(abs(gd), max(abs(f) for f in fd_ladder), 1e-300)

@@ -17,6 +17,7 @@ from cardioct.assembly import build_operators
 from cardioct.control import (
     ControlProblem,
     compute_gradient,
+    control_inner,
     project_admissible,
     projected_gradient_descent,
     random_admissible_direction,
@@ -85,9 +86,12 @@ def test_gradient_check_fd_values_equal_the_sequential_ladder(case):
     seed, deltas = 4, [4e-3, 2e-3, 1e-3, 5e-4]
     rep = gradient_check(problem, n_directions=2, seed=seed, deltas=deltas)
     base = project_admissible(problem.config.I_e, problem)
+    # the gradient of the base run made alone (the check runs it in a batch)
+    grad, _ = compute_gradient(problem, base, simulate(problem, base)[1])
     rng = np.random.default_rng(seed)
-    for fd, delta in zip(rep.fd_values, rep.deltas):
+    for fd, delta, gd in zip(rep.fd_values, rep.deltas, rep.inner_products):
         d = random_admissible_direction(problem, rng)
+        assert abs(gd - control_inner(grad, d)) <= 1e-9 * abs(gd)
         J_plus, _ = simulate(problem, FieldSeries(base.grid, base.data + delta * d.data))
         J_minus, _ = simulate(problem, FieldSeries(base.grid, base.data - delta * d.data))
         sequential = (J_plus - J_minus) / (2.0 * delta)
@@ -105,9 +109,9 @@ def test_gradient_check_makes_one_forward_sweep_per_direction(monkeypatch):
 
     monkeypatch.setattr(control, "run_forward", counted)
     gradient_check(problem, n_directions=3, seed=1)
-    # the base run, then one batch of the default ladder's 2 x 6 controls per direction
-    assert len(calls) == 1 + 3
-    assert calls == [()] + [(12,)] * 3
+    # one batch of the default ladder's 2 x 6 controls per direction; the
+    # first also carries the base control
+    assert calls == [(13,), (12,), (12,)]
 
 
 # Entry points that read frames as ``data[k]``, each handed a batch of two

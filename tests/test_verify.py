@@ -8,8 +8,10 @@ from cardioct.forward import run_forward
 from cardioct.grid import FieldSeries, Grid, refined
 from cardioct.stimuli import seeded_smooth_series
 from cardioct.verify import (
+    _series_dual_l2_sq,
     apriori_check,
     convergence_study,
+    difference_bundle,
     gradient_check,
     identical_run_difference,
     monodomain_limit_check,
@@ -47,6 +49,30 @@ def test_stability_monodomain_spread(grid1d):
     assert rep.spread <= 2.0
     assert len(rep.rows()) == 4
     assert all(l <= r * rep.fitted_constant * rep.spread * 1.01 for _, l, r, _ in rep.rows())
+
+
+@pytest.mark.parametrize("kind", ["monodomain", "bidomain"])
+def test_batched_stability_equals_one_run_per_scale(grid1d, kind):
+    cfg = make_problem(grid1d, kind=kind, stimulus=0.2)
+    dIi, dIe = smooth_direction(grid1d, seed=5)
+    dIi = FieldSeries(grid1d, 0.5 * dIe.data[::-1])
+    scales = (0.25, 0.5, 1.0)
+    rep = stability_experiment(cfg, (dIi, dIe), scales)
+    base = run_forward(cfg, report=False)
+    for s, lhs, rhs in zip(scales, rep.lhs, rep.rhs):
+        pert = run_forward(
+            replace(
+                cfg,
+                I_i=FieldSeries(grid1d, cfg.I_i.data + s * dIi.data),
+                I_e=FieldSeries(grid1d, cfg.I_e.data + s * dIe.data),
+            ),
+            report=False,
+        )
+        ref_lhs = difference_bundle(base, pert, kind)
+        d_ie = FieldSeries(grid1d, pert.I_e_used.data - base.I_e_used.data)
+        ref_rhs = _series_dual_l2_sq(FieldSeries(grid1d, s * dIi.data)) + _series_dual_l2_sq(d_ie)
+        assert lhs == pytest.approx(ref_lhs, rel=1e-9)
+        assert rhs == pytest.approx(ref_rhs, rel=1e-12)
 
 
 def test_stability_lhs_scales_quadratically(grid1d):
@@ -118,6 +144,21 @@ def test_gradient_check_monodomain_tight(grid1d):
     rep = gradient_check(problem, n_directions=2, seed=0)
     assert rep.max_rel_error <= 1e-6
     assert len(rep.rel_errors) == 2
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"deltas": [1e-3]}, "deltas"),
+        ({"deltas": []}, "deltas"),
+        ({"n_directions": 0}, "n_directions"),
+    ],
+)
+def test_gradient_check_rejects_a_ladder_it_cannot_judge(grid1d, kwargs, name):
+    cfg = make_problem(grid1d, stimulus=0.2)
+    problem = ControlProblem(config=cfg, cost=CostConfig(mu=1e-2, w_phi=1.0))
+    with pytest.raises(ValueError, match=name):
+        gradient_check(problem, **kwargs)
 
 
 def test_gradient_check_reports_plateau(grid1d):

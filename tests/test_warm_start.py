@@ -43,13 +43,17 @@ def test_constant_monodomain_solves_directly(grid, solves):
 def test_constant_bidomain_recovers_phi_e_directly(grid2d, solves):
     cfg = make_problem(grid2d, kind="bidomain", stimulus=0.3)
     run_forward(cfg, report=False)
+    # the current lifts of all frames in one block, then the frame-0 recovery
     recover = [s for s in solves if s["A"] is cfg.ops.K_ie]
-    assert len(recover) == grid2d.n_steps + 1
-    assert sum(s["kwargs"]["x0"] is not None for s in recover) == grid2d.n_steps
+    assert [s["b"].shape for s in recover] == [
+        (grid2d.n_nodes, grid2d.n_steps + 1),
+        (grid2d.n_nodes,),
+    ]
+    assert all(s["kwargs"]["x0"] is None for s in recover)
     assert recover[0]["applications"] == 1
     assert all(s["applications"] == 0 for s in recover[1:])
     # the coupled steps are direct too
-    assert len(solves) == 2 * grid2d.n_steps + 1
+    assert len(solves) == grid2d.n_steps + 2
     for s in solves:
         assert_exact(s)
 
