@@ -13,10 +13,12 @@ from cardioct import convergence_study
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--levels", type=int, default=3)
+    ap.add_argument("--levels", type=int, default=3,
+                    help="spatial levels (>= 2); the temporal study runs one more, "
+                         "so both give levels - 1 orders")
     args = ap.parse_args()
 
-    rep = convergence_study(spatial_levels=args.levels, temporal_levels=args.levels)
+    rep = convergence_study(spatial_levels=args.levels, temporal_levels=args.levels + 1)
 
     print("spatial (exact solution, expecting order 2)")
     print(f"  {'level':<7}{'error':<14}order")

@@ -15,19 +15,17 @@ cell, whose element matrix each slice-add broadcasts over the cells.
 The weights of each negative offset are a shifted copy of its mirror
 (K[j - d, j] = K[j, j - d]), so K is exactly symmetric with no
 symmetrization pass.  Out-of-grid entries are never written and stay
-zero; ``tocsr`` drops them with the exact zeros, which gives sorted
-columns.  The stiffness matrices stay DIA (sums, scalings and
-products keep the format); only the matrices handed to
-``cg_solve``, the step matrix and K_ie, are converted to CSR, once
-each.  The mass matrix is lumped to the tensor-trapezoid weights,
-which is the row-sum lumping of the consistent element mass and
-keeps the operator algebra consistent with ``grid.integrate``.
+zero.  The stiffness matrices stay DIA (sums, scalings and products
+keep the format), and so does K_ie = K_i + K_e.  The mass matrix is
+lumped to the tensor-trapezoid weights, which is the row-sum lumping
+of the consistent element mass and keeps the operator algebra
+consistent with ``grid.integrate``.
 
 One bidomain step is the coupled block system
 
     [[Mass + dt K_i, dt K_i], [dt K_i, dt K_ie]] [phi; psi] = [f; g]
 
-(``reduced_operator``, ``solve_coupled_step``).  It is symmetric
+(``coupled_system``, ``solve_coupled_step``).  It is symmetric
 positive semidefinite with kernel (0, constants), and its Schur
 complement on phi is Mass + dt A_h with the reduced bidomain operator
 A_h = K_i - K_i K_ie^+ K_i, which collapses to (lam/(1+lam)) K_i
@@ -35,22 +33,25 @@ whenever the extracellular tensor is lam times the intracellular one.
 Solving the block system with one flat PCG avoids the inner K_ie
 solve that every application of the Schur complement would need.
 
-Every solve is CG preconditioned in the grid's DCT-I eigenbasis
-(``spectral``), with eigenvalues taken from the per-axis cell means of
-each tensor's diagonal: exact for constant diagonal tensors, spectrally
-equivalent (mesh-independent iteration counts) otherwise.  The block
-system gets one 2x2 inverse per mode.  The step, K_ie and block
-inverses are marked ``exact`` in the first case, and ``cg_solve`` then
-solves their systems directly, x = P b, once the first solve of each
-system has measured its residual (``linalg``).  The pure-Neumann K_ie solve
-(``solve_neumann``) and the psi row of the block system take loads
-that sum to zero, on which these singular systems are consistent, so
-no solve deflates the constants.
-
-The solves take one load, or a block of loads as the columns of an
-(n, m) array (``linalg.cg_solve``); the lumped mass then scales every
-column, and the compatibility test and the zero-mean gauge act per
-column.
+Every linear system is one ``(apply, precond)`` pair, built on first
+use and memoized on ``SystemOperators``: the monodomain step Mass +
+coef K_i (``step_system``), the pure-Neumann K_ie (``neumann_system``)
+and the coupled block (``coupled_system``).  ``apply`` multiplies
+through the DIA stencils; no system matrix is formed.  ``precond`` is
+CG's preconditioner in the grid's DCT-I eigenbasis (``spectral``),
+with eigenvalues taken from the per-axis cell means of each tensor's
+diagonal: exact for constant diagonal tensors, spectrally equivalent
+(mesh-independent iteration counts) otherwise.  The block system gets
+one 2x2 inverse per mode.  The inverses are marked ``exact`` in the
+first case, and ``cg_solve`` then solves their systems directly,
+x = P b, once the first solve of each system has measured its residual
+(``linalg``).  The pure-Neumann K_ie solve (``solve_neumann``) and the
+psi row of the block system take loads that sum to zero, on which
+these singular systems are consistent, so no solve deflates the
+constants.  A solve takes one load, or a block of loads as the columns
+of an (n, m) array (``linalg.cg_solve``); ``apply`` and the lumped mass
+then act on every column, and the compatibility test and the zero-mean
+gauge per column.
 """
 
 from __future__ import annotations
@@ -163,9 +164,8 @@ def assemble_stiffness(grid, tensor):
     The tensor goes through ``ellipticity_check`` first.  Returns the
     3^dim-point stencil as a ``scipy.sparse.dia_matrix`` (see the
     module docstring): exactly symmetric, with zeros stored for the
-    out-of-grid entries, which ``tocsr`` drops.  A constant tensor is
-    contracted as one cell, whose element matrix every slice-add
-    broadcasts over the cells.
+    out-of-grid entries.  A constant tensor is contracted as one cell,
+    whose element matrix every slice-add broadcasts over the cells.
     """
     ellipticity_check(tensor)
     dim, nodes = grid.dim, grid.nodes_per_axis
@@ -228,13 +228,12 @@ class SystemOperators:
     """Assembled operators for one conductivity configuration.
 
     K_i is the intracellular stiffness, K_e the extracellular one and
-    K_ie = K_i + K_e (both None for monodomain-only use), mass the
-    lumped diagonal, and lam the extra/intra conductivity ratio used by
-    the monodomain reduction.  K_i and K_e are DIA stencils; K_ie, a
-    ``cg_solve`` operand, is CSR, like the step matrices.  The spectral
-    eigenvalues and preconditioners and the monodomain and coupled
-    bidomain step systems are built on first use.  The dual norms need no operator:
-    ``grid`` reads them off the DCT-I coefficients.
+    K_ie = K_i + K_e (both None for monodomain-only use), all DIA
+    stencils; mass is the lumped diagonal, and lam the extra/intra
+    conductivity ratio used by the monodomain reduction.  The spectral
+    eigenvalues and the ``(apply, precond)`` pair of each system are
+    built on first use, the pairs memoized in one dict.  The dual norms
+    need no operator: ``grid`` reads them off the DCT-I coefficients.
     """
 
     grid: Grid
@@ -242,11 +241,10 @@ class SystemOperators:
     K_i: sp.dia_matrix
     lam: float
     K_e: sp.dia_matrix | None = None
-    K_ie: sp.csr_matrix | None = None
+    K_ie: sp.dia_matrix | None = None
     mi: TensorField | None = None
     me: TensorField | None = None
-    _step_systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _coupled_systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def spectrum_i(self):
@@ -264,42 +262,55 @@ class SystemOperators:
             reference_coefficients(self.K_ie, self.grid)
         )
 
-    @cached_property
-    def kie_precond(self):
-        """Spectral pseudo-inverse of K_ie for ``solve_neumann``.
-
-        It maps the weights (hence the constant mode) to zero and is
-        positive definite on the zero-sum vectors, the range of K_ie.
-        It is marked exact when ``mi`` and ``me`` are both constant and
-        diagonal; ``cg_solve`` then solves directly.
-        """
-        exact = _constant_diagonal(self.mi) and _constant_diagonal(self.me)
-        return self.grid.spectral.inverse(self.spectrum_ie, exact=exact)
-
     def step_system(self, coef):
-        """CSR matrix Mass + coef * K_i and its spectral inverse, built once per coef.
+        """Monodomain step operator Mass + coef * K_i and its spectral inverse.
 
-        The inverse is marked exact when ``mi`` is constant and diagonal
-        (every cell equal, no off-diagonal entry); ``cg_solve`` then
-        solves directly.  Otherwise PCG keeps the warm start.
+        ``apply(x) = mass * x + coef * (K_i @ x)``, per column of an
+        (N, k) block; built once per coef.  The inverse is marked exact
+        when ``mi`` is constant and diagonal (every cell equal, no
+        off-diagonal entry); ``cg_solve`` then solves directly.
         """
-        if coef not in self._step_systems:
-            A = (sp.diags(self.mass) + coef * self.K_i).tocsr()
+        key = ("step", coef)
+        if key not in self._systems:
+            K_i, mass = self.K_i, self.mass
+
+            def apply(x):
+                return (mass * x.T).T + coef * (K_i @ x)
+
             precond = self.grid.spectral.inverse(
                 1.0 + coef * self.spectrum_i, exact=_constant_diagonal(self.mi)
             )
-            self._step_systems[coef] = (A, precond)
-        return self._step_systems[coef]
+            self._systems[key] = (apply, precond)
+        return self._systems[key]
+
+    def neumann_system(self):
+        """Pure-Neumann operator K_ie and its spectral pseudo-inverse, built once.
+
+        The pseudo-inverse maps the weights (hence the constant mode) to
+        zero and is positive definite on the zero-sum vectors, the range
+        of K_ie.  It is marked exact when ``mi`` and ``me`` are both
+        constant and diagonal; ``cg_solve`` then solves directly.
+        """
+        if "neumann" not in self._systems:
+            exact = _constant_diagonal(self.mi) and _constant_diagonal(self.me)
+            precond = self.grid.spectral.inverse(self.spectrum_ie, exact=exact)
+            self._systems["neumann"] = (self.K_ie.__matmul__, precond)
+        return self._systems["neumann"]
 
     def coupled_system(self, dt):
         """Coupled bidomain step operator and its block inverse, built once per dt.
 
-        See ``reduced_operator``; ``apply`` costs two sparse products,
-        K_i (phi + psi) and K_e psi, on a stacked vector or on each
-        column of a (2 N, k) block.  The block inverse is marked exact
-        under the rule of ``kie_precond``.
+        ``apply`` maps stacked vectors [phi; psi] of length 2 N, or each
+        column of a (2 N, k) block, through the block matrix of the
+        module docstring, at the cost of two stencil products, K_i (phi +
+        psi) and K_e psi.  The inverse inverts, mode by mode, the DCT-I
+        blocks [[1 + dt lam_i, dt lam_i], [dt lam_i, dt lam_ie]] of the
+        reference tensors, with the pseudo-inverse [[1, 0], [0, 0]] on
+        the constant mode (lam_ie = 0); it is marked exact under the
+        rule of ``neumann_system``.
         """
-        if dt not in self._coupled_systems:
+        key = ("coupled", dt)
+        if key not in self._systems:
             K_i, K_e, mass, n = self.K_i, self.K_e, self.mass, self.grid.n_nodes
 
             def apply(x):
@@ -312,8 +323,8 @@ class SystemOperators:
             precond = self.grid.spectral.block_inverse(
                 1.0 + dt * lam_i, dt * lam_i, dt * lam_ie, exact=exact
             )
-            self._coupled_systems[dt] = (apply, precond)
-        return self._coupled_systems[dt]
+            self._systems[key] = (apply, precond)
+        return self._systems[key]
 
 
 def build_operators(grid, mi, me=None, lam=1.0):
@@ -321,13 +332,13 @@ def build_operators(grid, mi, me=None, lam=1.0):
 
     Each tensor is checked and assembled once; K_ie is the sum of the
     two stiffness matrices, which is the stiffness of mi + me, summed
-    in DIA and converted to CSR once.
+    in DIA.
     """
     K_i = assemble_stiffness(grid, mi)
     K_e = K_ie = None
     if me is not None:
         K_e = assemble_stiffness(grid, me)
-        K_ie = (K_i + K_e).tocsr()
+        K_ie = K_i + K_e
     return SystemOperators(
         grid=grid,
         mass=assemble_mass(grid),
@@ -369,19 +380,20 @@ def _zero_mean(grid, x):
     return x - (grid.weights @ x) / grid.measure
 
 
-def solve_neumann(ops, load, *, tol, x0=None):
+def solve_neumann(ops, load, *, tol):
     """Solve the pure-Neumann system K_ie x = load, weighted zero-mean gauge.
 
     ``load`` is an assembled load vector, or an (n, m) block of them
     solved column by column; a zero load gives zero.  The load must
     sum to zero (``_neumann_load``), which puts it in the
-    range of K_ie, and CG with the spectral pseudo-inverse
-    ``ops.kie_precond``, positive definite on that range, needs no
+    range of K_ie, and CG with the spectral pseudo-inverse of
+    ``ops.neumann_system()``, positive definite on that range, needs no
     deflation.  The returned field integrates to zero.
     """
     if not load.any():
         return np.zeros(load.shape)
-    x = cg_solve(ops.K_ie, _neumann_load(load), tol=tol, precond=ops.kie_precond, x0=x0)
+    apply, precond = ops.neumann_system()
+    x = cg_solve(apply, _neumann_load(load), tol=tol, precond=precond)
     return _zero_mean(ops.grid, x)
 
 
@@ -404,7 +416,7 @@ def solve_neumann_frames(ops, load, out, *, tol):
         out[index] = solve_neumann(ops, load(index).T, tol=tol).T
 
 
-def bidomain_elliptic_solve(ops, load, *, nodal=True, tol=1e-11, x0=None):
+def bidomain_elliptic_solve(ops, load, *, nodal=True, tol=1e-11):
     """Solve K_ie phi_e = load with zero-flux boundaries and zero-mean gauge.
 
     ``load`` is a nodal field (functional values; paired through the
@@ -415,7 +427,7 @@ def bidomain_elliptic_solve(ops, load, *, nodal=True, tol=1e-11, x0=None):
     lv = _values(load)
     if nodal:
         lv = (ops.mass * lv.T).T
-    x = solve_neumann(ops, lv, tol=tol, x0=x0)
+    x = solve_neumann(ops, lv, tol=tol)
     return ScalarField(ops.grid, x) if isinstance(load, ScalarField) else x
 
 
@@ -434,27 +446,16 @@ def reduced_rhs_S(ops, I_i, I_e, *, tol=1e-11):
 
 
 def reduced_operator(ops, dt):
-    """Coupled block operator of one bidomain step and its preconditioner.
+    """``ops.coupled_system(dt)``, named after the block's Schur complement Mass + dt A_h.
 
-    Returns ``(apply, precond)`` on stacked vectors [phi; psi] of length
-    2 N for the block matrix [[Mass + dt K_i, dt K_i], [dt K_i, dt K_ie]]
-    of the module docstring, memoized per dt on ``ops``.  The
-    preconditioner inverts, mode by mode, the DCT-I blocks
-    [[1 + dt lam_i, dt lam_i], [dt lam_i, dt lam_ie]] of the reference
-    tensors, with the pseudo-inverse [[1, 0], [0, 0]] on the constant
-    mode (lam_ie = 0); it is exact, and marked as such, when both
-    tensors are constant and diagonal.
-
-    The name is that of the reduced operator Mass + dt A_h, the block's
-    Schur complement on phi.  It stays because ``perfbench/tracing.py``
-    looks the function up by name and times the returned ``apply`` as
-    ``assembly.reduced_apply``.
+    The name stays because ``perfbench/tracing.py`` looks the function
+    up and times the returned ``apply`` as ``assembly.reduced_apply``.
     """
     return ops.coupled_system(dt)
 
 
 def solve_coupled_step(ops, system, f, g, *, tol):
-    """Solve the coupled step system ``system = reduced_operator(ops, dt)``.
+    """Solve the coupled step system ``system = ops.coupled_system(dt)``.
 
     ``g`` is the load of the psi row, which must sum to zero, as in
     ``solve_neumann``.  ``f`` and ``g`` may be (N, m) blocks of loads as

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,14 +57,6 @@ class ConfigError(ValueError):
 # config schema: (section, key) -> (default, parser)
 
 
-def _float(s):
-    return float(s)
-
-
-def _int(s):
-    return int(s)
-
-
 def _str(s):
     return s.strip()
 
@@ -75,6 +67,27 @@ def _floats(s):
 
 def _ints(s):
     return tuple(int(p) for p in s.replace(",", " ").split())
+
+
+def _scales(s):
+    scales = _floats(s)
+    if not scales or not all(v > 0 for v in scales):
+        raise ValueError("need a non-empty list of positive numbers")
+    return scales
+
+
+def _levels(s):
+    if int(s) < 2:
+        raise ValueError("need at least 2 levels")
+    return int(s)
+
+
+def _parsed(name, raw, parse):
+    """``raw`` (a config value or a flag) through ``parse``; a bad one is a ConfigError."""
+    try:
+        return parse(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {name}: {raw!r} ({exc})") from None
 
 
 def _opt_floats(s):
@@ -88,51 +101,51 @@ def _opt_float(s):
 
 
 DEFAULTS = {
-    ("grid", "dim"): (1, _int),
+    ("grid", "dim"): (1, int),
     ("grid", "nodes"): ((33,), _ints),
     ("grid", "lengths"): ((1.0,), _floats),
-    ("grid", "t_final"): (1.0, _float),
-    ("grid", "steps"): (50, _int),
+    ("grid", "t_final"): (1.0, float),
+    ("grid", "steps"): (50, int),
     ("model", "kind"): ("rm", _str),
-    ("model", "a"): (0.13, _float),
-    ("model", "b"): (1.0, _float),
-    ("model", "kappa"): (4.0, _float),
-    ("model", "eps"): (0.01, _float),
+    ("model", "a"): (0.13, float),
+    ("model", "b"): (1.0, float),
+    ("model", "kappa"): (4.0, float),
+    ("model", "eps"): (0.01, float),
     ("system", "kind"): ("monodomain", _str),
-    ("system", "lambda"): (1.0, _float),
+    ("system", "lambda"): (1.0, float),
     ("system", "mi"): ((1.0,), _floats),
     ("system", "me"): (None, _opt_floats),
     ("system", "me_lambda"): (None, _opt_float),
-    ("stimulus", "phi0_amplitude"): (0.0, _float),
+    ("stimulus", "phi0_amplitude"): (0.0, float),
     ("stimulus", "phi0_center"): ((0.5,), _floats),
-    ("stimulus", "phi0_width"): (0.15, _float),
-    ("stimulus", "ii_amplitude"): (0.0, _float),
+    ("stimulus", "phi0_width"): (0.15, float),
+    ("stimulus", "ii_amplitude"): (0.0, float),
     ("stimulus", "ii_center"): ((0.5,), _floats),
-    ("stimulus", "ii_width"): (0.15, _float),
-    ("stimulus", "ii_t0"): (0.0, _float),
-    ("stimulus", "ii_t1"): (0.5, _float),
-    ("stimulus", "ie_amplitude"): (0.0, _float),
+    ("stimulus", "ii_width"): (0.15, float),
+    ("stimulus", "ii_t0"): (0.0, float),
+    ("stimulus", "ii_t1"): (0.5, float),
+    ("stimulus", "ie_amplitude"): (0.0, float),
     ("stimulus", "ie_center"): ((0.5,), _floats),
-    ("stimulus", "ie_width"): (0.15, _float),
-    ("stimulus", "ie_t0"): (0.0, _float),
-    ("stimulus", "ie_t1"): (0.5, _float),
+    ("stimulus", "ie_width"): (0.15, float),
+    ("stimulus", "ie_t0"): (0.0, float),
+    ("stimulus", "ie_t1"): (0.5, float),
     ("stimulus", "profile"): ("smooth", _str),
-    ("cost", "mu"): (0.01, _float),
-    ("cost", "w_phi"): (1.0, _float),
-    ("cost", "w_eta"): (0.0, _float),
-    ("cost", "w_gate"): (0.0, _float),
+    ("cost", "mu"): (0.01, float),
+    ("cost", "w_phi"): (1.0, float),
+    ("cost", "w_eta"): (0.0, float),
+    ("cost", "w_gate"): (0.0, float),
     ("cost", "target"): ("rest", _str),
     ("cost", "mask"): ("full", _str),
     ("cost", "mask_lo"): ((0.0,), _floats),
     ("cost", "mask_hi"): ((1.0,), _floats),
-    ("optimize", "budget"): (30, _int),
+    ("optimize", "budget"): (30, int),
     ("optimize", "radius"): (None, _opt_float),
-    ("optimize", "gtol"): (1e-6, _float),
-    ("solver", "cg_tol"): (1e-10, _float),
-    ("solver", "inner_tol"): (1e-11, _float),
-    ("verify", "scales"): ((0.25, 0.5, 1.0, 2.0), _floats),
-    ("verify", "levels"): (3, _int),
-    ("verify", "direction_amplitude"): (1.0, _float),
+    ("optimize", "gtol"): (1e-6, float),
+    ("solver", "cg_tol"): (1e-10, float),
+    ("solver", "inner_tol"): (1e-11, float),
+    ("verify", "scales"): ((0.25, 0.5, 1.0, 2.0), _scales),
+    ("verify", "levels"): (3, _levels),
+    ("verify", "direction_amplitude"): (1.0, float),
 }
 
 
@@ -158,11 +171,7 @@ def parse_config(path):
         for key, raw in cp.items(section):
             if (section, key) not in DEFAULTS:
                 raise ConfigError(f"unknown key {section}.{key}")
-            _, parser = DEFAULTS[(section, key)]
-            try:
-                values[(section, key)] = parser(raw)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})")
+            values[(section, key)] = _parsed(f"{section}.{key}", raw, DEFAULTS[(section, key)][1])
     rc = RunConfig(values)
     _validate(rc)
     return rc
@@ -202,6 +211,8 @@ def _validate(rc):
         raise ConfigError("cost.mask must be full or box")
     if rc[("grid", "t_final")] <= 0 or rc[("grid", "steps")] < 1:
         raise ConfigError("grid.t_final must be positive and grid.steps >= 1")
+    if rc[("verify", "direction_amplitude")] == 0:
+        raise ConfigError("verify.direction_amplitude must be nonzero")
     try:
         _ionic(rc)
     except ValueError as exc:
@@ -415,6 +426,9 @@ def cmd_optimize(rc, args, out):
 
 
 def cmd_verify_stability(rc, args, out):
+    scales = rc[("verify", "scales")]
+    if args.scales is not None:
+        scales = _parsed("--scales", args.scales, _scales)
     problem = build_problem(rc)
     rng = np.random.default_rng(args.seed)
     direction = (
@@ -422,11 +436,6 @@ def cmd_verify_stability(rc, args, out):
         seeded_smooth_series(
             problem.grid, rng, amplitude=rc[("verify", "direction_amplitude")]
         ),
-    )
-    scales = (
-        tuple(float(s) for s in args.scales.split(","))
-        if args.scales
-        else rc[("verify", "scales")]
     )
     rep = stability_experiment(problem, direction, scales)
     rows = ["scale,lhs,rhs,ratio"]
@@ -463,7 +472,9 @@ def cmd_verify_limit(rc, args, out):
 
 
 def cmd_verify_convergence(rc, args, out):
-    levels = args.levels if args.levels else rc[("verify", "levels")]
+    levels = rc[("verify", "levels")]
+    if args.levels is not None:
+        levels = _parsed("--levels", args.levels, _levels)
     rep = convergence_study(spatial_levels=levels)
     rows = ["study,level,error,order"]
     for i, e in enumerate(rep.spatial_errors):

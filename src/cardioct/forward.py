@@ -120,7 +120,7 @@ class ProblemConfig:
     def step_system(self):
         """The implicit system of one step and its spectral preconditioner.
 
-        Monodomain: the matrix Mass + dt (lam/(1+lam)) K_i.  Bidomain:
+        Monodomain: the operator Mass + dt (lam/(1+lam)) K_i.  Bidomain:
         the coupled block operator of ``assembly.reduced_operator``.
         """
         dt = self.grid.dt

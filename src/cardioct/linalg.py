@@ -7,9 +7,8 @@ two are singular with constants in their kernel; they need no
 deflation, because their loads sum to zero and their preconditioners
 are positive definite on that subspace, and on such a consistent
 system PCG converges to a solution (Kaasschieter, J. Comput. Appl.
-Math. 24, 1988).  The package's callers pass the DCT-I spectral
-preconditioners of ``spectral``; a caller that passes only a matrix
-gets Jacobi.
+Math. 24, 1988).  Every system comes as an ``(apply, precond)`` pair
+of ``assembly.SystemOperators``; the preconditioner is required.
 
 A spectral preconditioner built for a constant diagonal tensor is the
 exact inverse of its system and says so (``precond.exact``).  Every
@@ -77,7 +76,7 @@ def _row_dots(u, v):
     return (u[:, None, :] @ v[:, :, None])[:, 0]
 
 
-def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, precond=None, x0=None):
+def cg_solve(A, b, *, precond, tol=1e-10, maxiter=None, x0=None):
     """Solve ``A x = b`` for symmetric positive (semi)definite ``A``.
 
     A singular ``A`` needs a consistent ``b`` (in the range of ``A``)
@@ -85,32 +84,25 @@ def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, precond=None, x0=None)
 
     Parameters
     ----------
-    A : scipy sparse matrix, or callable ``v -> A @ v``
-        Operator.  A callable must be accompanied by ``precond`` or
-        ``diag``.  For a block ``b`` it receives (n, k) blocks, one
+    A : callable ``v -> A @ v``, or an object with ``__matmul__``
+        Operator.  For a block ``b`` it receives (n, k) blocks, one
         column per unconverged right-hand side.
     b : array, shape (n,) or (n, m)
         Right-hand side, or m right-hand sides as columns, each solved
         as its own PCG (see the module docstring).  A zero column gives
         a zero column.
+    precond : callable
+        Symmetric positive (semi)definite ``r -> z`` approximating
+        ``A^{-1} r``, such as ``SpectralBasis.inverse``; like ``A`` it
+        maps (n, k) blocks column by column.  A true ``precond.exact``
+        marks it the exact (pseudo-)inverse of ``A``; the solve is then
+        direct, guarded by ``precond.residual`` (see the module
+        docstring).
     tol : float
         Relative residual target ``||b - A x|| <= tol * ||b||``, per
         column.
     maxiter : int, optional
         Iteration cap; defaults to ``10 * n``.
-    diag : array, optional
-        Diagonal of ``A`` for the Jacobi preconditioner, used when no
-        ``precond`` is given.  Taken from ``A.diagonal()`` when omitted.
-    precond : callable, optional
-        Symmetric positive (semi)definite ``r -> z`` approximating
-        ``A^{-1} r``, such as ``SpectralBasis.inverse``; like ``A`` it
-        maps (n, k) blocks column by column.  Takes precedence over
-        ``diag``.  A true ``precond.exact`` attribute states that it is
-        the exact (pseudo-)inverse of ``A``; the first solve with it
-        stores ``precond.residual``, using ``precond.condition`` when
-        present, and every later one returns ``precond(b)``, with no
-        operator application and no residual test, whenever
-        ``tol >= 100 * precond.residual`` (see the module docstring).
     x0 : array, optional
         Warm-start iterate, shaped like ``b``.  Ignored when
         ``precond.exact`` is true: the solve then starts from
@@ -147,16 +139,6 @@ def cg_solve(A, b, *, tol=1e-10, maxiter=None, diag=None, precond=None, x0=None)
             unmeasured = precond
     block = b.ndim == 2
     matvec = A if callable(A) else A.__matmul__
-    if precond is None:
-        if diag is None:
-            if callable(A):
-                raise ValueError("matrix-free cg_solve needs precond or diag")
-            diag = A.diagonal()
-        diag = np.asarray(diag, dtype=float)
-        if np.any(diag <= 0.0):
-            raise ValueError("Jacobi preconditioner needs a positive diagonal")
-        inv_diag = 1.0 / diag
-        precond = (inv_diag[:, None] if block else inv_diag).__mul__
     if maxiter is None:
         maxiter = 10 * b.shape[0]
 

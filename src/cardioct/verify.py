@@ -417,6 +417,9 @@ def _temporal_study(levels):
 
 def convergence_study(*, spatial_levels=3, temporal_levels=4):
     """Observed orders: ~2 in space (exact solution), ~1 in time (self)."""
+    for name, levels, least in (("spatial", spatial_levels, 2), ("temporal", temporal_levels, 3)):
+        if levels < least:  # the fewest levels that give one order
+            raise ValueError(f"convergence_study needs {name}_levels >= {least}, not {levels}")
     s_err, s_ord = _spatial_study(spatial_levels)
     t_err, t_ord = _temporal_study(temporal_levels)
     return ConvergenceReport(

@@ -21,14 +21,33 @@ def bump_start(grid, center=0.3, width=0.12, amplitude=0.8):
 
 
 def fibres(grid):
-    """Rotating fibres with 10:1 anisotropy: in the x-y plane at the angle
-    pi/2 (x + y [+ z]) of each cell centre, conductivity 1 along them and
-    0.1 across."""
+    """Rotating fibres with 10:1 anisotropy, 0.1 I + 0.9 f f^T.
+
+    f lies in the x-y plane at the angle pi/2 (x + y [+ z]) of each cell
+    centre: conductivity 1 along the fibres and 0.1 across.  On a 1-D
+    grid f is the x-component alone.
+    """
     centres = np.meshgrid(*(0.5 * (c[1:] + c[:-1]) for c in grid.axis_coords), indexing="ij")
-    a = 0.5 * np.pi * sum(centres).ravel()
-    f = np.zeros((grid.n_cells, grid.dim))
-    f[:, 0], f[:, 1] = np.cos(a), np.sin(a)
+    a = 0.5 * np.pi * sum(c.ravel() for c in centres)
+    f = np.stack([np.cos(a), np.sin(a), np.zeros_like(a)], axis=1)[:, : grid.dim]
     return TensorField(grid, 0.1 * np.eye(grid.dim) + 0.9 * f[:, :, None] * f[:, None, :])
+
+
+def scar(grid, c, radius=0.2):
+    """Unit isotropic conductivity, c inside a ball of ``radius`` about the centre."""
+    centres = np.meshgrid(*(0.5 * (x[1:] + x[:-1]) for x in grid.axis_coords), indexing="ij")
+    inside = sum((x - 0.5) ** 2 for x in centres).ravel() < radius**2
+    return TensorField(grid, np.where(inside, c, 1.0)[:, None, None] * np.eye(grid.dim))
+
+
+def jacobi(A):
+    """The Jacobi preconditioner r -> r / diag(A) of a matrix A, per column of a block.
+
+    The package solves with spectral inverses only; tests use this as
+    the baseline they are compared with.
+    """
+    inv_diag = 1.0 / A.diagonal()
+    return lambda r: (inv_diag * r.T).T
 
 
 def h1_norm(fld):

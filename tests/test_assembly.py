@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cardioct.adjoint import CostConfig, run_adjoint
 from cardioct.assembly import (
     CompatibilityError,
     EllipticityError,
@@ -20,9 +22,10 @@ from cardioct.assembly import (
     reduced_rhs_S,
     solve_coupled_step,
 )
+from cardioct.forward import run_forward
 from cardioct.grid import FieldSeries, Grid, ScalarField, TensorField, lp_norm
 
-from conftest import random_spd
+from conftest import fibres, make_problem, random_spd
 
 
 def test_mass_is_quadrature_weights():
@@ -98,17 +101,9 @@ GRIDS = [
 ]
 
 
-def _fibres(grid):
-    """0.1 I + 0.9 f f^T with f rotating in the first two axes across the cells."""
-    centres = np.meshgrid(*(0.5 * (c[1:] + c[:-1]) for c in grid.axis_coords), indexing="ij")
-    a = 0.5 * np.pi * sum(c.ravel() for c in centres)
-    f = np.stack([np.cos(a), np.sin(a), np.zeros_like(a)], axis=1)[:, : grid.dim]
-    return TensorField(grid, 0.1 * np.eye(grid.dim) + 0.9 * f[:, :, None] * f[:, None, :])
-
-
 def _assert_matches_oracle(grid, tensor):
     # DIA stores padding and the out-of-grid zeros of its diagonals; the
-    # entries are compared on the CSR form that the solves are handed
+    # entries are compared on the CSR form, which drops them
     K = assemble_stiffness(grid, tensor)
     assert K.format == "dia"
     K = K.tocsr()
@@ -129,7 +124,7 @@ def test_stiffness_matches_coo_oracle_on_random_spd_cells(case, seed):
 @pytest.mark.parametrize("nodes, lengths", GRIDS)
 def test_stiffness_matches_coo_oracle_on_diagonal_and_fibre_tensors(nodes, lengths):
     g = Grid(nodes, lengths, 1.0, 1)
-    for tensor in (TensorField.diagonal(g, np.arange(1.0, g.dim + 1.0)), _fibres(g)):
+    for tensor in (TensorField.diagonal(g, np.arange(1.0, g.dim + 1.0)), fibres(g)):
         K, ref = _assert_matches_oracle(g, tensor)
         assert K.nnz == ref.nnz
 
@@ -205,7 +200,7 @@ def test_build_operators_uses_no_coo_and_no_transpose(monkeypatch):
     monkeypatch.setattr(sp.csr_matrix, "transpose", counting_transpose)
     g = Grid((6, 5, 4), (1.0, 0.8, 0.6), 1.0, 1)
     mi = TensorField.diagonal(g, (1.0, 0.5, 0.25))
-    ops = build_operators(g, mi, _fibres(g), lam=1.0)
+    ops = build_operators(g, mi, fibres(g), lam=1.0)
     assert ops.K_ie is not None
     assert calls == {"coo": 0, "transpose": 0}
     # the counters see the calls the guarded path would make
@@ -213,34 +208,58 @@ def test_build_operators_uses_no_coo_and_no_transpose(monkeypatch):
     assert calls["coo"] >= 1 and calls["transpose"] >= 1
 
 
-def test_stiffness_stays_dia_and_solve_operands_are_csr():
+def test_stiffness_and_system_operators_stay_dia():
     g = Grid((6, 5), (1.0, 0.8), 1.0, 1)
-    ops = build_operators(g, _fibres(g), TensorField.diagonal(g, (0.6, 1.2)))
-    assert ops.K_i.format == ops.K_e.format == "dia"
-    assert ops.K_ie.format == "csr"
-    assert ops.step_system(0.3)[0].format == "csr"
+    ops = build_operators(g, fibres(g), TensorField.diagonal(g, (0.6, 1.2)))
+    assert ops.K_i.format == ops.K_e.format == ops.K_ie.format == "dia"
+    # every system is an (apply, precond) pair of callables on the stencils
+    K_i, K_ie, mass = ops.K_i.toarray(), ops.K_ie.toarray(), np.diag(ops.mass)
+    X = np.random.default_rng(3).standard_normal((g.n_nodes, 3))
+    systems = ((ops.step_system(0.3), mass + 0.3 * K_i), (ops.neumann_system(), K_ie))
+    for (apply, precond), A in systems:
+        assert callable(apply) and callable(precond)
+        assert np.allclose(apply(X), A @ X, rtol=0.0, atol=1e-12 * np.abs(A).max())
+        assert np.allclose(apply(X[:, 1]), A @ X[:, 1], rtol=0.0, atol=1e-12 * np.abs(A).max())
+    # one memo: a second call returns the same pair, and the keys do not collide
+    assert ops.step_system(0.3) is ops.step_system(0.3)
+    assert ops.coupled_system(0.3) is ops.coupled_system(0.3)
+    assert ops.step_system(0.3) is not ops.coupled_system(0.3)
+    assert ops.neumann_system() is ops.neumann_system()
 
 
 def test_monodomain_build_operators_makes_no_csr(monkeypatch):
+    """Assembly and full forward and adjoint runs, of both kinds, make no CSR matrix."""
     calls = [0]
-    csr_init = sp.csr_matrix.__init__
 
-    def counting_csr_init(self, *args, **kwargs):
-        calls[0] += 1
-        csr_init(self, *args, **kwargs)
+    def counting(init):
+        def counting_csr_init(self, *args, **kwargs):
+            calls[0] += 1
+            init(self, *args, **kwargs)
 
-    monkeypatch.setattr(sp.csr_matrix, "__init__", counting_csr_init)
+        return counting_csr_init
+
+    for cls in (sp.csr_matrix, sp.csr_array):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
     g = Grid((6, 5, 4), (1.0, 0.8, 0.6), 1.0, 1)
     ops = build_operators(g, TensorField.diagonal(g, (1.0, 0.5, 0.25)), lam=1.0)
-    assert calls[0] == 0
-    # the counter sees the conversion of the step matrix
     ops.step_system(0.1)
+    assert calls[0] == 0
+    g = Grid((9, 7), (1.0, 0.8), 0.3, 4)
+    for kind in ("monodomain", "bidomain"):
+        cfg = make_problem(g, kind=kind, stimulus=0.3)
+        mi = fibres(g)
+        cfg = replace(cfg, ops=build_operators(g, mi, 1.5 * mi if kind == "bidomain" else None))
+        traj = run_forward(cfg)
+        run_adjoint(cfg, traj, CostConfig(w_phi=1.0, w_eta=0.5 if kind == "bidomain" else 0.0))
+    assert calls[0] == 0
+    # the counter sees a conversion
+    ops.K_i.tocsr()
     assert calls[0] >= 1
 
 
 def _kie_defect(grid, mi, me):
-    """Relative max-entry gap between K_ie and the stiffness of mi + me."""
-    K_ie = build_operators(grid, mi, me).K_ie
+    """Relative max-entry gap between K_ie and the stiffness of mi + me, compared in CSR."""
+    K_ie = build_operators(grid, mi, me).K_ie.tocsr()
     ref = assemble_stiffness(grid, mi + me).tocsr()
     assert K_ie.has_canonical_format
     assert K_ie.nnz == ref.nnz
@@ -250,7 +269,7 @@ def _kie_defect(grid, mi, me):
 @pytest.mark.parametrize("nodes, lengths", GRIDS)
 def test_kie_matches_the_stiffness_of_the_summed_fibre_tensors(nodes, lengths):
     g = Grid(nodes, lengths, 1.0, 1)
-    mi = _fibres(g)
+    mi = fibres(g)
     me = TensorField(g, 0.6 * np.eye(g.dim) + 0.5 * mi.entries)
     assert _kie_defect(g, mi, me) <= 1e-15
 
@@ -273,7 +292,7 @@ def test_build_operators_checks_each_tensor_once(monkeypatch, bidomain):
 
     monkeypatch.setattr(assembly, "ellipticity_check", counting_check)
     g = Grid((6, 5), (1.0, 0.8), 1.0, 1)
-    mi = _fibres(g)
+    mi = fibres(g)
     me = TensorField.diagonal(g, (0.6, 1.2)) if bidomain else None
     build_operators(g, mi, me)
     assert checked == ([id(mi), id(me)] if bidomain else [id(mi)])

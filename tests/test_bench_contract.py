@@ -1,10 +1,11 @@
 """The names and signatures the benchmark's tracer relies on.
 
-``perfbench/tracing.py`` replaces package functions by name, calls
-``cg_solve`` with ``diag=`` and unpacks the pair ``reduced_operator``
-returns.  A refactor that breaks any of that leaves the benchmark
-without its per-layer figures; these runs, traced as the benchmark
-traces them, fail instead.
+``perfbench/tracing.py`` replaces package functions by name, wraps
+the operator of every ``cg_solve`` call in a counting closure and
+unpacks the pair ``reduced_operator`` returns.  A refactor that
+breaks any of that leaves the benchmark without its per-layer
+figures; these runs, traced as the benchmark traces them, fail
+instead.
 """
 
 from pathlib import Path

@@ -7,6 +7,7 @@ converge at different iterations, the singular K_ie system.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,7 @@ from cardioct.assembly import build_operators
 from cardioct.grid import Grid, TensorField
 from cardioct.linalg import SolverError, cg_solve
 
-from conftest import fibres, random_spd
+from conftest import fibres, jacobi, random_spd
 
 GRIDS = [((17,), (1.0,)), ((9, 7), (1.0, 1.3)), ((5, 4, 6), (1.0, 0.8, 1.2))]
 
@@ -34,12 +35,12 @@ def _assert_columns_match(X, B, solve_one, x0=None):
 
 
 def _counting(A):
-    """A callable operator that records the width of every block it is given."""
+    """The callable operator A, recording the width of every block it is given."""
     widths = []
 
     def matvec(v):
         widths.append(1 if v.ndim == 1 else v.shape[1])
-        return A @ v
+        return A(v)
 
     return matvec, widths
 
@@ -115,13 +116,15 @@ def test_step_system_columns_equal_their_single_solves(case, kind, m, zero, far,
 def test_jacobi_columns_equal_their_single_solves(case, m, zero, seed):
     rng = np.random.default_rng(seed)
     g = Grid(*case, 1.0, 1)
-    A, _ = build_operators(g, random_spd(g, rng)).step_system(0.05)
+    ops = build_operators(g, random_spd(g, rng))
+    A = (sp.diags(ops.mass) + 0.05 * ops.K_i).tocsr()  # the step matrix
     B = _load_block(rng, g.n_nodes, m, zero)
-    X = cg_solve(A, B, tol=1e-10)
-    _assert_columns_match(X, B, lambda b, _: cg_solve(A, b, tol=1e-10))
-    # the matrix-free Jacobi path scales the columns by the same diagonal
-    Y = cg_solve(lambda v: A @ v, B, tol=1e-10, diag=A.diagonal())
-    _assert_columns_match(Y, B, lambda b, _: cg_solve(A, b, tol=1e-10))
+    X = cg_solve(A, B, tol=1e-10, precond=jacobi(A))
+    _assert_columns_match(X, B, lambda b, _: cg_solve(A, b, tol=1e-10, precond=jacobi(A)))
+    # the package's step operator with the same diagonal scaling of the columns
+    apply, _ = ops.step_system(0.05)
+    Y = cg_solve(apply, B, tol=1e-10, precond=jacobi(A))
+    _assert_columns_match(Y, B, lambda b, _: cg_solve(apply, b, tol=1e-10, precond=jacobi(A)))
 
 
 @settings(max_examples=15, deadline=None)
@@ -142,7 +145,7 @@ def test_exact_columns_are_solved_directly_and_ignore_x0(case, m, zero, seed):
         X = cg_solve(matvec, B, tol=1e-10, precond=precond, x0=x0)
         assert widths == ([nonzero] if first and nonzero else [])
         assert np.array_equal(X, precond(B))
-        R = B - A @ X
+        R = B - A(X)
         assert np.all(np.linalg.norm(R, axis=0) <= 1e-10 * np.linalg.norm(B, axis=0))
     _assert_columns_match(X, B, lambda b, _: cg_solve(A, b, tol=1e-10, precond=precond))
     if not nonzero:
@@ -153,7 +156,7 @@ def test_exact_columns_are_solved_directly_and_ignore_x0(case, m, zero, seed):
     matvec, widths = _counting(A)
     X = cg_solve(matvec, B, tol=tol, precond=precond)
     assert widths[:1] == [nonzero]
-    R = B - A @ X
+    R = B - A(X)
     assert np.all(np.linalg.norm(R, axis=0) <= tol * np.linalg.norm(B, axis=0))
 
 
@@ -166,17 +169,17 @@ def test_singular_kie_columns_with_zero_sums(case, kind, m, zero, seed):
     ops = build_operators(g, _tensor(g, kind, rng), _tensor(g, kind, rng))
     B = _load_block(rng, g.n_nodes, m, zero)
     B -= B.mean(axis=0)
-    X = cg_solve(ops.K_ie, B, tol=1e-10, precond=ops.kie_precond)
-    _assert_columns_match(
-        X, B, lambda b, _: cg_solve(ops.K_ie, b, tol=1e-10, precond=ops.kie_precond)
-    )
-    R = B - ops.K_ie @ X
+    K_ie, precond = ops.neumann_system()
+    X = cg_solve(K_ie, B, tol=1e-10, precond=precond)
+    _assert_columns_match(X, B, lambda b, _: cg_solve(K_ie, b, tol=1e-10, precond=precond))
+    R = B - K_ie(X)
     assert np.all(np.linalg.norm(R, axis=0) <= 1e-9 * np.linalg.norm(B, axis=0) + 1e-300)
 
 
 def _fibre_step(nodes):
+    """The step operator and preconditioner of a fibre tensor, and the node count."""
     g = Grid(nodes, (1.0,) * len(nodes), 1.0, 1)
-    return build_operators(g, fibres(g)).step_system(0.05)
+    return *build_operators(g, fibres(g)).step_system(0.05), g.n_nodes
 
 
 def _iterations(A, precond, b, tol=1e-10):
@@ -187,10 +190,9 @@ def _iterations(A, precond, b, tol=1e-10):
 
 @pytest.mark.parametrize("nodes", [(17, 17), (6, 6, 6)], ids=["2d", "3d"])
 def test_fibre_columns_retire_at_different_iterations(nodes):
-    A, precond = _fibre_step(nodes)
+    A, precond, n = _fibre_step(nodes)
     rng = np.random.default_rng(5)
-    n = A.shape[0]
-    smooth = A @ np.ones(n)  # the constant is nearly an eigenvector: few iterations
+    smooth = A(np.ones(n))  # the constant is nearly an eigenvector: few iterations
     B = np.column_stack([rng.standard_normal(n), smooth, 1e-6 * rng.standard_normal(n)])
     counts = [_iterations(A, precond, B[:, j]) for j in range(3)]
     assert len(set(counts)) > 1
@@ -202,17 +204,16 @@ def test_fibre_columns_retire_at_different_iterations(nodes):
 
 
 def test_zero_block_returns_zeros_without_applications():
-    A, precond = _fibre_step((9, 9))
+    A, precond, n = _fibre_step((9, 9))
     matvec, widths = _counting(A)
-    X = cg_solve(matvec, np.zeros((A.shape[0], 3)), precond=precond, x0=np.ones((A.shape[0], 3)))
-    assert X.shape == (A.shape[0], 3) and not X.any()
+    X = cg_solve(matvec, np.zeros((n, 3)), precond=precond, x0=np.ones((n, 3)))
+    assert X.shape == (n, 3) and not X.any()
     assert widths == []
 
 
 def test_solver_error_reports_the_worst_unconverged_column():
-    A, precond = _fibre_step((17, 17))
+    A, precond, n = _fibre_step((17, 17))
     rng = np.random.default_rng(9)
-    n = A.shape[0]
     B = rng.standard_normal((n, 3))
     B[:, 2] *= np.linspace(0.0, 1.0, n)  # a different spectrum, so a different residual
     # column 0 starts at its solution and is retired before the first step
@@ -231,6 +232,6 @@ def test_solver_error_reports_the_worst_unconverged_column():
 
 
 def test_block_b_must_be_one_or_two_dimensional():
-    A, precond = _fibre_step((5, 5))
+    A, precond, n = _fibre_step((5, 5))
     with pytest.raises(ValueError, match="shape"):
-        cg_solve(A, np.ones((A.shape[0], 2, 2)), precond=precond)
+        cg_solve(A, np.ones((n, 2, 2)), precond=precond)

@@ -167,6 +167,41 @@ def test_verify_stability_writes_table(config_path, tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize(
+    "command, flags, ini, names",
+    [
+        ("verify-stability", ["--scales", "abc"], "", "--scales"),
+        ("verify-stability", ["--scales=,"], "", "--scales"),
+        ("verify-stability", ["--scales=-1,2"], "", "--scales"),
+        ("verify-stability", [], "scales = 0.5, -1", "verify.scales"),
+        ("verify-stability", [], "direction_amplitude = 0", "verify.direction_amplitude"),
+        ("verify-convergence", ["--levels", "1"], "", "--levels"),
+        ("verify-convergence", ["--levels", "-2"], "", "--levels"),
+        ("verify-convergence", ["--levels", "0"], "", "--levels"),
+        ("verify-convergence", [], "levels = 1", "verify.levels"),
+    ],
+    ids=[
+        "scales-abc",
+        "scales-empty",
+        "scales-negative",
+        "ini-scales-negative",
+        "ini-amplitude-zero",
+        "levels-1",
+        "levels-minus-2",
+        "levels-0",
+        "ini-levels-1",
+    ],
+)
+def test_bad_verify_input_is_a_config_error(tmp_path, capsys, command, flags, ini, names):
+    p = tmp_path / "run.ini"
+    p.write_text(BASE + (f"\n[verify]\n{ini}\n" if ini else ""))
+    code = main([command, "--config", str(p), "--out", str(tmp_path / "o"), *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and names in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_report_concatenates(config_path, tmp_path):
     out = tmp_path / "rep"
     main(["simulate", "--config", str(config_path), "--out", str(out)])

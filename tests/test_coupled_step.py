@@ -43,10 +43,11 @@ def _nested_schur_step(ops, dt, rhs_u, I_i, I_e, tol):
     psi is then K_ie^+ (Mass (I_i + I_e) - K_i phi).
     """
     K_i, mass = ops.K_i, ops.mass
+    K_ie, precond_ie = ops.neumann_system()
 
     def apply(v):
         Kv = K_i @ v
-        inner = cg_solve(ops.K_ie, Kv, tol=0.1 * tol, precond=ops.kie_precond)
+        inner = cg_solve(K_ie, Kv, tol=0.1 * tol, precond=precond_ie)
         return mass * v + dt * (Kv - K_i @ inner)
 
     lam_i, lam_ie = ops.spectrum_i, ops.spectrum_ie

@@ -23,9 +23,8 @@ from cardioct.linalg import SolverError, cg_solve
 from cardioct.spectral import SpectralBasis
 from cardioct.verify import gradient_check, monodomain_limit_check
 
-from conftest import assert_exact, fibres, make_problem, meets_tolerance
+from conftest import assert_exact, fibres, make_problem, meets_tolerance, scar
 from test_cli import BASE
-from test_neumann import _scar
 from test_warm_start import _off_diagonal
 
 GRID_CASES = st.integers(1, 3).flatmap(
@@ -88,10 +87,9 @@ def test_direct_solves_meet_their_tolerance(case, ci, ce, coef, zero, seed):
         g, TensorField.diagonal(g, ci[: g.dim]), TensorField.diagonal(g, ce[: g.dim])
     )
     B = _with_zero_column(_loads(g, rng), zero)
-    A, precond = ops.step_system(coef)
-    _check_solve(A.__matmul__, precond, B)
+    _check_solve(*ops.step_system(coef), B)
     zero_sum = B - B.mean(axis=0)
-    _check_solve(ops.K_ie.__matmul__, ops.kie_precond, zero_sum)
+    _check_solve(*ops.neumann_system(), zero_sum)
     apply, block = ops.coupled_system(coef)
     assert block.exact is True
     _check_solve(apply, block, np.concatenate((B, zero_sum[:, ::-1])))
@@ -140,10 +138,9 @@ def test_every_axis_mode_meets_100_times_the_residual(case, coef, seed):
     ops = build_operators(g, TensorField.diagonal(g, ci), TensorField.diagonal(g, ce))
     first = np.random.default_rng(seed).standard_normal(g.n_nodes)
     modes = _axis_modes(g)
-    A, precond = ops.step_system(coef)
-    _check_modes(A.__matmul__, precond, first, modes)
+    _check_modes(*ops.step_system(coef), first, modes)
     zero_sum = modes - modes.mean(axis=0)
-    _check_modes(ops.K_ie.__matmul__, ops.kie_precond, first - first.mean(), zero_sum)
+    _check_modes(*ops.neumann_system(), first - first.mean(), zero_sum)
     apply, block = ops.coupled_system(coef)
     _check_modes(apply, block, np.concatenate((first, first - first.mean())),
                  np.concatenate((modes, zero_sum[:, ::-1])))
@@ -154,7 +151,7 @@ def _always_exact(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "make", [fibres, lambda g: _scar(g, 1e-2), _off_diagonal],
+    "make", [fibres, lambda g: scar(g, 1e-2), _off_diagonal],
     ids=["fibres", "scar", "off-diagonal"],
 )
 @pytest.mark.parametrize("nodes", [(9, 7), (5, 4, 6)], ids=["2d", "3d"])
@@ -164,14 +161,12 @@ def test_a_wrong_exact_mark_raises_at_first_use(make, nodes, monkeypatch):
     ops = build_operators(g, make(g), TensorField.isotropic(g, 1.0))
     load = np.random.default_rng(0).standard_normal(g.n_nodes)
     load -= load.mean()
-    A, precond = ops.step_system(0.1)
-    apply, block = ops.coupled_system(0.1)
     systems = {
-        "step": (A, load, precond),
-        "K_ie": (ops.K_ie, load, ops.kie_precond),
-        "coupled": (apply, np.concatenate((load, load)), block),
+        "step": (ops.step_system(0.1), load),
+        "K_ie": (ops.neumann_system(), load),
+        "coupled": (ops.coupled_system(0.1), np.concatenate((load, load))),
     }
-    for name, (op, b, marked) in systems.items():
+    for name, ((op, marked), b) in systems.items():
         assert marked.exact is True
         with pytest.raises(SolverError, match="relative residual") as info:
             cg_solve(op, b, tol=1e-10, precond=marked)
@@ -196,7 +191,7 @@ def test_cli_reports_a_wrong_exact_mark_as_a_solver_error(tmp_path, capsys, monk
 def test_the_residual_is_tested_on_the_first_solve_of_each_system_only(solves):
     g = Grid((9, 7), (1.0, 1.3), 1.0, 1)
     ops = build_operators(g, TensorField.isotropic(g, 1.0), TensorField.diagonal(g, (2.0, 0.5)))
-    systems = [ops.step_system(0.1), (ops.K_ie, ops.kie_precond), ops.coupled_system(0.1)]
+    systems = [ops.step_system(0.1), ops.neumann_system(), ops.coupled_system(0.1)]
     # neither building the operators nor building the systems tests anything
     assert not any(hasattr(precond, "residual") for _, precond in systems)
     assert ops.step_system(0.1)[1] is systems[0][1]

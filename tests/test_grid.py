@@ -19,8 +19,7 @@ from cardioct.grid import (
     write_snapshots,
 )
 
-from conftest import fibres, h1_norm
-from test_neumann import _scar
+from conftest import fibres, h1_norm, scar
 
 
 def test_grid_basic_geometry():
@@ -186,7 +185,7 @@ def test_varied_tensors_are_not_constant(nodes):
     g = Grid(nodes, (1.0,) * len(nodes), 1.0, 1)
     perturbed = np.tile(np.eye(g.dim), (g.n_cells, 1, 1))
     perturbed[g.n_cells // 2] *= 1.5
-    varied = {"scar": _scar(g, 1e-2), "one-cell": TensorField(g, perturbed)}
+    varied = {"scar": scar(g, 1e-2), "one-cell": TensorField(g, perturbed)}
     if g.dim > 1:
         varied["fibres"] = fibres(g)
     for name, t in varied.items():

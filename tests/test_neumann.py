@@ -20,7 +20,7 @@ from cardioct.assembly import (
 )
 from cardioct.grid import Grid, TensorField
 
-from conftest import fibres, random_spd
+from conftest import fibres, random_spd, scar
 
 GRIDS = [
     ((7,), (1.3,)),
@@ -29,20 +29,14 @@ GRIDS = [
 ]
 
 
-def _scar(grid, c, radius=0.2):
-    """Unit isotropic conductivity, c inside a ball of ``radius`` about the centre."""
-    centres = np.meshgrid(*(0.5 * (x[1:] + x[:-1]) for x in grid.axis_coords), indexing="ij")
-    inside = sum((x - 0.5) ** 2 for x in centres).ravel() < radius**2
-    return TensorField(grid, np.where(inside, c, 1.0)[:, None, None] * np.eye(grid.dim))
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(GRIDS), st.integers(0, 2**31 - 1))
 def test_kie_pseudo_inverse_is_positive_on_zero_sum_vectors(case, seed):
     g = Grid(*case, 1.0, 1)
     rng = np.random.default_rng(seed)
     ops = build_operators(g, random_spd(g, rng), random_spd(g, rng))
-    P = np.column_stack([ops.kie_precond(e) for e in np.eye(g.n_nodes)])
+    precond = ops.neumann_system()[1]
+    P = np.column_stack([precond(e) for e in np.eye(g.n_nodes)])
     scale = np.abs(P).max()
     assert np.abs(P - P.T).max() <= 1e-12 * scale
     assert np.abs(P @ g.weights).max() <= 1e-12 * scale * np.abs(g.weights).max()
@@ -60,17 +54,17 @@ def _dense_neumann(K, weights, load):
 
 @pytest.mark.parametrize("nodes", [(17, 17), (33, 33), (7, 6, 5)])
 @pytest.mark.parametrize(
-    "scar, bound",
+    "contrast, bound",
     [(None, 1e-9), (1e-2, 1e-9), (1e-4, 1e-8)],
     ids=["fibres", "scar-1e-2", "scar-1e-4"],
 )
-def test_solve_neumann_matches_dense_solve(nodes, scar, bound):
+def test_solve_neumann_matches_dense_solve(nodes, contrast, bound):
     g = Grid(nodes, (1.0,) * len(nodes), 1.0, 1)
-    if scar is None:
+    if contrast is None:
         mi = fibres(g)
         me = TensorField(g, 0.6 * np.eye(g.dim) + 0.5 * mi.entries)
     else:
-        mi = _scar(g, scar)
+        mi = scar(g, contrast)
         me = 0.5 * mi
     ops = build_operators(g, mi, me)
     load = g.weights * np.random.default_rng(1).standard_normal(g.n_nodes)

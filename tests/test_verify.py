@@ -138,6 +138,16 @@ def test_convergence_orders():
     assert all(0.8 <= o <= 1.3 for o in rep.temporal_orders)
 
 
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"spatial_levels": 1}, "spatial_levels"), ({"temporal_levels": 2}, "temporal_levels")],
+    ids=["spatial", "temporal"],
+)
+def test_convergence_study_needs_levels_for_one_order(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        convergence_study(**kwargs)
+
+
 def test_gradient_check_monodomain_tight(grid1d):
     cfg = make_problem(grid1d, stimulus=0.2)
     problem = ControlProblem(config=cfg, cost=CostConfig(mu=1e-2, w_phi=1.0))

@@ -19,8 +19,7 @@ from cardioct.assembly import SystemOperators, build_operators
 from cardioct.forward import run_forward
 from cardioct.grid import Grid, TensorField
 
-from conftest import assert_exact, fibres, make_problem
-from test_neumann import _scar
+from conftest import assert_exact, fibres, make_problem, scar
 
 
 @pytest.mark.parametrize(
@@ -44,12 +43,12 @@ def test_constant_bidomain_recovers_phi_e_directly(grid2d, solves):
     cfg = make_problem(grid2d, kind="bidomain", stimulus=0.3)
     run_forward(cfg, report=False)
     # the current lifts of all frames in one block, then the frame-0 recovery
-    recover = [s for s in solves if s["A"] is cfg.ops.K_ie]
+    recover = [s for s in solves if s["A"] is cfg.ops.neumann_system()[0]]
     assert [s["b"].shape for s in recover] == [
         (grid2d.n_nodes, grid2d.n_steps + 1),
         (grid2d.n_nodes,),
     ]
-    assert all(s["kwargs"]["x0"] is None for s in recover)
+    assert all("x0" not in s["kwargs"] for s in recover)
     assert recover[0]["applications"] == 1
     assert all(s["applications"] == 0 for s in recover[1:])
     # the coupled steps are direct too
@@ -78,7 +77,7 @@ COEFFS = st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3)
 
 
 def _relative_residual(A, precond, b):
-    return np.linalg.norm(A @ precond(b) - b) / np.linalg.norm(b)
+    return np.linalg.norm(A(precond(b)) - b) / np.linalg.norm(b)
 
 
 @settings(max_examples=30, deadline=None)
@@ -93,8 +92,9 @@ def test_constant_diagonal_inverses_are_exact(case, ci, ce, coef, seed):
     A, precond = ops.step_system(coef)
     assert precond.exact is True
     assert _relative_residual(A, precond, b) <= 1e-10
-    assert ops.kie_precond.exact is True
-    assert _relative_residual(ops.K_ie, ops.kie_precond, b - b.mean()) <= 1e-10
+    K_ie, precond = ops.neumann_system()
+    assert precond.exact is True
+    assert _relative_residual(K_ie, precond, b - b.mean()) <= 1e-10
 
 
 def _off_diagonal(g):
@@ -110,7 +110,7 @@ def _one_cell_perturbed(g):
 
 
 @pytest.mark.parametrize(
-    "make", [_off_diagonal, _one_cell_perturbed, lambda g: _scar(g, 1e-2)],
+    "make", [_off_diagonal, _one_cell_perturbed, lambda g: scar(g, 1e-2)],
     ids=["off-diagonal", "one-cell", "scar"],
 )
 @pytest.mark.parametrize("nodes", [(9, 7), (5, 4, 6)], ids=["2d", "3d"])
@@ -119,12 +119,12 @@ def test_inexact_inverses_are_not_marked(make, nodes):
     iso = TensorField.isotropic(g, 1.0)
     varied = build_operators(g, make(g), iso)
     assert varied.step_system(0.1)[1].exact is False
-    assert varied.kie_precond.exact is False
+    assert varied.neumann_system()[1].exact is False
     assert varied.coupled_system(0.1)[1].exact is False
     # a constant mi keeps its step exact; the variable me spoils K_ie and the block
     mixed = build_operators(g, iso, make(g))
     assert mixed.step_system(0.1)[1].exact is True
-    assert mixed.kie_precond.exact is False
+    assert mixed.neumann_system()[1].exact is False
     assert mixed.coupled_system(0.1)[1].exact is False
 
 
