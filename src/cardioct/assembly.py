@@ -9,17 +9,22 @@ so the matrix is a 3^dim-point stencil with node-dependent weights,
 and it is kept as that stencil: a ``scipy.sparse.dia_matrix`` with
 one diagonal per flat offset, data[r, j] = K[j - offsets[r], j].
 The entries with a nonnegative flat offset are summed into their
-diagonal, one slice-add over the cells per corner pair.  A constant
-tensor (``TensorField.constant``) is checked and contracted as one
-cell, whose element matrix each slice-add broadcasts over the cells.
-The weights of each negative offset are a shifted copy of its mirror
-(K[j - d, j] = K[j, j - d]), so K is exactly symmetric with no
-symmetrization pass.  Out-of-grid entries are never written and stay
-zero.  The stiffness matrices stay DIA (sums, scalings and products
-keep the format), and so does K_ie = K_i + K_e.  The mass matrix is
-lumped to the tensor-trapezoid weights, which is the row-sum lumping
-of the consistent element mass and keeps the operator algebra
-consistent with ``grid.integrate``.
+diagonal, one slice-add over the cells per corner pair; which pairs
+feed which delta depends on dim alone and is a table built once per
+dim (``_stencil_pairs``).  A constant tensor (``TensorField.constant``)
+is checked and contracted as one cell, whose element matrix each
+slice-add broadcasts over the cells.  The weights of each negative
+offset are a shifted copy of its mirror (K[j - d, j] = K[j, j - d]),
+so K is exactly symmetric with no symmetrization pass.  The stencil
+is zeroed by a write pass (``np.full``), not a calloc'd ``np.zeros``:
+the untouched pages of the latter fault once when a slice-add reads
+them and again when it writes them, while written first each page
+faults in once and the adds and copies land on resident pages.
+Out-of-grid entries keep that zero.  The stiffness matrices stay DIA
+(sums, scalings and products keep the format), and so does
+K_ie = K_i + K_e.  The mass matrix is lumped to the tensor-trapezoid
+weights, which is the row-sum lumping of the consistent element mass
+and keeps the operator algebra consistent with ``grid.integrate``.
 
 One bidomain step is the coupled block system
 
@@ -158,6 +163,30 @@ def _reference_gradients(dim):
     return G, w
 
 
+@cache
+def _stencil_pairs(dim):
+    """The stencil deltas and the corner pairs that are summed into them, built once per dim.
+
+    Returns (deltas, corners, pairs): the deltas {-1, 0, 1}^dim as a
+    (3^dim, dim) array and the cell corners {0, 1}^dim, both in C order,
+    and one (a, b, s) triple per pair of corners whose delta
+    corners[b] - corners[a] = deltas[s] has a nonnegative flat offset.
+    That offset has the sign of the delta's first nonzero entry (each
+    axis stride exceeds the sum of the faster ones), so these are the
+    pairs with s >= 3^dim // 2; the other deltas are their mirrors.
+    """
+    deltas = np.array(list(product((-1, 0, 1), repeat=dim)))
+    deltas.flags.writeable = False
+    corners = tuple(product((0, 1), repeat=dim))
+    pairs = []
+    for b, beta in enumerate(corners):
+        for a, alpha in enumerate(corners):
+            s = int(np.ravel_multi_index(np.subtract(beta, alpha) + 1, (3,) * dim))
+            if s >= len(deltas) // 2:
+                pairs.append((a, b, s))
+    return deltas, corners, tuple(pairs)
+
+
 def assemble_stiffness(grid, tensor):
     """Assemble the stiffness matrix for int grad(u)^T M grad(v) dx.
 
@@ -184,19 +213,16 @@ def assemble_stiffness(grid, tensor):
     Ke = grid.cell_volume * Ke.reshape((n_corners, n_corners) + cells_shape)
 
     strides = np.cumprod((1,) + nodes[:0:-1])[::-1]
-    deltas = np.array(list(product((-1, 0, 1), repeat=dim)))
+    deltas, corners, pairs = _stencil_pairs(dim)
     # deltas that differ across an axis of 2 nodes can share a flat offset; no node
     # pair has two deltas, so they share one stencil row without overlapping
     offsets, row = np.unique(deltas @ strides, return_inverse=True)
-    corners = list(product((0, 1), repeat=dim))
-    # DIA layout, indexed by the column node j: stencil[r, j] = K[j - offsets[r], j]
-    stencil = np.zeros((len(offsets),) + nodes)
-    for b, beta in enumerate(corners):
-        cols = tuple(slice(c, c + n - 1) for c, n in zip(beta, nodes))
-        for a, alpha in enumerate(corners):
-            r = row[np.ravel_multi_index(np.subtract(beta, alpha) + 1, (3,) * dim)]
-            if offsets[r] >= 0:
-                stencil[(r,) + cols] += Ke[a, b]
+    cols = [tuple(slice(c, c + n - 1) for c, n in zip(beta, nodes)) for beta in corners]
+    # DIA layout, indexed by the column node j: stencil[r, j] = K[j - offsets[r], j];
+    # zeroed by a write pass, so the adds and copies below land on resident pages
+    stencil = np.full((len(offsets),) + nodes, 0.0)
+    for a, b, s in pairs:
+        stencil[(row[s],) + cols[b]] += Ke[a, b]
     for s in range(len(deltas) // 2):
         # K[j - delta, j] = K[j, j - delta], stored under the mirror delta -delta
         dst = tuple(slice(max(0, d), n - max(0, -d)) for d, n in zip(deltas[s], nodes))

@@ -207,7 +207,10 @@ def reference_coefficients(K, grid):
     the assembled matrix without the tensor.
     """
     out = []
-    for a in range(grid.dim):
-        x = grid.coords[:, a]
+    for a, x in enumerate(grid.axis_coords):
+        # x_a at every node, C order, from its axis vector alone
+        along = [1] * grid.dim
+        along[a] = -1
+        x = np.broadcast_to(x.reshape(along), grid.shape).ravel()
         out.append(float(x @ (K @ x)) / grid.measure)
     return tuple(out)

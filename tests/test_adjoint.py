@@ -3,9 +3,11 @@ import pytest
 from dataclasses import replace
 
 from cardioct.adjoint import CostConfig, run_adjoint
+from cardioct.control import ControlProblem
 from cardioct.forward import run_forward
 from cardioct.grid import FieldSeries, Grid, ScalarField, integrate
 from cardioct.ionic import gating_source_slope
+from cardioct.verify import gradient_check
 
 from conftest import make_problem
 
@@ -116,3 +118,14 @@ def test_one_step_adjoint_frame_zero(kind):
     else:
         x = adj.p1.data[0]
     assert np.linalg.norm(apply(x) - load) <= 1e-9 * np.linalg.norm(load)
+
+
+def test_ap_gating_gradient_check():
+    # On "ap" the gating slope s'(phi) varies, so the p3^k term of the
+    # sweep must take s' of the step before (s'_{k-1}), not s'_k: the
+    # code reads about 1e-9 here, a lag of one step about 6e-4.
+    g = Grid((17,), (1.0,), 2.0, 20)
+    cfg = make_problem(g, model="ap", stimulus=0.4)
+    problem = ControlProblem(config=cfg, cost=CostConfig(mu=1e-2, w_phi=1.0, w_gate=1.0))
+    rep = gradient_check(problem, n_directions=2, seed=0)
+    assert rep.max_rel_error <= 1e-6

@@ -4,8 +4,14 @@ from itertools import product
 import numpy as np
 import pytest
 
+from cardioct.forward import run_forward
 from cardioct.grid import Grid
-from cardioct.stimuli import seeded_smooth_series
+from cardioct.stimuli import box_mask, gaussian_bump, pulse_series, seeded_smooth_series
+
+from conftest import make_problem
+
+# 1-D, 2-D and 3-D grids, with a 2-node axis and unequal lengths
+GRIDS = [((9,), (2.0,)), ((9, 6), (1.0, 0.3)), ((5, 2, 4), (1.0, 0.3, 2.0)), ((7, 6, 5), (1.0,) * 3)]
 
 
 def _loop_series(grid, rng, amplitude=1.0, modes=2):
@@ -51,3 +57,54 @@ def test_seeded_series_peaks_near_its_output():
         tracemalloc.stop()
     assert series.data.shape == (7, g.n_nodes)
     assert peak <= 3 * series.data.nbytes
+
+
+@pytest.mark.parametrize("nodes, lengths", GRIDS)
+def test_gaussian_bump_matches_the_meshgrid_formula(nodes, lengths):
+    g = Grid(nodes, lengths, 1.0, 2)
+    center = np.array([0.3, 0.2, 1.1][: g.dim])
+    r2 = sum((mesh - c) ** 2 for mesh, c in zip(g.meshgrid, center))
+    ref = (0.8 * np.exp(-r2 / 0.4**2)).ravel()
+    got = gaussian_bump(g, center, 0.4, 0.8).values
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("nodes, lengths", GRIDS)
+def test_box_mask_matches_the_meshgrid_formula(nodes, lengths):
+    g = Grid(nodes, lengths, 1.0, 2)
+    # lo lies 5e-13 above node 1, which the 1e-12 margin keeps inside; hi falls
+    # between nodes, or on the last node of a 2-node axis
+    lo = np.array(g.h) + 5e-13
+    hi = np.where(np.array(nodes) > 2, 0.7 * np.array(lengths), lengths)
+    mask = np.ones(g.shape, dtype=bool)
+    for mesh, a, b in zip(g.meshgrid, lo, hi):
+        mask &= (mesh >= a - 1e-12) & (mesh <= b + 1e-12)
+    ref = mask.ravel().astype(float)
+    got = box_mask(g, lo, hi)
+    assert got.any()
+    assert np.array_equal(got, ref)
+    assert np.array_equal(box_mask(g, np.zeros(g.dim), g.lengths), np.ones(g.n_nodes))
+    assert not box_mask(g, np.full(g.dim, 2e-12), g.lengths)[0]
+
+
+def test_set_up_and_a_first_run_build_no_node_coordinates():
+    # the builders and the first solve read grid.axis_coords only
+    g = Grid((9, 7, 5), (1.0, 0.8, 0.6), 0.5, 3)
+    cfg = make_problem(g, model="ap", stimulus=0.4)
+    box_mask(g, (0.2, 0.2, 0.2), (0.6, 0.6, 0.6))
+    pulse_series(g, gaussian_bump(g, (0.5, 0.4, 0.3), 0.2), 0.0, 0.25, "box")
+    seeded_smooth_series(g, np.random.default_rng(0), 0.1)
+    run_forward(cfg)
+    assert "meshgrid" not in g.__dict__
+    assert "coords" not in g.__dict__
+
+
+def test_gaussian_bump_peaks_near_its_output():
+    g = Grid((25,) * 3, (1.0,) * 3, 1.0, 6)
+    tracemalloc.start()
+    try:
+        bump = gaussian_bump(g, (0.3, 0.3, 0.3), 0.15, 0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * bump.values.nbytes
