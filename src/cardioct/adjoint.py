@@ -13,9 +13,9 @@ step of reversed time, alpha = e^{-eps dt}):
                                 - dt r_phi^k ]           (+ eta lift)
 
 where pb^k is the step-midpoint potential (phi^k + phi^{k+1})/2 and
-(r_phi, r_eta, r_w) are the running-cost partials, evaluated for all
-frames at once.  D is the monodomain operator or the reduced bidomain
-operator A_h = K_i - K_i K_ie^+ K_i.  In the bidomain case the p1 equation
+(r_phi, r_eta, r_w) are the running-cost partials.  D is the
+monodomain operator or the reduced bidomain operator
+A_h = K_i - K_i K_ie^+ K_i.  In the bidomain case the p1 equation
 carries the eta-tracking lift dt K_i psi_eta^k, with
 K_ie psi_eta^k = Mass r_eta^k, and the zero-mean elliptic multiplier
 
@@ -31,10 +31,11 @@ solved before the sweep, in blocks of frames
 (``assembly.solve_neumann_frames``).
 
 ``run_adjoint`` steps over the series it returns: step k reads frame
-k + 1 and writes frame k.  The slope s'(pb^{k-1}) that step k
-evaluates is the s'(pb^k) of step k - 1, which reuses it, so each
-midpoint slope is evaluated once per sweep.  Step 0 uses s'(pb^0) in
-place of s'(pb^{-1}).
+k + 1 and writes frame k, in place, with the cost partials of frame k;
+a zero weight or an absent target costs nothing.  The slope
+s'(pb^{k-1}) that step k evaluates is the s'(pb^k) of step k - 1,
+which reuses it; a linear source (fhn, rm) has the float slope kappa
+and forms no midpoint.  Step 0 uses s'(pb^0) in place of s'(pb^{-1}).
 
 With the running cost integrated by the left-rectangle rule in time,
 this backward sweep is the exact discrete transpose of the forward
@@ -51,7 +52,7 @@ import numpy as np
 from . import grid as gridmod
 from .assembly import solve_coupled_step, solve_neumann_frames
 from .grid import FieldSeries, NormReport
-from .ionic import d_i_ion, gating_source_slope
+from .ionic import d_i_ion, midpoint_source_slope
 from .linalg import cg_solve
 
 
@@ -103,17 +104,22 @@ class AdjointResult:
 
 
 def cost_partials(cost, traj):
-    """Running-cost partials (r_phi, r_eta, r_w), each for every frame."""
-    phi = traj.phi_tr.data
-    r_phi = cost.w_phi * (phi - (cost.phi_des.data if cost.phi_des is not None else 0.0))
-    if cost.w_eta > 0 and traj.phi_e is not None:
-        r_eta = cost.w_eta * (
-            traj.phi_e.data - (cost.eta_des.data if cost.eta_des is not None else 0.0)
-        )
-    else:
-        r_eta = np.zeros_like(phi)
-    r_w = cost.w_gate * traj.w.data
-    return r_phi, r_eta, r_w
+    """Running-cost partials (r_phi, r_eta, r_w) of every frame; None for a zero term."""
+    terms = (
+        (cost.w_phi, traj.phi_tr, cost.phi_des),
+        (cost.w_eta, traj.phi_e, cost.eta_des),
+        (cost.w_gate, traj.w, None),
+    )
+    return tuple(None if c == 0.0 or s is None else _partial(c, s, t) for c, s, t in terms)
+
+
+def _partial(weight, series, target, k=Ellipsis):
+    """weight (series - target) at frames k, in a fresh array."""
+    if target is None:
+        return weight * series.data[k]
+    r = series.data[k] - target.data[k]
+    r *= weight
+    return r
 
 
 def run_adjoint(config, traj, cost, *, report=True):
@@ -132,33 +138,34 @@ def run_adjoint(config, traj, cost, *, report=True):
     g = config.grid
     n, dt, ops = g.n_steps, g.dt, config.ops
     bidomain = config.kind == "bidomain"
-    alpha = 1.0 if config.no_reaction else float(np.exp(-config.ionic.eps * dt))
+    reaction = not config.no_reaction
+    alpha = float(np.exp(-config.ionic.eps * dt)) if reaction else 1.0
     system = config.step_system()
     phi, w = traj.phi_tr.data, traj.w.data
-    partials = cost_partials(cost, traj)
-    r_phi, r_eta, r_w = partials
-    zero = np.zeros(g.n_nodes)
 
     def slope(k):
-        """s'(pb^k) at the midpoint of step k (zero without reaction)."""
-        if config.no_reaction:
-            return zero
-        return gating_source_slope(config.ionic, 0.5 * (phi[k] + phi[k + 1]))
+        """(1 - alpha)/2 s'(pb^k) at the midpoint of step k."""
+        return 0.5 * (1.0 - alpha) * midpoint_source_slope(config.ionic, phi[k], phi[k + 1])
 
-    def eta_load(k):
-        """Mass r_bar^k of the weighted-zero-mean eta-tracking partial.
+    def eta_load(k, scale=1.0):
+        """scale Mass r_bar^k of the zero-mean eta-tracking partial.
 
         ``k`` is one frame, or an index of frames (one load per row).
         """
-        r = r_eta[k]
-        return ops.mass * (r - (r @ g.weights)[..., None] / g.measure)
+        r = _partial(scale * cost.w_eta, traj.phi_e, cost.eta_des, k)
+        r -= (r @ g.weights)[..., None] / g.measure
+        r *= ops.mass
+        return r
 
     p2 = psi_eta = None
+    track_eta = bidomain and cost.w_eta != 0.0
     if bidomain:
         # psi_eta reads the data only: solved for every frame before the
         # sweep, and before the other multipliers exist, to keep the peak low
         psi_eta = FieldSeries.zeros(g)
-        solve_neumann_frames(ops, eta_load, psi_eta.data, tol=config.inner_tol)
+        if track_eta:
+            solve_neumann_frames(ops, eta_load, psi_eta.data, tol=config.inner_tol)
+        no_eta_load = np.zeros(g.n_nodes)
     p1 = FieldSeries.zeros(g)
     p3 = FieldSeries.zeros(g)
     if bidomain:
@@ -168,30 +175,40 @@ def run_adjoint(config, traj, cost, *, report=True):
         p2.data[n] = -psi_eta.data[n]
 
     # s'_k of step k is s'_{k-1} of step k + 1; s'_{-1} is taken as s'_0
-    sp_k = slope(n - 1)
+    sp_k = slope(n - 1) if reaction else 0.0
     for k in range(n - 1, -1, -1):
-        sp_prev = slope(k - 1) if k else sp_k
-        if config.no_reaction:
-            F = f_w = zero
-        else:
+        p1_next, p3_next, p3_k = p1.data[k + 1], p3.data[k + 1], p3.data[k]
+        # p3^k = alpha p3^{k+1} - dt r_w^k - dt (di_ion/dw)^k p1^{k+1}
+        np.multiply(p3_next, alpha, out=p3_k)
+        if cost.w_gate != 0.0:
+            p3_k -= _partial(dt * cost.w_gate, traj.w, None, k)
+        # the p1 load, accumulated in the array of di_ion/dphi
+        if reaction:
             F, f_w = d_i_ion(config.ionic, phi[k], w[k])
-        p1_next, p3_next = p1.data[k + 1], p3.data[k + 1]
-        p3.data[k] = alpha * p3_next - dt * f_w * p1_next - dt * r_w[k]
-        rhs = ops.mass * (
-            (1.0 - dt * F) * p1_next
-            + 0.5 * (1.0 - alpha) * (sp_k * p3_next + sp_prev * p3.data[k])
-            - dt * r_phi[k]
-        )
+            term = f_w * p1_next
+            term *= dt
+            p3_k -= term
+            sp_prev = slope(k - 1) if k else sp_k
+            rhs = F
+            rhs *= -dt
+            rhs += 1.0
+            rhs *= p1_next
+            rhs += sp_k * p3_next
+            rhs += sp_prev * p3_k
+            sp_k = sp_prev
+        else:
+            rhs = p1_next.copy()
+        if cost.w_phi != 0.0:
+            rhs -= _partial(dt * cost.w_phi, traj.phi_tr, cost.phi_des, k)
+        rhs *= ops.mass
         if bidomain:
-            p1.data[k], p2.data[k] = solve_coupled_step(
-                ops, system, rhs, -dt * eta_load(k), tol=config.cg_tol
-            )
+            eta = eta_load(k, -dt) if track_eta else no_eta_load
+            p1.data[k], p2.data[k] = solve_coupled_step(ops, system, rhs, eta, tol=config.cg_tol)
         else:
             A, precond = system
             p1.data[k] = cg_solve(A, rhs, tol=config.cg_tol, precond=precond, x0=p1_next)
-        sp_k = sp_prev
 
-    rep = adjoint_report(config, p1, p3, p2, partials) if report else NormReport()
+    rep = adjoint_report(config, p1, p3, p2, cost_partials(cost, traj)) if report else NormReport()
     return AdjointResult(p1=p1, p3=p3, report=rep, p2=p2, psi_eta=psi_eta)
 
 
@@ -206,5 +223,7 @@ def adjoint_report(config, p1, p3, p2, partials):
     if p2 is not None:
         rep["L2_H1_p2"] = gridmod.bochner_norm(p2, 2, "H1")
     for name, r in zip(("r_phi", "r_eta", "r_w"), partials):
-        rep[f"L2_L2_{name}"] = gridmod.bochner_norm(FieldSeries(p1.grid, r), 2, "L2")
+        rep[f"L2_L2_{name}"] = (
+            0.0 if r is None else gridmod.bochner_norm(FieldSeries(p1.grid, r), 2, "L2")
+        )
     return rep.check()

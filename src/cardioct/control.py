@@ -123,26 +123,35 @@ def evaluate_cost(traj, control, cost):
     """Tracking terms plus Tikhonov regularization of the control.
 
     Returns a float, or one J per member of a batched control and its
-    trajectory (``FieldSeries`` batch axes).
+    trajectory (``FieldSeries`` batch axes).  Only the frames the
+    rectangle rule weighs are read.
     """
     g = control.grid
-    tw = rectangle_weights(g)
-    chi = cost.mask_values(g)
-    total = 0.0
+    n = g.n_steps
+
+    def integral(values, weights):
+        """dt sum_k sum_i weights_i values_ik^2."""
+        return g.dt * np.sum((values * values) @ weights, axis=-1)
 
     def track(series, target, weight):
         if weight == 0.0:
             return 0.0
         if series is None:
             raise ValueError("cost tracks a quantity the trajectory does not carry")
-        dev = series.data - (target.data if target is not None else 0.0)
-        return 0.5 * weight * (((dev * dev) @ g.weights) @ tw)
+        dev = series.data[..., :n, :]
+        if target is not None:
+            dev = dev - target.data[..., :n, :]
+        return 0.5 * weight * integral(dev, g.weights)
 
-    total += track(traj.phi_tr, cost.phi_des, cost.w_phi)
+    total = track(traj.phi_tr, cost.phi_des, cost.w_phi)
     total += track(traj.phi_e, cost.eta_des, cost.w_eta)
     total += track(traj.w, None, cost.w_gate)
-    reg = control.data * chi
-    total += 0.5 * cost.mu * (((reg * reg) @ g.weights) @ tw)
+    if cost.mu != 0.0:
+        window = g.weights
+        if cost.mask is not None:
+            chi = cost.mask_values(g)
+            window = window * (chi * chi)
+        total += 0.5 * cost.mu * integral(control.data[..., :n, :], window)
     return float(total) if np.ndim(total) == 0 else total
 
 

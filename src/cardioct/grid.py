@@ -418,7 +418,8 @@ def _l2_frames(series):
 
 def _l4_frames(series):
     sq = series.data * series.data
-    return ((sq * sq) @ series.grid.weights) ** 0.25
+    sq *= sq
+    return (sq @ series.grid.weights) ** 0.25
 
 
 def h1_frame_norms(series):

@@ -59,23 +59,37 @@ class IonicParams:
 
 
 def i_ion(par, phi, w):
-    """Ionic current: the module docstring's cubics in Horner form."""
+    """Ionic current: the module docstring's cubics in Horner form, in place."""
     a = par.a
     if par.kind == "fhn":
-        return phi * ((phi - (a + 1.0)) * phi + a) + w
+        out = phi - (a + 1.0)
+        out *= phi
+        out += a
+        out *= phi
+        out += w
+        return out
     b = par.b
-    return phi * ((b * phi - (a + 1.0) * b) * phi + a * b + w)
+    out = b * phi
+    out -= (a + 1.0) * b
+    out *= phi
+    out += a * b
+    out += w
+    out *= phi
+    return out
 
 
 def d_i_ion(par, phi, w):
-    """Partial derivatives (d i_ion/d phi, d i_ion/d w)."""
+    """Partial derivatives (d i_ion/d phi, d i_ion/d w); the latter is 1 or phi itself."""
     a = par.a
+    b = 1.0 if par.kind == "fhn" else par.b
+    d_phi = (3.0 * b) * phi
+    d_phi -= 2.0 * (a + 1.0) * b
+    d_phi *= phi
+    d_phi += a * b
     if par.kind == "fhn":
-        d_phi = 3.0 * phi**2 - 2.0 * (a + 1.0) * phi + a
-        return d_phi, np.ones_like(np.asarray(phi, dtype=float))
-    b = par.b
-    d_phi = 3.0 * b * phi**2 - 2.0 * (a + 1.0) * b * phi + a * b + w
-    return d_phi, np.asarray(phi, dtype=float)
+        return d_phi, 1.0
+    d_phi += w
+    return d_phi, phi
 
 
 def gating_source(par, phi):
@@ -86,10 +100,17 @@ def gating_source(par, phi):
 
 
 def gating_source_slope(par, phi):
-    """s'(phi); constant kappa except for the ap model."""
+    """s'(phi): the float kappa for fhn and rm, whose source is linear."""
     if par.kind == "ap":
         return par.kappa * ((par.a + 1.0) - 2.0 * phi)
-    return par.kappa * np.ones_like(np.asarray(phi, dtype=float))
+    return par.kappa
+
+
+def midpoint_source_slope(par, phi_old, phi_new):
+    """s' at the step midpoint; kappa, with no midpoint formed, for fhn and rm."""
+    if par.kind == "ap":
+        return gating_source_slope(par, 0.5 * (phi_old + phi_new))
+    return par.kappa
 
 
 def gating_exact_update(par, w, phi_old, phi_new, dt):
@@ -97,8 +118,13 @@ def gating_exact_update(par, w, phi_old, phi_new, dt):
 
     The source is evaluated at phi_bar = (phi_old + phi_new)/2, so the
     update is second-order in dt for smooth potentials and exact for
-    potentials constant over the step.
+    potentials constant over the step.  It is accumulated in place in
+    the fresh array of s, bitwise ``alpha w + (1 - alpha) s(phi_bar)``.
     """
     alpha = np.exp(-par.eps * dt)
-    phi_bar = 0.5 * (phi_old + phi_new)
-    return alpha * w + (1.0 - alpha) * gating_source(par, phi_bar)
+    phi_bar = phi_old + phi_new
+    phi_bar *= 0.5
+    out = gating_source(par, phi_bar)
+    out *= 1.0 - alpha
+    out += alpha * w
+    return out

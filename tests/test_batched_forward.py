@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cardioct import adjoint, control, forward
+from cardioct import control, forward, ionic
 from cardioct.adjoint import CostConfig, run_adjoint
 from cardioct.assembly import build_operators
 from cardioct.control import (
@@ -155,20 +155,26 @@ def test_field_series_batch_axes(grid2d):
 
 @pytest.mark.parametrize("kind", ["monodomain", "bidomain"])
 def test_backward_sweep_evaluates_each_midpoint_slope_once(kind, grid2d, monkeypatch):
-    cfg = make_problem(grid2d, kind=kind, stimulus=0.3)
+    # ap: one slope per step midpoint, bitwise, from the last step back to
+    # the first; fhn and rm have the constant slope kappa and form no midpoint
     cost = CostConfig(mu=1e-2, w_phi=1.0, w_gate=0.5)
-    traj = run_forward(cfg, report=False)
-    args = []
-
-    def recorded(ionic, phi):
-        args.append(phi.copy())
-        return gating_source_slope(ionic, phi)
-
-    monkeypatch.setattr(adjoint, "gating_source_slope", recorded)
-    run_adjoint(cfg, traj, cost, report=False)
     n = grid2d.n_steps
-    assert len(args) == n
-    # one slope per step midpoint, from the last step back to the first
-    phi = traj.phi_tr.data
-    for k, arg in zip(range(n - 1, -1, -1), args):
-        assert arg.tobytes() == (0.5 * (phi[k] + phi[k + 1])).tobytes()
+    for model in ("ap", "rm", "fhn"):
+        cfg = make_problem(grid2d, kind=kind, model=model, stimulus=0.3)
+        traj = run_forward(cfg, report=False)
+        args = []
+
+        def recorded(ionic_params, phi):
+            args.append(phi.copy())
+            return gating_source_slope(ionic_params, phi)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ionic, "gating_source_slope", recorded)
+            run_adjoint(cfg, traj, cost, report=False)
+        if model != "ap":
+            assert args == [], model
+            continue
+        assert len(args) == n
+        phi = traj.phi_tr.data
+        for k, arg in zip(range(n - 1, -1, -1), args):
+            assert arg.tobytes() == (0.5 * (phi[k] + phi[k + 1])).tobytes()
