@@ -72,18 +72,15 @@ class OptimizeResult:
         return len(self.history)
 
 
-def rectangle_weights(grid):
-    """Left-rectangle time weights: dt on frames 0..n_steps-1, 0 at the end."""
-    w = np.full(grid.n_steps + 1, grid.dt)
-    w[-1] = 0.0
-    return w
-
-
 def control_inner(a, b):
-    """L2(Omega x (0,T)) inner product with rectangle time weights."""
+    """L2(Omega x (0,T)) inner product with rectangle time weights.
+
+    The left-rectangle rule weighs frames 0..n_steps-1 by dt and the
+    final frame by 0, so only the weighed frames are read.
+    """
     g = a.grid
-    tw = rectangle_weights(g)
-    return float(tw @ ((a.data * b.data) @ g.weights))
+    n = g.n_steps
+    return float(g.dt * np.sum((a.data[:n] * b.data[:n]) @ g.weights))
 
 
 def control_norm(a):
@@ -95,28 +92,45 @@ def apply_Q(series, cost, kind):
 
     Masks every frame to Omega_con; for bidomain problems also removes
     the Omega_con-mean framewise so masked frames stay compatible.
+    Returns a new series.
     """
-    g = series.grid
-    chi = cost.mask_values(g)
-    data = series.data * chi
+    out = series.copy()
+    _apply_Q_in_place(out, cost, kind)
+    return out
+
+
+def _apply_Q_in_place(series, cost, kind):
+    """``apply_Q`` over the frames of ``series`` itself; without a mask nothing is multiplied."""
+    g, data = series.grid, series.data
+    window = g.weights
+    if cost.mask is not None:
+        chi = cost.mask_values(g)
+        data *= chi
+        window = window * chi
     if kind == "bidomain":
-        wchi = g.weights * chi
-        vol = float(wchi.sum())
-        means = data @ wchi / vol
-        data = (data - means[:, None]) * chi
-    return FieldSeries(g, data)
+        means = data @ window / float(window.sum())
+        data -= means[:, None]
+        if cost.mask is not None:
+            data *= chi
 
 
 def project_admissible(series, problem):
-    """apply_Q followed by a framewise radial clip to the L2 ball."""
-    out = apply_Q(series, problem.cost, problem.config.kind)
+    """apply_Q followed by a framewise radial clip to the L2 ball; a new series."""
+    out = series.copy()
+    _project_in_place(out, problem)
+    return out
+
+
+def _project_in_place(series, problem):
+    """``project_admissible`` over the frames of ``series`` itself."""
+    _apply_Q_in_place(series, problem.cost, problem.config.kind)
     if problem.radius is not None:
-        g = out.grid
-        norms = np.sqrt(np.maximum((out.data**2) @ g.weights, 0.0))
+        data = series.data
+        norms = np.sqrt(np.maximum((data * data) @ series.grid.weights, 0.0))
         over = norms > problem.radius
         if np.any(over):
-            out.data[over] *= (problem.radius / norms[over])[:, None]
-    return out
+            # rows within the ball are scaled by 1, which leaves them as they are
+            data *= np.divide(problem.radius, norms, out=np.ones_like(norms), where=over)[:, None]
 
 
 def evaluate_cost(traj, control, cost):
@@ -170,15 +184,20 @@ def reduced_gradient(adj, control, config, cost):
     """Gradient of the reduced cost with respect to the control series."""
     g = control.grid
     n = g.n_steps
-    out = FieldSeries.zeros(g)
+    out = np.empty_like(control.data)
+    out[n] = 0.0
+    grad = out[:n]
     if config.kind == "monodomain":
-        track = adj.p1.data[1 : n + 1] / (1.0 + config.ops.lam)
+        np.divide(adj.p1.data[1 : n + 1], 1.0 + config.ops.lam, out=grad)
+        grad += cost.mu * control.data[:n]
     else:
-        track = -(
-            adj.p2.data[1 : n + 1] + adj.psi_eta.data[1 : n + 1] - adj.psi_eta.data[:n]
-        )
-    out.data[:n] = cost.mu * control.data[:n] + track
-    return apply_Q(out, cost, config.kind)
+        np.multiply(control.data[:n], cost.mu, out=grad)
+        track = adj.p2.data[1 : n + 1] + adj.psi_eta.data[1 : n + 1]
+        track -= adj.psi_eta.data[:n]
+        grad -= track
+    out = FieldSeries(g, out)
+    _apply_Q_in_place(out, cost, config.kind)
+    return out
 
 
 def compute_gradient(problem, control, traj):
@@ -209,10 +228,11 @@ def projected_gradient_descent(problem, I0=None, *, verbose=False):
     admissible set.  Each iteration's backtracking starts at the
     Barzilai-Borwein step <s,s>/<s,y> (1.0 on the first pass, clamped
     to [1e-8, 1e8]) and halves until the Armijo condition with slope c
-    holds; running out of halvings raises LineSearchStagnation.  Stops
-    on the relative decrease test, the gradient test
+    holds; running out of halvings raises LineSearchStagnation.  s is
+    the last accepted step and y the change of the gradient over it.
+    Stops on the relative decrease test, the gradient test
     ||g|| <= gtol (1 + ||g0||), or the iteration budget.  The recorded
-    J history is non-increasing.
+    J history is non-increasing.  ``I0`` is left as it is.
     """
     I0 = I0 if I0 is not None else problem.config.I_e
     I0.require_unbatched("projected_gradient_descent")
@@ -223,8 +243,7 @@ def projected_gradient_descent(problem, I0=None, *, verbose=False):
     g_norm = None
     status = "budget"
     last_step = 0.0
-    prev_I = None
-    prev_grad = None
+    step = prev_grad = None
 
     for it in range(problem.budget):
         grad, _ = compute_gradient(problem, I, traj)
@@ -240,18 +259,18 @@ def projected_gradient_descent(problem, I0=None, *, verbose=False):
 
         alpha = 1.0
         if prev_grad is not None:
-            s = FieldSeries(I.grid, I.data - prev_I)
-            y = FieldSeries(I.grid, grad.data - prev_grad)
-            sy = control_inner(s, y)
-            alpha = control_inner(s, s) / sy if sy > 0.0 else 1e8
+            y = FieldSeries(I.grid, grad.data - prev_grad.data)
+            sy = control_inner(step, y)
+            alpha = control_inner(step, step) / sy if sy > 0.0 else 1e8
             alpha = min(max(alpha, 1e-8), 1e8)
-        prev_I = I.data.copy()
-        prev_grad = grad.data.copy()
+        prev_grad = grad
         accepted = False
         for _ in range(MAX_HALVINGS + 1):
-            trial = FieldSeries(I.grid, I.data - alpha * grad.data)
-            trial = project_admissible(trial, problem)
-            slope = control_inner(grad, FieldSeries(I.grid, trial.data - I.data))
+            trial = FieldSeries(I.grid, np.multiply(grad.data, -alpha))
+            trial.data += I.data
+            _project_in_place(trial, problem)
+            step = FieldSeries(I.grid, trial.data - I.data)
+            slope = control_inner(grad, step)
             J_trial, traj_trial = simulate(problem, trial)
             if J_trial <= J + ARMIJO_C * slope:
                 accepted = True

@@ -33,8 +33,9 @@ coupled step's ``cg_tol`` (a block residual), plus that of the lifts,
 ``run_forward`` steps over the series it returns: step k reads frame k
 of phi and w and writes frame k + 1.  ``step_monodomain`` gives
 phi^{k+1} and ``step_bidomain`` gives (phi^{k+1}, psi); ``run_forward``
-stores them, checks that phi stays finite and makes the gating update.
-A step builds its load, frame-k forcing included, in one fresh array.
+stores them and makes the gating update.  A step builds its load,
+frame-k forcing included, in one fresh array, and raises
+``DivergenceError`` when that load is not finite.
 
 Zero-flux boundary conditions are built into the assembled operators.
 
@@ -70,7 +71,7 @@ KINDS = ("monodomain", "bidomain")
 
 
 class DivergenceError(RuntimeError):
-    """A forward step produced non-finite values."""
+    """A forward step met a non-finite load: the state has blown up."""
 
 
 @dataclass
@@ -184,6 +185,7 @@ def step_monodomain(config, system, phi, w, k):
     rhs += (dt * lam / (1.0 + lam)) * config.I_i.data[..., k, :]
     rhs -= (dt / (1.0 + lam)) * config.I_e.data[..., k, :]
     rhs *= config.ops.mass
+    _check_load(rhs, k)
     return cg_solve(A, rhs.T, tol=config.cg_tol, precond=precond, x0=phi.T).T
 
 
@@ -213,6 +215,12 @@ def _current_lifts(config, out):
     solve_neumann_frames(config.ops, load, out, tol=config.inner_tol)
 
 
+def _check_load(load, k):
+    """Raise DivergenceError if the load of step k is not finite."""
+    if not np.isfinite(load).all():
+        raise DivergenceError(f"non-finite load at step {k + 1}: the potential has blown up")
+
+
 def step_bidomain(config, system, phi, w, k):
     """(phi^{k+1}, psi) of one bidomain step from phi^k and w^k.
 
@@ -223,6 +231,7 @@ def step_bidomain(config, system, phi, w, k):
     f = _explicit_part(config, phi, w)
     f += dt * I_i
     f *= mass
+    _check_load(f, k)
     currents = I_i + I_e
     currents *= dt * mass
     phi_new, psi = solve_coupled_step(config.ops, system, f.T, currents.T, tol=config.cg_tol)
@@ -276,8 +285,6 @@ def run_forward(config, *, report=True):
             frame += psi
         else:
             phi_next = step_monodomain(config, system, phi_k, w_k, k)
-        if not np.all(np.isfinite(phi_next)):
-            raise DivergenceError(f"non-finite transmembrane potential at step {k + 1}")
         phi.data[..., k + 1, :] = phi_next
         if config.no_reaction:
             w.data[..., k + 1, :] = w_k
@@ -295,22 +302,28 @@ def forward_report(config, phi, w, phi_e=None):
     space-time L4 norm, the L4-in-time H1 monitor, and dual-norm rates
     of change of phi (L^{4/3} in time) and w (L^2 in time).
 
-    The H1 and dual norms come from one batched DCT-I per series
+    The L2 and L4 norms of phi come from one squared series.  The H1
+    and dual norms come from one batched DCT-I per series
     (``Grid.coefficients``).  The coefficients are linear in the frames,
     so a rate's coefficients are the differences of the frames'
     coefficients divided by dt.
     """
     g = config.grid
     dt = g.dt
-    dw = _rate_norms(g, g.coefficients(w.data))
+    sq = phi.data * phi.data
+    l2_phi = np.sqrt(sq @ g.weights)
+    sq *= sq
+    l4_phi = (sq @ g.weights) ** 0.25
+    del sq  # keeps it out of the peak of the transforms below
     c_phi = g.coefficients(phi.data)
     h1_phi = gridmod.coefficient_norms(c_phi, g.h1_weights)
     dphi = _rate_norms(g, c_phi)
-    del c_phi  # keeps it out of the peak of the L4 norm below
+    del c_phi  # frees its series before the transform of w
+    dw = _rate_norms(g, g.coefficients(w.data))
     rep = NormReport()
-    rep["C0_L2_phi"] = gridmod.bochner_norm(phi, np.inf, "L2")
+    rep["C0_L2_phi"] = gridmod.time_norm(g, l2_phi, np.inf)
     rep["L2_H1_phi"] = gridmod.time_norm(g, h1_phi, 2)
-    rep["L4_OmegaT_phi"] = gridmod.bochner_norm(phi, 4, "L4")
+    rep["L4_OmegaT_phi"] = gridmod.time_norm(g, l4_phi, 4)
     rep["L4_H1_phi"] = gridmod.time_norm(g, h1_phi, 4)
     rep["C0_L2_w"] = gridmod.bochner_norm(w, np.inf, "L2")
     rep["L43_dual_dphi_dt"] = float((dt * np.sum(dphi ** (4.0 / 3.0))) ** 0.75)
@@ -321,7 +334,13 @@ def forward_report(config, phi, w, phi_e=None):
 
 
 def _rate_norms(grid, coeffs):
-    """Dual norms of the rates of change of the frames with these coefficients."""
-    rate = np.diff(coeffs, axis=0)
-    rate /= grid.dt
-    return gridmod.coefficient_norms(rate, grid.dual_weights)
+    """Dual norms of the rates of change of the frames with these coefficients.
+
+    Overwrites ``coeffs``: frames 1.. end as the squared differences of
+    consecutive frames, and the dt of the rates divides the norms.
+    """
+    for k in range(len(coeffs) - 1, 0, -1):
+        coeffs[k] -= coeffs[k - 1]
+    rate = coeffs[1:]
+    rate *= rate
+    return np.sqrt(rate @ grid.dual_weights) / grid.dt

@@ -14,7 +14,9 @@ measured against the Riesz operator K + M (identity-tensor stiffness
 plus lumped mass).  Both are diagonal in the grid's DCT-I basis
 (``Grid.spectral``), so they are weighted sums of squares of the
 coefficients V^T W x (``Grid.coefficients``), read off one batched
-transform of all frames of a series with no linear solve.
+transform of all frames of a series with no linear solve.  The
+trapezoid weights are separable, so that transform carries them in its
+per-axis cosine matrices and reads each series once.
 """
 
 from __future__ import annotations
@@ -159,8 +161,13 @@ class Grid:
         return (1.0 / (basis._norms * (1.0 + lam))).ravel()
 
     def coefficients(self, data):
-        """DCT-I coefficients V^T W x of each row of ``data`` (one field or a stack)."""
-        return self.spectral.transform(data * self.weights)
+        """DCT-I coefficients V^T W x of each row of ``data`` (one field or a stack).
+
+        One transform with the trapezoid weights folded into its cosine
+        matrices (``SpectralBasis.coefficients``): no weighted copy of
+        ``data`` is made.
+        """
+        return self.spectral.coefficients(data)
 
 
 REFINEMENT = 2

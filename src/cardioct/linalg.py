@@ -122,8 +122,9 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxiter=None, x0=None):
         iterations, or if a direction of nonpositive curvature shows up;
         it reports the column with the largest relative residual.  Also
         if the first solve with a preconditioner marked exact leaves a
-        relative residual above 1e-6, and if a direct solve gives a
-        non-finite result (a non-finite load).
+        relative residual above 1e-6, and on a non-finite load (the
+        direct solve tests its result, every other solve the load's
+        norm).
     """
     b = np.asarray(b, dtype=float)
     if b.ndim not in (1, 2):
@@ -155,6 +156,7 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxiter=None, x0=None):
         b = np.ascontiguousarray(b.T)
         out = np.zeros(b.shape)
         b_norm = np.sqrt(dot(b, b))
+        _require_finite(b_norm)
         rows = np.flatnonzero(b_norm)  # zero columns stay zero
         if rows.size == 0:
             return out.T
@@ -166,6 +168,7 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxiter=None, x0=None):
     else:
         dot = np.dot
         b_norm = np.sqrt(dot(b, b))
+        _require_finite(b_norm)
         if b_norm == 0.0:
             return np.zeros(b.shape)
     target = tol * b_norm
@@ -228,12 +231,22 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxiter=None, x0=None):
         it += 1
 
 
+def _require_finite(b_norm):
+    """Raise SolverError unless every load norm is finite.
+
+    An infinite norm would make the target tol * ||b|| infinite, which
+    any iterate meets, and a NaN one a target that none meets.
+    """
+    if not np.isfinite(b_norm).all():
+        raise SolverError("cg_solve got a non-finite load")
+
+
 def _store_residual(precond, rel):
     """Store ``precond.residual`` from the first solve of a system marked exact.
 
     ``rel`` holds the relative residuals of x = P b, one per column;
-    see the module docstring for the estimate.  A non-finite
-    load stores nothing: its PCG stalls and reports it.
+    see the module docstring for the estimate.  A non-finite residual
+    of a finite load (an overflow) stores nothing.
     """
     rho = float(np.max(rel))
     if not np.isfinite(rho):

@@ -61,6 +61,17 @@ def h1_norm(fld):
     return float(coefficient_norms(g.coefficients(fld.values), g.h1_weights))
 
 
+def snapshot(arrays):
+    """The bytes of each named array, to be compared by ``assert_unchanged``."""
+    return {name: (a, a.tobytes()) for name, a in arrays.items()}
+
+
+def assert_unchanged(snapshot):
+    """Every array of a ``snapshot`` still holds the same bytes."""
+    changed = [name for name, (a, before) in snapshot.items() if a.tobytes() != before]
+    assert not changed, changed
+
+
 def values_nd(fld):
     """The values of a ScalarField on the grid's node shape."""
     return fld.values.reshape(fld.grid.shape)

@@ -15,7 +15,6 @@ from cardioct.control import (
     project_admissible,
     projected_gradient_descent,
     random_admissible_direction,
-    rectangle_weights,
     simulate,
 )
 from cardioct.forward import ForwardResult, run_forward
@@ -33,12 +32,25 @@ def zero_traj(grid):
     )
 
 
-def test_rectangle_weights_skip_final_frame():
+def rectangle_weights(grid):
+    """Left-rectangle time weights: dt on frames 0..n_steps-1, 0 at the end."""
+    w = np.full(grid.n_steps + 1, grid.dt)
+    w[-1] = 0.0
+    return w
+
+
+def test_control_inner_skips_final_frame():
     g = Grid((5,), (1.0,), 1.0, 4)
     tw = rectangle_weights(g)
     assert tw.shape == (5,)
     assert tw[-1] == 0.0
     assert tw.sum() == pytest.approx(1.0)
+    ones = FieldSeries.constant(g, 1.0)
+    # T |Omega| = 1, and the final frame has no weight
+    assert control_inner(ones, ones) == pytest.approx(1.0, rel=1e-14)
+    tail = ones.copy()
+    tail.data[-1] = 7.0
+    assert control_inner(tail, ones) == control_inner(ones, ones)
 
 
 def test_cost_of_rest_versus_unit_target():

@@ -119,3 +119,60 @@ def test_report_rates_match_frame_by_frame_dual_norms(kind, grid):
     assert res.report["L2_dual_dw_dt"] == pytest.approx(
         np.sqrt(dt * np.sum(dw**2)), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("nodes, lengths", GRIDS)
+def test_weighted_transform_equals_transform_of_weighted_series(nodes, lengths):
+    g = Grid(nodes, lengths, 1.0, 3)
+    data = _series(g, 13).data
+    plain = g.spectral.transform(data * g.weights)
+    for x in (data, data.reshape((-1,) + nodes), data[1]):
+        folded = g.spectral.coefficients(x)
+        assert folded.shape == x.shape
+        expected = plain.reshape(x.shape) if x.ndim > 1 else plain[1]
+        assert np.abs(folded - expected).max() <= 1e-14 * np.abs(expected).max()
+    assert np.array_equal(g.coefficients(data), g.spectral.coefficients(data))
+
+
+@pytest.mark.parametrize("kind, grid", [
+    ("monodomain", Grid((17,), (1.0,), 0.3, 6)),
+    ("monodomain", Grid((6, 5, 4), (1.0, 2.0, 0.5), 0.2, 4)),
+    ("bidomain", Grid((9, 7), (1.0, 0.8), 0.2, 4)),
+])
+def test_forward_report_matches_plain_formulas(kind, grid):
+    cfg = make_problem(grid, kind=kind, stimulus=2.0)
+    res = run_forward(cfg)
+    dt, w = grid.dt, grid.weights
+    tw = time_weights(grid)
+    R = assemble_stiffness(grid, TensorField.isotropic(grid, 1.0)).toarray() + np.diag(w)
+
+    def l2(v):
+        return np.sqrt(np.sum(w * v * v))
+
+    def dual(v):
+        load = w * v
+        return np.sqrt(load @ np.linalg.solve(R, load))
+
+    def frames(series, norm):
+        return np.array([norm(v) for v in series.data])
+
+    def rates(series):
+        return np.array([dual((b - a) / dt) for a, b in zip(series.data[:-1], series.data[1:])])
+
+    phi = res.phi_tr
+    h1 = np.array([_h1_direct(phi.frame(k)) for k in range(phi.n_frames)])
+    expected = {
+        "C0_L2_phi": frames(phi, l2).max(),
+        "L2_H1_phi": np.sqrt(tw @ h1**2),
+        "L4_OmegaT_phi": np.sum(tw * frames(phi, lambda v: np.sum(w * v**4))) ** 0.25,
+        "L4_H1_phi": (tw @ h1**4) ** 0.25,
+        "C0_L2_w": frames(res.w, l2).max(),
+        "L43_dual_dphi_dt": (dt * np.sum(rates(phi) ** (4.0 / 3.0))) ** 0.75,
+        "L2_dual_dw_dt": np.sqrt(dt * np.sum(rates(res.w) ** 2)),
+    }
+    if kind == "bidomain":
+        h1_e = np.array([_h1_direct(res.phi_e.frame(k)) for k in range(phi.n_frames)])
+        expected["L2_H1_phie"] = np.sqrt(tw @ h1_e**2)
+    assert set(res.report.norms) == set(expected)
+    for key, value in expected.items():
+        assert res.report[key] == pytest.approx(value, rel=1e-13), key

@@ -18,18 +18,9 @@ from cardioct.forward import run_forward
 from cardioct.grid import FieldSeries, Grid
 from cardioct.ionic import KINDS, IonicParams, gating_exact_update, gating_source
 
-from conftest import make_problem
+from conftest import assert_unchanged, make_problem, snapshot
 
 GRID = Grid((9, 9), (1.0, 1.0), 0.3, 6)
-
-
-def _snapshot(arrays):
-    return {name: (a, a.tobytes()) for name, a in arrays.items()}
-
-
-def _assert_unchanged(snapshot):
-    changed = [name for name, (a, before) in snapshot.items() if a.tobytes() != before]
-    assert not changed, changed
 
 
 def _config(kind, model):
@@ -54,14 +45,14 @@ def _inputs(cfg):
 @pytest.mark.parametrize("kind", ["monodomain", "bidomain"])
 def test_sweeps_never_write_into_their_inputs(kind, model):
     cfg = _config(kind, model)
-    inputs = _snapshot(_inputs(cfg))
+    inputs = snapshot(_inputs(cfg))
     traj = run_forward(cfg, report=False)
-    _assert_unchanged(inputs)
+    assert_unchanged(inputs)
 
     batched = replace(cfg, I_e=FieldSeries(GRID, np.array([1.0, -0.5])[:, None, None] * cfg.I_e.data))
-    batch_inputs = _snapshot(_inputs(batched))
+    batch_inputs = snapshot(_inputs(batched))
     run_forward(batched, report=False)
-    _assert_unchanged(batch_inputs)
+    assert_unchanged(batch_inputs)
 
     bidomain = kind == "bidomain"
     targets = {"phi_des": FieldSeries(GRID, 0.5 * traj.phi_tr.data)}
@@ -72,9 +63,9 @@ def test_sweeps_never_write_into_their_inputs(kind, model):
     if bidomain:
         read["phi_e"] = traj.phi_e.data
     read.update({name: series.data for name, series in targets.items()})
-    read = _snapshot({**_inputs(cfg), **read})
+    read = snapshot({**_inputs(cfg), **read})
     run_adjoint(cfg, traj, cost, report=False)
-    _assert_unchanged(read)
+    assert_unchanged(read)
 
 
 @pytest.mark.parametrize("model", KINDS)
