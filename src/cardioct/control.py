@@ -48,7 +48,9 @@ class ControlProblem:
 
     ``config.I_e`` serves as the initial control unless the optimizer
     is handed one explicitly.  ``radius`` bounds each frame's L2 norm
-    (None = unconstrained).
+    (None = unconstrained).  A radius that is not positive, a negative
+    budget, an eta-tracking cost on a monodomain run and a mask that
+    does not fit the grid or leaves no control raise ValueError.
     """
 
     config: ProblemConfig
@@ -56,6 +58,22 @@ class ControlProblem:
     radius: float | None = None
     budget: int = 50
     gtol: float = 1e-6
+
+    def __post_init__(self):
+        if self.radius is not None and not self.radius > 0:
+            raise ValueError(f"radius must be positive, not {self.radius}")
+        if self.budget < 0:
+            raise ValueError(f"budget must be nonnegative, not {self.budget}")
+        if self.cost.w_eta != 0.0 and self.config.kind != "bidomain":
+            raise ValueError("cost.w_eta tracks phi_e, which only a bidomain run has")
+        mask = self.cost.mask
+        if mask is not None:
+            if mask.size != self.config.grid.n_nodes:
+                raise ValueError(f"cost.mask has {mask.size} values, not one per node")
+            # a bidomain control has zero mean over the mask: one node leaves it nothing
+            least = 2 if self.config.kind == "bidomain" else 1
+            if np.count_nonzero(mask) < least:
+                raise ValueError(f"cost.mask leaves no control ({least} or more nodes needed)")
 
 
 @dataclass

@@ -33,6 +33,8 @@ def gaussian_bump(grid, center, width, amplitude=1.0):
     center = np.atleast_1d(np.asarray(center, dtype=float))
     if center.size != grid.dim:
         raise ValueError("center does not match grid dimension")
+    if not width > 0:
+        raise ValueError(f"bump width must be positive, not {width}")
     factors = [np.exp(-((x - c) ** 2) / width**2) for x, c in zip(grid.axis_coords, center)]
     factors[0] *= amplitude
     return ScalarField(grid, _outer(factors))

@@ -1,12 +1,12 @@
+import configparser
+import io
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cardioct.cli import (
-    ConfigError,
-    main,
-    parse_config,
-    serialize_config,
-)
+from cardioct.cli import DEFAULTS, ConfigError, _finish, main, parse_config
 from cardioct.grid import read_snapshots
 
 BASE = """
@@ -46,16 +46,6 @@ def test_parse_fills_defaults(config_path):
     assert rc[("grid", "nodes")] == (17,)
     assert rc[("model", "a")] == 0.13
     assert rc[("cost", "mu")] == 0.01
-
-
-def test_serialize_round_trips(config_path, tmp_path):
-    rc = parse_config(config_path)
-    text = serialize_config(rc)
-    back = tmp_path / "back.ini"
-    back.write_text(text)
-    rc2 = parse_config(back)
-    assert rc.values == rc2.values
-    assert serialize_config(rc2) == text
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -209,3 +199,133 @@ def test_report_concatenates(config_path, tmp_path):
     text = (out / "report.txt").read_text()
     assert "==== norms.txt ====" in text
     assert "==== summary.txt ====" in text
+
+
+def edited(changes):
+    """BASE with each ``"section.key": value`` of ``changes`` set."""
+    cp = configparser.ConfigParser()
+    cp.read_string(BASE)
+    for name, value in changes.items():
+        section, key = name.split(".")
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp.set(section, key, value)
+    text = io.StringIO()
+    cp.write(text)
+    return text.getvalue()
+
+
+# Each mistake: the subcommand, the values set on BASE, and a section or
+# key the error line must name.
+CONFIG_MISTAKES = {
+    "profile-square": (
+        "simulate",
+        {"stimulus.profile": "square", "stimulus.ie_amplitude": "0.5"},
+        "stimulus.profile",
+    ),
+    "ie-window-reversed": (
+        "simulate", {"stimulus.ie_t0": "0.6", "stimulus.ie_t1": "0.2"}, "stimulus"
+    ),
+    "one-node": ("simulate", {"grid.nodes": "1"}, "grid"),
+    "negative-length": ("simulate", {"grid.lengths": "-1"}, "grid"),
+    "negative-mu": ("optimize", {"cost.mu": "-1"}, "cost"),
+    "w-eta-monodomain": ("adjoint", {"cost.w_eta": "0.5"}, "cost.w_eta"),
+    "empty-mask": (
+        "gradcheck",
+        {"cost.mask": "box", "cost.mask_lo": "0.8", "cost.mask_hi": "0.2"},
+        "cost.mask",
+    ),
+    "limit-bidomain": ("verify-limit", {"system.kind": "bidomain"}, "system.kind"),
+    "negative-radius": ("optimize", {"optimize.radius": "-1"}, "radius"),
+    "negative-budget": ("optimize", {"optimize.budget": "-1"}, "budget"),
+    "one-node-mask-bidomain": (
+        "gradcheck",
+        {
+            "system.kind": "bidomain",
+            "cost.mask": "box",
+            "cost.mask_lo": "0.5",
+            "cost.mask_hi": "0.5",
+        },
+        "cost.mask",
+    ),
+    "zero-bump-width": ("simulate", {"stimulus.phi0_width": "0"}, "stimulus"),
+    "profile-square-no-pulse": (
+        "verify-stability",
+        {"stimulus.profile": "square", "stimulus.ie_amplitude": "0"},
+        "stimulus.profile",
+    ),
+}
+
+
+@pytest.mark.parametrize("mistake", list(CONFIG_MISTAKES))
+def test_config_mistake_exits_2_with_one_line(tmp_path, capsys, mistake):
+    command, changes, names = CONFIG_MISTAKES[mistake]
+    p = tmp_path / "run.ini"
+    p.write_text(edited(changes))
+    code = main([command, "--config", str(p), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: config:") and names in err
+    assert "Traceback" not in err
+
+
+SUMMARY_KEYS = {
+    "simulate": [
+        "command", "system", "model", "grid", "steps",
+        "norm.C0_L2_phi", "norm.L2_H1_phi", "norm.L4_OmegaT_phi", "norm.L4_H1_phi",
+        "norm.C0_L2_w", "norm.L43_dual_dphi_dt", "norm.L2_dual_dw_dt",
+    ],
+    "adjoint": [
+        "command", "system",
+        "norm.C0_L2_p1", "norm.L2_H1_p1", "norm.L4_H1_p1", "norm.C0_L2_p3",
+        "norm.L2_L2_r_phi", "norm.L2_L2_r_eta", "norm.L2_L2_r_w",
+    ],
+    "optimize": ["command", "status", "iterations", "J", "grad_norm", "control_norm"],
+    "verify-stability": ["command", "fitted_constant", "spread", "verdict"],
+    "verify-limit": ["command", "lambda", "discrepancy", "verdict"],
+    "verify-convergence": ["command", "spatial_orders", "temporal_orders", "verdict"],
+    "gradcheck": [
+        "command", "directions", "max_rel_error", "threshold", "verdict",
+        "direction_0", "direction_1", "direction_2", "direction_3", "direction_4",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", list(SUMMARY_KEYS))
+def test_summary_layout(config_path, tmp_path, command):
+    out = tmp_path / "o"
+    flags = ["--levels", "2"] if command == "verify-convergence" else []
+    assert main([command, "--config", str(config_path), "--out", str(out), *flags]) == 0
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert [line.split(" = ")[0] for line in lines] == SUMMARY_KEYS[command]
+    assert lines[0] == f"command = {command}"
+
+
+@pytest.mark.parametrize(
+    "verdict, word, code",
+    [(None, None, 0), (True, "PASS", 0), (False, "FAIL", 4), ("INCONCLUSIVE", "INCONCLUSIVE", 4)],
+)
+def test_finish_maps_the_verdict_to_the_exit_code(tmp_path, capsys, verdict, word, code):
+    assert _finish(tmp_path, "cmd", ["a = 1"], "done", verdict, after=["b = 2"]) == code
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    middle = [] if word is None else [f"verdict = {word}"]
+    assert lines == ["command = cmd", "a = 1", *middle, "b = 2"]
+    assert capsys.readouterr().out == ("cmd: done\n" if word is None else f"cmd: done [{word}]\n")
+
+
+def readme_config_block():
+    """The ``ini`` block of the README's "Quickstart (CLI)" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quickstart (CLI)", 1)[1].split("\n## ", 1)[0]
+    return re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_config_block_names_every_key(tmp_path):
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp.read_string(readme_config_block())
+    documented = {(s, k) for s in cp.sections() for k in cp[s]}
+    assert documented == set(DEFAULTS)
+    p = tmp_path / "readme.ini"
+    p.write_text(readme_config_block())
+    parse_config(p)

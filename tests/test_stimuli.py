@@ -108,3 +108,11 @@ def test_gaussian_bump_peaks_near_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * bump.values.nbytes
+
+
+@pytest.mark.parametrize("width", [0.0, -0.1, float("nan")])
+def test_gaussian_bump_rejects_a_width_that_is_not_positive(width):
+    # exp(-d^2 / 0) is 0 away from the center: a zero width would give a silent zero bump
+    g = Grid((9,), (1.0,), 1.0, 4)
+    with pytest.raises(ValueError, match="width"):
+        gaussian_bump(g, (0.3,), width)
