@@ -42,9 +42,8 @@ from cardioct import assembly, forward
 from cardioct.assembly import (
     assemble_stiffness,
     build_operators,
-    reduced_operator,
-    reduced_rhs_S,
     solve_coupled_step,
+    solve_neumann,
 )
 from cardioct.forward import ProblemConfig, run_forward
 from cardioct.grid import FieldSeries, Grid, ScalarField, TensorField
@@ -105,7 +104,13 @@ class Counted:
 
 
 def nested_step(ops, dt, f, I_i, I_e):
-    """phi of the step in the nested Schur form (the coupled form's oracle)."""
+    """phi of the step in the nested Schur form (the coupled form's oracle).
+
+    The forcing is lifted through the extracellular solve,
+    ``Mass I_i - K_i K_ie^+ Mass (I_i + I_e)``, which equals the
+    monodomain forcing ``Mass (lam I_i - I_e) / (1 + lam)`` when
+    ``M_e = lam M_i``.
+    """
     K_i, mass = ops.K_i, ops.mass
     K_ie, precond_ie = ops.neumann_system()
 
@@ -116,12 +121,13 @@ def nested_step(ops, dt, f, I_i, I_e):
 
     lam_i, lam_ie = ops.spectrum_i, ops.spectrum_ie
     schur = lam_i - np.divide(lam_i**2, lam_ie, out=np.zeros_like(lam_i), where=lam_ie > 0)
-    rhs = f - dt * mass * I_i + dt * reduced_rhs_S(ops, I_i, I_e)
+    lift = mass * I_i - K_i @ solve_neumann(ops, mass * (I_i + I_e), tol=1e-11)
+    rhs = f - dt * mass * I_i + dt * lift
     return cg_solve(apply, rhs, tol=1e-10, precond=ops.grid.spectral.inverse(1.0 + dt * schur))
 
 
 def coupled_step(ops, dt, f, I_i, I_e):
-    system = reduced_operator(ops, dt)
+    system = ops.coupled_system(dt)
     return solve_coupled_step(ops, system, f, dt * ops.mass * (I_i + I_e), tol=1e-10)[0]
 
 

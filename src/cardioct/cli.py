@@ -3,7 +3,9 @@
 Subcommands: simulate, adjoint, optimize, verify-stability,
 verify-limit, verify-convergence, gradcheck, report.  Problems are
 described by a flat INI config (see ``DEFAULTS`` for every section and
-key); outputs are deterministic for a fixed config and seed (binary
+key), and every setting has that one spelling: the command line names
+only the subcommand, the config, the output directory and the seed.
+Outputs are deterministic for a fixed config and seed (binary
 snapshots, CSV tables, plain-text summaries — no timestamps).
 
 A config is checked by building the run: a ``ValueError`` from the
@@ -80,14 +82,6 @@ def _levels(s):
     return int(s)
 
 
-def _parsed(name, raw, parse):
-    """``raw`` (a config value or a flag) through ``parse``; a bad one is a ConfigError."""
-    try:
-        return parse(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {name}: {raw!r} ({exc})") from None
-
-
 def _optional(parse):
     """``parse``, with an empty value read as None."""
     return lambda s: parse(s) if s.strip() else None
@@ -108,7 +102,6 @@ DEFAULTS = {
     ("system", "lambda"): (1.0, float),
     ("system", "mi"): ((1.0,), _list(float)),
     ("system", "me"): (None, _optional(_list(float))),
-    ("system", "me_lambda"): (None, _optional(float)),
     ("stimulus", "phi0_amplitude"): (0.0, float),
     ("stimulus", "phi0_center"): ((0.5,), _list(float)),
     ("stimulus", "phi0_width"): (0.15, float),
@@ -156,7 +149,10 @@ def parse_config(path):
         for key, raw in cp.items(section):
             if (section, key) not in DEFAULTS:
                 raise ConfigError(f"unknown key {section}.{key}")
-            values[(section, key)] = _parsed(f"{section}.{key}", raw, DEFAULTS[(section, key)][1])
+            try:
+                values[(section, key)] = DEFAULTS[(section, key)][1](raw)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from None
     _validate(values)
     return values
 
@@ -253,11 +249,8 @@ def build_problem(rc):
         mi = _tensor(grid, rc[("system", "mi")])
         me = None
         if kind == "bidomain":
-            if rc[("system", "me")] is not None:
-                me = _tensor(grid, rc[("system", "me")])
-            else:
-                me_lam = rc[("system", "me_lambda")]
-                me = mi * (me_lam if me_lam is not None else lam)
+            me_diag = rc[("system", "me")]
+            me = mi * lam if me_diag is None else _tensor(grid, me_diag)
         ops = build_operators(grid, mi, me, lam=lam)
     with _section("stimulus"):
         amp0 = rc[("stimulus", "phi0_amplitude")]
@@ -270,7 +263,7 @@ def build_problem(rc):
         I_i = _stimulus_series(rc, grid, "ii")
         I_e = _stimulus_series(rc, grid, "ie")
     with _section("system"):
-        return ProblemConfig(
+        problem = ProblemConfig(
             grid=grid,
             ops=ops,
             ionic=ionic,
@@ -279,8 +272,9 @@ def build_problem(rc):
             w0=ScalarField.zeros(grid),
             I_i=I_i,
             I_e=I_e,
-            **_values(rc, "solver"),
         )
+    with _section("solver"):
+        return replace(problem, **_values(rc, "solver"))
 
 
 def build_control_problem(rc):
@@ -382,9 +376,6 @@ def cmd_optimize(rc, args, out):
 
 
 def cmd_verify_stability(rc, args, out):
-    scales = rc[("verify", "scales")]
-    if args.scales is not None:
-        scales = _parsed("--scales", args.scales, _scales)
     problem = build_problem(rc)
     rng = np.random.default_rng(args.seed)
     direction = (
@@ -393,7 +384,7 @@ def cmd_verify_stability(rc, args, out):
             problem.grid, rng, amplitude=rc[("verify", "direction_amplitude")]
         ),
     )
-    rep = stability_experiment(problem, direction, scales)
+    rep = stability_experiment(problem, direction, rc[("verify", "scales")])
     rows = ["scale,lhs,rhs,ratio"]
     rows += [
         f"{s:.12e},{l:.12e},{r:.12e},{q:.12e}" for s, l, r, q in rep.rows()
@@ -420,10 +411,7 @@ def cmd_verify_limit(rc, args, out):
 
 
 def cmd_verify_convergence(rc, args, out):
-    levels = rc[("verify", "levels")]
-    if args.levels is not None:
-        levels = _parsed("--levels", args.levels, _levels)
-    rep = convergence_study(spatial_levels=levels)
+    rep = convergence_study(spatial_levels=rc[("verify", "levels")])
     rows = ["study,level,error,order"]
     for i, e in enumerate(rep.spatial_errors):
         order = f"{rep.spatial_orders[i - 1]:.6f}" if i > 0 else ""
@@ -503,8 +491,6 @@ def main(argv=None):
     parser.add_argument("--config", help="INI problem description", default=None)
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--levels", type=int, default=None)
-    parser.add_argument("--scales", default=None, help="comma list of perturbation scales")
     args = parser.parse_args(argv)
 
     if args.command != "report" and args.config is None:

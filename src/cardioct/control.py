@@ -49,8 +49,9 @@ class ControlProblem:
     ``config.I_e`` serves as the initial control unless the optimizer
     is handed one explicitly.  ``radius`` bounds each frame's L2 norm
     (None = unconstrained).  A radius that is not positive, a negative
-    budget, an eta-tracking cost on a monodomain run and a mask that
-    does not fit the grid or leaves no control raise ValueError.
+    budget, a negative or NaN ``gtol``, an eta-tracking cost on a
+    monodomain run and a mask that does not fit the grid or leaves no
+    control raise ValueError.
     """
 
     config: ProblemConfig
@@ -64,6 +65,8 @@ class ControlProblem:
             raise ValueError(f"radius must be positive, not {self.radius}")
         if self.budget < 0:
             raise ValueError(f"budget must be nonnegative, not {self.budget}")
+        if not self.gtol >= 0:
+            raise ValueError(f"gtol must be nonnegative, not {self.gtol}")
         if self.cost.w_eta != 0.0 and self.config.kind != "bidomain":
             raise ValueError("cost.w_eta tracks phi_e, which only a bidomain run has")
         mask = self.cost.mask
@@ -239,7 +242,7 @@ def random_admissible_direction(problem, rng):
     return d
 
 
-def projected_gradient_descent(problem, I0=None, *, verbose=False):
+def projected_gradient_descent(problem, I0=None):
     """Spectral projected gradient descent on the reduced cost.
 
     Starts from ``I0`` (default: the problem's I_e) projected onto the
@@ -269,8 +272,6 @@ def projected_gradient_descent(problem, I0=None, *, verbose=False):
         if g0_norm is None:
             g0_norm = g_norm
         history.append({"iter": it, "J": J, "grad_norm": g_norm, "step": last_step})
-        if verbose:
-            print(f"[{it:3d}] J = {J:.9e}  |g| = {g_norm:.3e}  step = {last_step:g}")
         if g_norm <= problem.gtol * (1.0 + g0_norm):
             status = "gradient"
             break

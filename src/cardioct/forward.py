@@ -83,6 +83,9 @@ class ProblemConfig:
     bidomain runs the compatibility of I_i + I_e is enforced framewise
     unless ``enforce_compatibility`` is switched off, in which case
     incompatible data raises CompatibilityError in the elliptic solves.
+    The operators and every field and series must live on ``grid``, and
+    the solver tolerances ``cg_tol`` and ``inner_tol`` in (0, 1); a
+    config that breaks either raises ValueError.
     ``no_reaction`` freezes the ionic current and recovery variable
     (pure diffusion), used by the convergence harness.  I_i and I_e may
     carry one leading batch axis between them (``batch_shape``); the
@@ -107,10 +110,13 @@ class ProblemConfig:
             raise ValueError(f"unknown system kind {self.kind!r}")
         if self.kind == "bidomain" and self.ops.K_ie is None:
             raise ValueError("bidomain run needs operators with an extracellular tensor")
-        for name in ("I_i", "I_e"):
-            series = getattr(self, name)
-            if series.grid != self.grid:
+        for name in ("ops", "phi0", "w0", "I_i", "I_e"):
+            other = getattr(self, name).grid
+            if other is not self.grid and other != self.grid:
                 raise ValueError(f"{name} lives on a different grid")
+        for name in ("cg_tol", "inner_tol"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), not {getattr(self, name)}")
         if len(self.batch_shape) > 1:
             raise ValueError(f"a run takes at most one batch axis, not {self.batch_shape}")
 

@@ -267,23 +267,9 @@ class FieldSeries:
             row = np.full(grid.n_nodes, float(field_or_value))
         return cls(grid, np.tile(row, (grid.n_steps + 1, 1)))
 
-    @classmethod
-    def from_function(cls, grid, fn):
-        """Evaluate ``fn(t, *axes)`` on every frame; fn must broadcast."""
-        mesh = grid.meshgrid
-        data = np.empty((grid.n_steps + 1, grid.n_nodes))
-        for k, t in enumerate(grid.times):
-            data[k] = np.broadcast_to(
-                np.asarray(fn(t, *mesh), dtype=float), grid.shape
-            ).ravel()
-        return cls(grid, data)
-
     @property
     def n_frames(self):
         return self.data.shape[-2]
-
-    def __len__(self):
-        return self.n_frames
 
     def frame(self, k):
         return ScalarField(self.grid, self.data[k])
@@ -483,27 +469,19 @@ def dual_norm(fld):
 
 
 def write_snapshots(path, series):
-    """Write a FieldSeries (or list of ScalarFields) as a binary snapshot file.
+    """Write a FieldSeries as a binary snapshot file.
 
     Layout (little-endian): magic "BDMF", u32 version, u32 dim, three
     u32 per-axis node counts (unused axes = 1), u64 frame count, then
     all frames as float64 in C node order, frame-major.
     """
-    if isinstance(series, ScalarField):
-        frames = series.values[None, :]
-        g = series.grid
-    elif isinstance(series, FieldSeries):
-        frames = series.data
-        g = series.grid
-    else:
-        fields = list(series)
-        g = fields[0].grid
-        frames = np.stack([f.values for f in fields])
+    series.require_unbatched("write_snapshots")
+    g = series.grid
     npa = list(g.nodes_per_axis) + [1] * (3 - g.dim)
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, g.dim, *npa, frames.shape[0])
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, g.dim, *npa, series.n_frames)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(frames, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(series.data, dtype="<f8").tobytes())
 
 
 def read_snapshots(path):
@@ -530,25 +508,12 @@ def read_snapshots(path):
     return dim, npa, raw.reshape(n_frames, n_nodes).astype(float)
 
 
-def export_csv(obj, path):
-    """Write a field (x,y,z,value) or series (frame,x,y,z,value) as CSV."""
-    if isinstance(obj, ScalarField):
-        frames = obj.values[None, :]
-        g = obj.grid
-        with_frame = False
-    else:
-        frames = obj.data
-        g = obj.grid
-        with_frame = True
+def export_csv(fld, path):
+    """Write a ScalarField as CSV rows ``x,y,z,value``, one per node."""
+    g = fld.grid
     xyz = np.zeros((g.n_nodes, 3))
     xyz[:, : g.dim] = g.coords
     with open(path, "w") as fh:
-        fh.write(("frame," if with_frame else "") + "x,y,z,value\n")
-        for k in range(frames.shape[0]):
-            prefix = f"{k}," if with_frame else ""
-            for i in range(g.n_nodes):
-                fh.write(
-                    prefix
-                    + f"{xyz[i, 0]:.17g},{xyz[i, 1]:.17g},{xyz[i, 2]:.17g},"
-                    + f"{frames[k, i]:.17g}\n"
-                )
+        fh.write("x,y,z,value\n")
+        for (x, y, z), v in zip(xyz, fld.values):
+            fh.write(f"{x:.17g},{y:.17g},{z:.17g},{v:.17g}\n")

@@ -29,15 +29,6 @@ import numpy as np
 
 KINDS = ("fhn", "rm", "ap")
 
-_ALIASES = {
-    "fitzhugh_nagumo": "fhn",
-    "fitzhugh-nagumo": "fhn",
-    "rogers_mcculloch": "rm",
-    "rogers-mcculloch": "rm",
-    "aliev_panfilov": "ap",
-    "aliev-panfilov": "ap",
-}
-
 
 @dataclass(frozen=True)
 class IonicParams:
@@ -48,9 +39,7 @@ class IonicParams:
     eps: float = 0.01
 
     def __post_init__(self):
-        kind = _ALIASES.get(self.kind, self.kind)
-        object.__setattr__(self, "kind", kind)
-        if kind not in KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown ionic model {self.kind!r}")
         if not 0.0 < self.a < 1.0:
             raise ValueError(f"need 0 < a < 1, got a={self.a}")

@@ -138,37 +138,29 @@ def test_verify_limit_passes(config_path, tmp_path):
     assert "PASS" in (out / "summary.txt").read_text()
 
 
-def test_verify_stability_writes_table(config_path, tmp_path):
+def test_verify_stability_writes_table(tmp_path):
+    p = tmp_path / "run.ini"
+    p.write_text(BASE + "\n[verify]\nscales = 0.5,1.0\n")
     out = tmp_path / "vs"
-    code = main(
-        [
-            "verify-stability",
-            "--config",
-            str(config_path),
-            "--out",
-            str(out),
-            "--scales",
-            "0.5,1.0",
-        ]
-    )
-    assert code == 0
+    assert main(["verify-stability", "--config", str(p), "--out", str(out)]) == 0
     lines = (out / "stability.csv").read_text().strip().split("\n")
     assert lines[0] == "scale,lhs,rhs,ratio"
     assert len(lines) == 3
 
 
 @pytest.mark.parametrize(
-    "command, flags, ini, names",
+    "command, ini, names",
     [
-        ("verify-stability", ["--scales", "abc"], "", "--scales"),
-        ("verify-stability", ["--scales=,"], "", "--scales"),
-        ("verify-stability", ["--scales=-1,2"], "", "--scales"),
-        ("verify-stability", [], "scales = 0.5, -1", "verify.scales"),
-        ("verify-stability", [], "direction_amplitude = 0", "verify.direction_amplitude"),
-        ("verify-convergence", ["--levels", "1"], "", "--levels"),
-        ("verify-convergence", ["--levels", "-2"], "", "--levels"),
-        ("verify-convergence", ["--levels", "0"], "", "--levels"),
-        ("verify-convergence", [], "levels = 1", "verify.levels"),
+        ("verify-stability", "scales = abc", "verify.scales"),
+        ("verify-stability", "scales = ,", "verify.scales"),
+        ("verify-stability", "scales = -1,2", "verify.scales"),
+        ("verify-stability", "scales = 0.5, -1", "verify.scales"),
+        ("verify-stability", "direction_amplitude = 0", "verify.direction_amplitude"),
+        # the whole config is checked whatever the command reads of it
+        ("verify-stability", "levels = 1", "verify.levels"),
+        ("verify-convergence", "levels = -2", "verify.levels"),
+        ("verify-convergence", "levels = 0", "verify.levels"),
+        ("verify-convergence", "levels = 1", "verify.levels"),
     ],
     ids=[
         "scales-abc",
@@ -182,14 +174,23 @@ def test_verify_stability_writes_table(config_path, tmp_path):
         "ini-levels-1",
     ],
 )
-def test_bad_verify_input_is_a_config_error(tmp_path, capsys, command, flags, ini, names):
+def test_bad_verify_input_is_a_config_error(tmp_path, capsys, command, ini, names):
     p = tmp_path / "run.ini"
-    p.write_text(BASE + (f"\n[verify]\n{ini}\n" if ini else ""))
-    code = main([command, "--config", str(p), "--out", str(tmp_path / "o"), *flags])
+    p.write_text(BASE + f"\n[verify]\n{ini}\n")
+    code = main([command, "--config", str(p), "--out", str(tmp_path / "o")])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and names in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "flags", [["--levels", "2"], ["--scales", "0.5,1"]], ids=["levels", "scales"]
+)
+def test_verify_settings_have_no_flag(config_path, tmp_path, flags):
+    with pytest.raises(SystemExit) as exc:  # argparse: unrecognized arguments
+        main(["verify-convergence", "--config", str(config_path), "--out", str(tmp_path), *flags])
+    assert exc.value.code == 2
 
 
 def test_report_concatenates(config_path, tmp_path):
@@ -254,6 +255,11 @@ CONFIG_MISTAKES = {
         {"stimulus.profile": "square", "stimulus.ie_amplitude": "0"},
         "stimulus.profile",
     ),
+    "negative-cg-tol": ("simulate", {"solver.cg_tol": "-1"}, "solver"),
+    "nan-inner-tol": ("simulate", {"solver.inner_tol": "nan"}, "solver"),
+    "negative-gtol": ("optimize", {"optimize.gtol": "-1"}, "optimize"),
+    "me-lambda": ("simulate", {"system.me_lambda": "1.5"}, "system.me_lambda"),
+    "long-model-name": ("simulate", {"model.kind": "fitzhugh-nagumo"}, "model"),
 }
 
 
@@ -293,10 +299,11 @@ SUMMARY_KEYS = {
 
 
 @pytest.mark.parametrize("command", list(SUMMARY_KEYS))
-def test_summary_layout(config_path, tmp_path, command):
+def test_summary_layout(tmp_path, command):
+    p = tmp_path / "run.ini"
+    p.write_text(BASE + "\n[verify]\nlevels = 2\n")
     out = tmp_path / "o"
-    flags = ["--levels", "2"] if command == "verify-convergence" else []
-    assert main([command, "--config", str(config_path), "--out", str(out), *flags]) == 0
+    assert main([command, "--config", str(p), "--out", str(out)]) == 0
     lines = (out / "summary.txt").read_text().splitlines()
     assert [line.split(" = ")[0] for line in lines] == SUMMARY_KEYS[command]
     assert lines[0] == f"command = {command}"
@@ -314,10 +321,12 @@ def test_finish_maps_the_verdict_to_the_exit_code(tmp_path, capsys, verdict, wor
     assert capsys.readouterr().out == ("cmd: done\n" if word is None else f"cmd: done [{word}]\n")
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_config_block():
     """The ``ini`` block of the README's "Quickstart (CLI)" section."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("## Quickstart (CLI)", 1)[1].split("\n## ", 1)[0]
+    section = README.read_text().split("## Quickstart (CLI)", 1)[1].split("\n## ", 1)[0]
     return re.search(r"```ini\n(.*?)```", section, re.S).group(1)
 
 
@@ -329,3 +338,12 @@ def test_readme_config_block_names_every_key(tmp_path):
     p = tmp_path / "readme.ini"
     p.write_text(readme_config_block())
     parse_config(p)
+
+
+def test_every_readme_config_parses(tmp_path):
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) >= 4  # the schema and the three experiment configs
+    for i, block in enumerate(blocks):
+        p = tmp_path / f"block{i}.ini"
+        p.write_text(block)
+        parse_config(p)

@@ -142,13 +142,15 @@ def test_projection_enforces_radius(seed, radius):
         ("monodomain", {"radius": 0.0}, {}, "radius"),
         ("monodomain", {"radius": -1.0}, {}, "radius"),
         ("monodomain", {"budget": -1}, {}, "budget"),
+        ("monodomain", {"gtol": -1.0}, {}, "gtol"),
+        ("monodomain", {"gtol": float("nan")}, {}, "gtol"),
         ("monodomain", {}, {"w_eta": 0.5}, "cost.w_eta"),
         ("monodomain", {}, {"mask": np.zeros(9)}, "cost.mask"),
         ("monodomain", {}, {"mask": np.ones(8)}, "cost.mask"),
         ("bidomain", {}, {"mask": np.eye(9)[4]}, "cost.mask"),
     ],
-    ids=["radius-0", "radius-negative", "budget-negative", "w-eta-monodomain",
-         "mask-empty", "mask-wrong-size", "mask-one-node-bidomain"],
+    ids=["radius-0", "radius-negative", "budget-negative", "gtol-negative", "gtol-nan",
+         "w-eta-monodomain", "mask-empty", "mask-wrong-size", "mask-one-node-bidomain"],
 )
 def test_control_problem_rejects_bad_fields(kind, fields, cost, names):
     g = Grid((9,), (1.0,), 0.4, 4)
@@ -159,7 +161,7 @@ def test_control_problem_rejects_bad_fields(kind, fields, cost, names):
 def test_control_problem_accepts_its_edge_values():
     g = Grid((9,), (1.0,), 0.4, 4)
     one_node = CostConfig(mask=np.eye(9)[4])
-    ControlProblem(config=make_problem(g), cost=one_node, radius=1e-9, budget=0)
+    ControlProblem(config=make_problem(g), cost=one_node, radius=1e-9, budget=0, gtol=0.0)
     two_nodes = CostConfig(w_eta=0.5, mask=np.eye(9)[3] + np.eye(9)[4])
     ControlProblem(config=make_problem(g, kind="bidomain"), cost=two_nodes)
 

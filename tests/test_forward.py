@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,29 @@ def test_monodomain_matches_pointwise_recursion():
         phi = phi_new
         assert np.allclose(res.phi_tr.data[k + 1], phi, atol=1e-8)
         assert np.allclose(res.w.data[k + 1], w, atol=1e-8)
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, 1.0, float("nan")])
+@pytest.mark.parametrize("name", ["cg_tol", "inner_tol"])
+def test_problem_config_rejects_a_tolerance_outside_0_1(grid1d, name, value):
+    with pytest.raises(ValueError, match=name):
+        make_problem(grid1d, **{name: value})
+
+
+@pytest.mark.parametrize(
+    "nodes, lengths", [((9, 9), (2.0, 5.0)), ((17, 17), (1.0, 1.0))], ids=["stretched", "finer"]
+)
+def test_problem_config_rejects_what_lives_on_another_grid(grid2d, nodes, lengths):
+    cfg = make_problem(grid2d)
+    other = Grid(nodes, lengths, grid2d.T, grid2d.n_steps)
+    with pytest.raises(ValueError, match="ops lives on a different grid"):
+        replace(cfg, ops=build_operators(other, TensorField.isotropic(other, 1.0)))
+    for name in ("phi0", "w0"):
+        with pytest.raises(ValueError, match=f"{name} lives on a different grid"):
+            replace(cfg, **{name: ScalarField.zeros(other)})
+    # an equal grid that is another object is the same grid
+    same = Grid(grid2d.nodes_per_axis, grid2d.lengths, grid2d.T, grid2d.n_steps)
+    replace(cfg, ops=build_operators(same, TensorField.isotropic(same, 1.0)))
 
 
 def test_gating_reintegration_reproduces_stored_w(grid1d):

@@ -136,6 +136,12 @@ def test_snapshot_roundtrip(tmp_path):
     assert np.array_equal(frames, s.data)
 
 
+def test_snapshot_of_a_batch_rejected(tmp_path):
+    g = Grid((4,), (1.0,), 1.0, 2)
+    with pytest.raises(ValueError, match="write_snapshots"):
+        write_snapshots(tmp_path / "b.bdmf", FieldSeries.zeros(g, (2,)))
+
+
 def test_snapshot_magic_rejected(tmp_path):
     path = tmp_path / "junk.bdmf"
     path.write_bytes(b"NOPE" + bytes(28))

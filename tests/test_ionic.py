@@ -26,12 +26,8 @@ def test_param_validation():
         IonicParams("ap", eps=-1.0)
     with pytest.raises(ValueError):
         IonicParams("hodgkin")
-
-
-def test_kind_aliases():
-    assert IonicParams("fitzhugh-nagumo").kind == "fhn"
-    assert IonicParams("rogers-mcculloch").kind == "rm"
-    assert IonicParams("aliev-panfilov").kind == "ap"
+    with pytest.raises(ValueError):
+        IonicParams("fitzhugh-nagumo")  # one name per model: fhn
 
 
 def test_current_frozen_values():

@@ -13,9 +13,6 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize(
     "argv",
     [
-        ["optimize_demo.py", "--nodes", "17", "--steps", "10", "--budget", "3"],
-        ["convergence_table.py", "--levels", "2"],
-        ["stability_sweep.py", "--nodes", "17", "--steps", "10"],
         ["solver_iterations.py", "--nodes", "9,17"],
         ["solver_iterations.py", "--dim", "3", "--nodes", "5"],
     ],

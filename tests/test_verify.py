@@ -139,9 +139,7 @@ def test_convergence_orders():
 
 
 @pytest.mark.parametrize(
-    "kwargs, name",
-    [({"spatial_levels": 1}, "spatial_levels"), ({"temporal_levels": 2}, "temporal_levels")],
-    ids=["spatial", "temporal"],
+    "kwargs, name", [({"spatial_levels": 1}, "spatial_levels")], ids=["spatial"]
 )
 def test_convergence_study_needs_levels_for_one_order(kwargs, name):
     with pytest.raises(ValueError, match=name):
