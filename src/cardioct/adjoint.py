@@ -51,7 +51,7 @@ import numpy as np
 
 from . import grid as gridmod
 from .assembly import solve_coupled_step, solve_neumann_frames
-from .grid import FieldSeries, NormReport
+from .grid import FieldSeries
 from .ionic import d_i_ion, midpoint_source_slope
 from .linalg import cg_solve
 
@@ -98,7 +98,7 @@ class CostConfig:
 class AdjointResult:
     p1: FieldSeries
     p3: FieldSeries
-    report: NormReport
+    report: dict
     p2: FieldSeries | None = None
     psi_eta: FieldSeries | None = None
 
@@ -208,22 +208,23 @@ def run_adjoint(config, traj, cost, *, report=True):
             A, precond = system
             p1.data[k] = cg_solve(A, rhs, tol=config.cg_tol, precond=precond, x0=p1_next)
 
-    rep = adjoint_report(config, p1, p3, p2, cost_partials(cost, traj)) if report else NormReport()
+    rep = adjoint_report(config, p1, p3, p2, cost_partials(cost, traj)) if report else {}
     return AdjointResult(p1=p1, p3=p3, report=rep, p2=p2, psi_eta=psi_eta)
 
 
 def adjoint_report(config, p1, p3, p2, partials):
-    """Norm bundle for the adjoint energy estimate."""
-    rep = NormReport()
-    rep["C0_L2_p1"] = gridmod.bochner_norm(p1, np.inf, "L2")
+    """Norm bundle for the adjoint energy estimate, as ``{name: float}``."""
     h1_p1 = gridmod.h1_frame_norms(p1)
-    rep["L2_H1_p1"] = gridmod.time_norm(p1.grid, h1_p1, 2)
-    rep["L4_H1_p1"] = gridmod.time_norm(p1.grid, h1_p1, 4)
-    rep["C0_L2_p3"] = gridmod.bochner_norm(p3, np.inf, "L2")
+    rep = {
+        "C0_L2_p1": gridmod.bochner_norm(p1, np.inf, "L2"),
+        "L2_H1_p1": gridmod.time_norm(p1.grid, h1_p1, 2),
+        "L4_H1_p1": gridmod.time_norm(p1.grid, h1_p1, 4),
+        "C0_L2_p3": gridmod.bochner_norm(p3, np.inf, "L2"),
+    }
     if p2 is not None:
         rep["L2_H1_p2"] = gridmod.bochner_norm(p2, 2, "H1")
     for name, r in zip(("r_phi", "r_eta", "r_w"), partials):
         rep[f"L2_L2_{name}"] = (
             0.0 if r is None else gridmod.bochner_norm(FieldSeries(p1.grid, r), 2, "L2")
         )
-    return rep.check()
+    return gridmod.checked_norms(rep)

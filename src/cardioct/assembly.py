@@ -23,8 +23,9 @@ faults in once and the adds and copies land on resident pages.
 Out-of-grid entries keep that zero.  The stiffness matrices stay DIA
 (sums, scalings and products keep the format), and so does
 K_ie = K_i + K_e.  The mass matrix is lumped to the tensor-trapezoid
-weights, which is the row-sum lumping of the consistent element mass
-and keeps the operator algebra consistent with ``grid.integrate``.
+weights (``Grid.weights``), which is the row-sum lumping of the
+consistent element mass and keeps the operator algebra consistent with
+the grid's quadrature.
 
 One bidomain step is the coupled block system
 
@@ -78,7 +79,6 @@ __all__ = [
     "SystemOperators",
     "ellipticity_check",
     "assemble_stiffness",
-    "assemble_mass",
     "build_operators",
     "solve_neumann",
     "solve_neumann_frames",
@@ -244,11 +244,6 @@ def _constant_diagonal(tensor):
     return not (cell - np.diag(np.diag(cell))).any()
 
 
-def assemble_mass(grid):
-    """Lumped mass diagonal (equals the quadrature weights)."""
-    return grid.weights.copy()
-
-
 @dataclass
 class SystemOperators:
     """Assembled operators for one conductivity configuration.
@@ -358,8 +353,11 @@ def build_operators(grid, mi, me=None, lam=1.0):
 
     Each tensor is checked and assembled once; K_ie is the sum of the
     two stiffness matrices, which is the stiffness of mi + me, summed
-    in DIA.
+    in DIA.  The lumped mass is a copy of the quadrature weights.  The
+    conductivity ratio ``lam`` must be positive (ValueError).
     """
+    if not lam > 0:
+        raise ValueError(f"lam must be positive, not {lam}")
     K_i = assemble_stiffness(grid, mi)
     K_e = K_ie = None
     if me is not None:
@@ -367,7 +365,7 @@ def build_operators(grid, mi, me=None, lam=1.0):
         K_ie = K_i + K_e
     return SystemOperators(
         grid=grid,
-        mass=assemble_mass(grid),
+        mass=grid.weights.copy(),
         K_i=K_i,
         lam=float(lam),
         K_e=K_e,
@@ -442,19 +440,13 @@ def solve_neumann_frames(ops, load, out, *, tol):
         out[index] = solve_neumann(ops, load(index).T, tol=tol).T
 
 
-def bidomain_elliptic_solve(ops, load, *, nodal=True, tol=1e-11):
+def bidomain_elliptic_solve(ops, load, *, tol=1e-11):
     """Solve K_ie phi_e = load with zero-flux boundaries and zero-mean gauge.
 
-    ``load`` is a nodal field (functional values; paired through the
-    lumped weights) unless ``nodal=False``, in which case it is already
-    an assembled load vector.  An array load may be an (n, m) block of
-    loads as columns.  See ``solve_neumann``.
+    ``load`` is an assembled load vector or an (n, m) block of loads as
+    columns.  See ``solve_neumann``.
     """
-    lv = _values(load)
-    if nodal:
-        lv = (ops.mass * lv.T).T
-    x = solve_neumann(ops, lv, tol=tol)
-    return ScalarField(ops.grid, x) if isinstance(load, ScalarField) else x
+    return solve_neumann(ops, load, tol=tol)
 
 
 def reduced_rhs_S(ops, I_i, I_e, *, tol=1e-11):
@@ -467,7 +459,7 @@ def reduced_rhs_S(ops, I_i, I_e, *, tol=1e-11):
     block row carries the lift.
     """
     ii, ie = _values(I_i), _values(I_e)
-    psibar = bidomain_elliptic_solve(ops, ii + ie, nodal=True, tol=tol)
+    psibar = bidomain_elliptic_solve(ops, ops.mass * (ii + ie), tol=tol)
     return ops.mass * ii - ops.K_i @ psibar
 
 

@@ -64,13 +64,21 @@ class ConfigError(ValueError):
 # config schema: (section, key) -> (default, parser)
 
 
+def _float(s):
+    """A finite float: nan and inf are config mistakes."""
+    value = float(s)
+    if not np.isfinite(value):
+        raise ValueError("need a finite number")
+    return value
+
+
 def _list(kind):
     """A comma or space separated list of ``kind`` values, as a tuple."""
     return lambda s: tuple(kind(p) for p in s.replace(",", " ").split())
 
 
 def _scales(s):
-    scales = _list(float)(s)
+    scales = _list(_float)(s)
     if not scales or not all(v > 0 for v in scales):
         raise ValueError("need a non-empty list of positive numbers")
     return scales
@@ -90,55 +98,59 @@ def _optional(parse):
 DEFAULTS = {
     ("grid", "dim"): (1, int),
     ("grid", "nodes"): ((33,), _list(int)),
-    ("grid", "lengths"): ((1.0,), _list(float)),
-    ("grid", "t_final"): (1.0, float),
+    ("grid", "lengths"): ((1.0,), _list(_float)),
+    ("grid", "t_final"): (1.0, _float),
     ("grid", "steps"): (50, int),
     ("model", "kind"): ("rm", str.strip),
-    ("model", "a"): (0.13, float),
-    ("model", "b"): (1.0, float),
-    ("model", "kappa"): (4.0, float),
-    ("model", "eps"): (0.01, float),
+    ("model", "a"): (0.13, _float),
+    ("model", "b"): (1.0, _float),
+    ("model", "kappa"): (4.0, _float),
+    ("model", "eps"): (0.01, _float),
     ("system", "kind"): ("monodomain", str.strip),
-    ("system", "lambda"): (1.0, float),
-    ("system", "mi"): ((1.0,), _list(float)),
-    ("system", "me"): (None, _optional(_list(float))),
-    ("stimulus", "phi0_amplitude"): (0.0, float),
-    ("stimulus", "phi0_center"): ((0.5,), _list(float)),
-    ("stimulus", "phi0_width"): (0.15, float),
-    ("stimulus", "ii_amplitude"): (0.0, float),
-    ("stimulus", "ii_center"): ((0.5,), _list(float)),
-    ("stimulus", "ii_width"): (0.15, float),
-    ("stimulus", "ii_t0"): (0.0, float),
-    ("stimulus", "ii_t1"): (0.5, float),
-    ("stimulus", "ie_amplitude"): (0.0, float),
-    ("stimulus", "ie_center"): ((0.5,), _list(float)),
-    ("stimulus", "ie_width"): (0.15, float),
-    ("stimulus", "ie_t0"): (0.0, float),
-    ("stimulus", "ie_t1"): (0.5, float),
+    ("system", "lambda"): (1.0, _float),
+    ("system", "mi"): ((1.0,), _list(_float)),
+    ("system", "me"): (None, _optional(_list(_float))),
+    ("stimulus", "phi0_amplitude"): (0.0, _float),
+    ("stimulus", "phi0_center"): ((0.5,), _list(_float)),
+    ("stimulus", "phi0_width"): (0.15, _float),
+    ("stimulus", "ii_amplitude"): (0.0, _float),
+    ("stimulus", "ii_center"): ((0.5,), _list(_float)),
+    ("stimulus", "ii_width"): (0.15, _float),
+    ("stimulus", "ii_t0"): (0.0, _float),
+    ("stimulus", "ii_t1"): (0.5, _float),
+    ("stimulus", "ie_amplitude"): (0.0, _float),
+    ("stimulus", "ie_center"): ((0.5,), _list(_float)),
+    ("stimulus", "ie_width"): (0.15, _float),
+    ("stimulus", "ie_t0"): (0.0, _float),
+    ("stimulus", "ie_t1"): (0.5, _float),
     ("stimulus", "profile"): ("smooth", str.strip),
-    ("cost", "mu"): (0.01, float),
-    ("cost", "w_phi"): (1.0, float),
-    ("cost", "w_eta"): (0.0, float),
-    ("cost", "w_gate"): (0.0, float),
+    ("cost", "mu"): (0.01, _float),
+    ("cost", "w_phi"): (1.0, _float),
+    ("cost", "w_eta"): (0.0, _float),
+    ("cost", "w_gate"): (0.0, _float),
     ("cost", "target"): ("rest", str.strip),
     ("cost", "mask"): ("full", str.strip),
-    ("cost", "mask_lo"): ((0.0,), _list(float)),
-    ("cost", "mask_hi"): ((1.0,), _list(float)),
+    ("cost", "mask_lo"): ((0.0,), _list(_float)),
+    ("cost", "mask_hi"): ((1.0,), _list(_float)),
     ("optimize", "budget"): (30, int),
-    ("optimize", "radius"): (None, _optional(float)),
-    ("optimize", "gtol"): (1e-6, float),
-    ("solver", "cg_tol"): (1e-10, float),
-    ("solver", "inner_tol"): (1e-11, float),
+    ("optimize", "radius"): (None, _optional(_float)),
+    ("optimize", "gtol"): (1e-6, _float),
+    ("solver", "cg_tol"): (1e-10, _float),
+    ("solver", "inner_tol"): (1e-11, _float),
     ("verify", "scales"): ((0.25, 0.5, 1.0, 2.0), _scales),
     ("verify", "levels"): (3, _levels),
-    ("verify", "direction_amplitude"): (1.0, float),
+    ("verify", "direction_amplitude"): (1.0, _float),
 }
 
 
 def parse_config(path):
     """A flat INI run configuration as a ``{(section, key): value}`` dict with every key."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        # some of these messages span lines; the error line is one line
+        raise ConfigError(" ".join(str(exc).split())) from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     values = {key: default for key, (default, _) in DEFAULTS.items()}
@@ -320,6 +332,12 @@ def _finish(out, command, lines, message, verdict=None, after=()):
     return 0 if verdict in (None, "PASS") else 4
 
 
+def _format_norms(norms):
+    """A norm report as ``name = value`` lines, the names padded to one width."""
+    width = max(len(k) for k in norms)
+    return "".join(f"{k.ljust(width)} = {v:.12e}\n" for k, v in norms.items())
+
+
 def cmd_simulate(rc, args, out):
     problem = build_problem(rc)
     res = run_forward(problem)
@@ -328,7 +346,7 @@ def cmd_simulate(rc, args, out):
     if res.phi_e is not None:
         write_snapshots(out / "phi_e.bdmf", res.phi_e)
     export_csv(res.phi_tr.frame(res.phi_tr.n_frames - 1), out / "phi_tr_final.csv")
-    (out / "norms.txt").write_text(res.report.format() + "\n")
+    (out / "norms.txt").write_text(_format_norms(res.report))
     lines = [
         f"system = {problem.kind}",
         f"model = {problem.ionic.kind}",
@@ -349,7 +367,7 @@ def cmd_adjoint(rc, args, out):
     write_snapshots(out / "p3.bdmf", adj.p3)
     if adj.p2 is not None:
         write_snapshots(out / "p2.bdmf", adj.p2)
-    (out / "adjoint_norms.txt").write_text(adj.report.format() + "\n")
+    (out / "adjoint_norms.txt").write_text(_format_norms(adj.report))
     lines = [f"system = {cp.config.kind}"]
     lines += [f"norm.{k} = {v:.12e}" for k, v in adj.report.items()]
     return _finish(out, "adjoint", lines, f"wrote {out}/p1.bdmf")

@@ -46,12 +46,11 @@ class LineSearchStagnation(RuntimeError):
 class ControlProblem:
     """A tracking problem plus optimizer knobs.
 
-    ``config.I_e`` serves as the initial control unless the optimizer
-    is handed one explicitly.  ``radius`` bounds each frame's L2 norm
-    (None = unconstrained).  A radius that is not positive, a negative
-    budget, a negative or NaN ``gtol``, an eta-tracking cost on a
-    monodomain run and a mask that does not fit the grid or leaves no
-    control raise ValueError.
+    ``config.I_e`` is the initial control of the optimizer.  ``radius``
+    bounds each frame's L2 norm (None = unconstrained).  A radius that
+    is not positive, a negative budget, a negative or NaN ``gtol``, an
+    eta-tracking cost on a monodomain run and a mask that does not fit
+    the grid or leaves no control raise ValueError.
     """
 
     config: ProblemConfig
@@ -242,22 +241,21 @@ def random_admissible_direction(problem, rng):
     return d
 
 
-def projected_gradient_descent(problem, I0=None):
+def projected_gradient_descent(problem):
     """Spectral projected gradient descent on the reduced cost.
 
-    Starts from ``I0`` (default: the problem's I_e) projected onto the
-    admissible set.  Each iteration's backtracking starts at the
-    Barzilai-Borwein step <s,s>/<s,y> (1.0 on the first pass, clamped
-    to [1e-8, 1e8]) and halves until the Armijo condition with slope c
-    holds; running out of halvings raises LineSearchStagnation.  s is
-    the last accepted step and y the change of the gradient over it.
-    Stops on the relative decrease test, the gradient test
-    ||g|| <= gtol (1 + ||g0||), or the iteration budget.  The recorded
-    J history is non-increasing.  ``I0`` is left as it is.
+    Starts from the problem's I_e projected onto the admissible set.
+    Each iteration's backtracking starts at the Barzilai-Borwein step
+    <s,s>/<s,y> (1.0 on the first pass, clamped to [1e-8, 1e8]) and
+    halves until the Armijo condition with slope c holds; running out
+    of halvings raises LineSearchStagnation.  s is the last accepted
+    step and y the change of the gradient over it.  Stops on the
+    relative decrease test, the gradient test ||g|| <= gtol (1 + ||g0||),
+    or the iteration budget.  The recorded J history is non-increasing.
+    The problem's I_e is left as it is.
     """
-    I0 = I0 if I0 is not None else problem.config.I_e
-    I0.require_unbatched("projected_gradient_descent")
-    I = project_admissible(I0, problem)
+    problem.config.I_e.require_unbatched("projected_gradient_descent")
+    I = project_admissible(problem.config.I_e, problem)
     J, traj = simulate(problem, I)
     history = []
     g0_norm = None

@@ -63,7 +63,7 @@ from .assembly import (
     solve_coupled_step,
     solve_neumann_frames,
 )
-from .grid import FieldSeries, Grid, NormReport, ScalarField
+from .grid import FieldSeries, Grid, ScalarField
 from .ionic import IonicParams, gating_exact_update, i_ion
 from .linalg import cg_solve
 
@@ -79,14 +79,12 @@ class ProblemConfig:
     """Everything a forward run needs.
 
     I_i and I_e are data/control series with n_steps + 1 frames; the
-    dynamics read frames 0..n_steps-1 (each acts over one step).  For
-    bidomain runs the compatibility of I_i + I_e is enforced framewise
-    unless ``enforce_compatibility`` is switched off, in which case
-    incompatible data raises CompatibilityError in the elliptic solves.
-    The operators and every field and series must live on ``grid``, and
-    the solver tolerances ``cg_tol`` and ``inner_tol`` in (0, 1); a
-    config that breaks either raises ValueError.
-    ``no_reaction`` freezes the ionic current and recovery variable
+    dynamics read frames 0..n_steps-1 (each acts over one step).  A
+    bidomain run makes I_i + I_e compatible framewise by shifting I_e
+    (``compatibility_enforce``).  The operators and every field and
+    series must live on ``grid``, and the solver tolerances ``cg_tol``
+    and ``inner_tol`` in (0, 1); a config that breaks either raises
+    ValueError.  ``no_reaction`` freezes the ionic current and recovery variable
     (pure diffusion), used by the convergence harness.  I_i and I_e may
     carry one leading batch axis between them (``batch_shape``); the
     run then integrates every member at once.
@@ -102,7 +100,6 @@ class ProblemConfig:
     I_e: FieldSeries
     cg_tol: float = 1e-10
     inner_tol: float = 1e-11
-    enforce_compatibility: bool = True
     no_reaction: bool = False
 
     def __post_init__(self):
@@ -141,12 +138,12 @@ class ProblemConfig:
 class ForwardResult:
     phi_tr: FieldSeries
     w: FieldSeries
-    report: NormReport
+    report: dict
     phi_e: FieldSeries | None = None
     I_e_used: FieldSeries | None = None
 
     def member(self, i):
-        """Member i of a batched run as an unbatched result with no report.
+        """Member i of a batched run as an unbatched result with an empty report.
 
         Every series is copied, so the result does not keep the batch
         alive; a series without a batch axis is shared by all members.
@@ -161,7 +158,7 @@ class ForwardResult:
         return ForwardResult(
             phi_tr=pick(self.phi_tr),
             w=pick(self.w),
-            report=NormReport(),
+            report={},
             phi_e=pick(self.phi_e),
             I_e_used=pick(self.I_e_used),
         )
@@ -200,7 +197,7 @@ def recover_phi_e(config, phi_tr, k):
     ops = config.ops
     currents = config.I_i.data[..., k, :] + config.I_e.data[..., k, :]
     load = ops.mass * currents - (ops.K_i @ phi_tr.T).T
-    return bidomain_elliptic_solve(ops, load.T, nodal=False, tol=config.inner_tol).T
+    return bidomain_elliptic_solve(ops, load.T, tol=config.inner_tol).T
 
 
 def _current_lifts(config, out):
@@ -263,7 +260,7 @@ def run_forward(config, *, report=True):
         for series in (config.I_i, config.I_e):
             series.require_unbatched("run_forward(report=True)")
 
-    if bidomain and config.enforce_compatibility:
+    if bidomain:
         config = replace(config, I_e=compatibility_enforce(g, config.I_i, config.I_e))
 
     phi_e = None
@@ -297,12 +294,12 @@ def run_forward(config, *, report=True):
         else:
             w.data[..., k + 1, :] = gating_exact_update(config.ionic, w_k, phi_k, phi_next, g.dt)
 
-    rep = forward_report(config, phi, w, phi_e) if report else NormReport()
+    rep = forward_report(config, phi, w, phi_e) if report else {}
     return ForwardResult(phi_tr=phi, w=w, report=rep, phi_e=phi_e, I_e_used=config.I_e)
 
 
 def forward_report(config, phi, w, phi_e=None):
-    """Trajectory norm bundle for the energy estimates.
+    """Trajectory norm bundle for the energy estimates, as ``{name: float}``.
 
     Includes the C0-in-time L2 norms, the L2-in-time H1 norm, the
     space-time L4 norm, the L4-in-time H1 monitor, and dual-norm rates
@@ -310,7 +307,7 @@ def forward_report(config, phi, w, phi_e=None):
 
     The L2 and L4 norms of phi come from one squared series.  The H1
     and dual norms come from one batched DCT-I per series
-    (``Grid.coefficients``).  The coefficients are linear in the frames,
+    (``SpectralBasis.coefficients``).  The coefficients are linear in the frames,
     so a rate's coefficients are the differences of the frames'
     coefficients divided by dt.
     """
@@ -321,22 +318,23 @@ def forward_report(config, phi, w, phi_e=None):
     sq *= sq
     l4_phi = (sq @ g.weights) ** 0.25
     del sq  # keeps it out of the peak of the transforms below
-    c_phi = g.coefficients(phi.data)
+    c_phi = g.spectral.coefficients(phi.data)
     h1_phi = gridmod.coefficient_norms(c_phi, g.h1_weights)
     dphi = _rate_norms(g, c_phi)
     del c_phi  # frees its series before the transform of w
-    dw = _rate_norms(g, g.coefficients(w.data))
-    rep = NormReport()
-    rep["C0_L2_phi"] = gridmod.time_norm(g, l2_phi, np.inf)
-    rep["L2_H1_phi"] = gridmod.time_norm(g, h1_phi, 2)
-    rep["L4_OmegaT_phi"] = gridmod.time_norm(g, l4_phi, 4)
-    rep["L4_H1_phi"] = gridmod.time_norm(g, h1_phi, 4)
-    rep["C0_L2_w"] = gridmod.bochner_norm(w, np.inf, "L2")
-    rep["L43_dual_dphi_dt"] = float((dt * np.sum(dphi ** (4.0 / 3.0))) ** 0.75)
-    rep["L2_dual_dw_dt"] = float(np.sqrt(dt * np.sum(dw**2)))
+    dw = _rate_norms(g, g.spectral.coefficients(w.data))
+    rep = {
+        "C0_L2_phi": gridmod.time_norm(g, l2_phi, np.inf),
+        "L2_H1_phi": gridmod.time_norm(g, h1_phi, 2),
+        "L4_OmegaT_phi": gridmod.time_norm(g, l4_phi, 4),
+        "L4_H1_phi": gridmod.time_norm(g, h1_phi, 4),
+        "C0_L2_w": gridmod.bochner_norm(w, np.inf, "L2"),
+        "L43_dual_dphi_dt": float((dt * np.sum(dphi ** (4.0 / 3.0))) ** 0.75),
+        "L2_dual_dw_dt": float(np.sqrt(dt * np.sum(dw**2))),
+    }
     if phi_e is not None:
         rep["L2_H1_phie"] = gridmod.bochner_norm(phi_e, 2, "H1")
-    return rep.check()
+    return gridmod.checked_norms(rep)
 
 
 def _rate_norms(grid, coeffs):

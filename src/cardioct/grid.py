@@ -1,11 +1,11 @@
-"""Structured space-time grids, nodal fields, norms, and snapshot I/O.
+"""Structured space-time grids, nodal fields, norms, and snapshot output.
 
 Everything lives on axis-aligned tensor-product grids (1-D intervals,
 2-D rectangles, 3-D boxes) with a uniform time axis.  Spatial integrals
 use the tensor-trapezoid rule; its weights double as the lumped mass
-matrix, so ``integrate``, the Lp norms and the mass operator all agree
-on what volume means.  Time integrals in the Bochner norms use the
-trapezoid rule over the stored frames.
+matrix, so the L2 norms and the mass operator agree on what volume
+means.  Time integrals in the Bochner norms use the trapezoid rule
+over the stored frames.
 
 The H1 norm is the lumped L2 part plus a cell-difference quadrature
 of |grad u|^2.  The dual norm is a discrete surrogate for the
@@ -13,8 +13,8 @@ of |grad u|^2.  The dual norm is a discrete surrogate for the
 measured against the Riesz operator K + M (identity-tensor stiffness
 plus lumped mass).  Both are diagonal in the grid's DCT-I basis
 (``Grid.spectral``), so they are weighted sums of squares of the
-coefficients V^T W x (``Grid.coefficients``), read off one batched
-transform of all frames of a series with no linear solve.  The
+coefficients V^T W x (``SpectralBasis.coefficients``), read off one
+batched transform of all frames of a series with no linear solve.  The
 trapezoid weights are separable, so that transform carries them in its
 per-axis cosine matrices and reads each series once.
 """
@@ -22,7 +22,7 @@ per-axis cosine matrices and reads each series once.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -80,10 +80,6 @@ class Grid:
     @property
     def dim(self):
         return len(self.nodes_per_axis)
-
-    @property
-    def shape(self):
-        return self.nodes_per_axis
 
     @cached_property
     def h(self):
@@ -160,15 +156,6 @@ class Grid:
         lam = basis.stiffness_eigenvalues((1.0,) * self.dim)
         return (1.0 / (basis._norms * (1.0 + lam))).ravel()
 
-    def coefficients(self, data):
-        """DCT-I coefficients V^T W x of each row of ``data`` (one field or a stack).
-
-        One transform with the trapezoid weights folded into its cosine
-        matrices (``SpectralBasis.coefficients``): no weighted copy of
-        ``data`` is made.
-        """
-        return self.spectral.coefficients(data)
-
 
 REFINEMENT = 2
 
@@ -206,16 +193,9 @@ class ScalarField:
         return cls(grid, np.zeros(grid.n_nodes))
 
     @classmethod
-    def constant(cls, grid, value):
-        return cls(grid, np.full(grid.n_nodes, float(value)))
-
-    @classmethod
     def from_function(cls, grid, fn):
         """Evaluate ``fn(x)``, ``fn(x, y)`` or ``fn(x, y, z)`` at the nodes."""
         return cls(grid, np.asarray(fn(*grid.meshgrid), dtype=float).ravel())
-
-    def copy(self):
-        return ScalarField(self.grid, self.values.copy())
 
 
 @dataclass
@@ -342,57 +322,22 @@ class TensorField:
     __rmul__ = __mul__
 
 
-@dataclass
-class NormReport:
-    """Named nonnegative norm values from a forward or adjoint run."""
-
-    norms: dict[str, float] = field(default_factory=dict)
-
-    def __getitem__(self, key):
-        return self.norms[key]
-
-    def __setitem__(self, key, value):
-        self.norms[key] = float(value)
-
-    def __contains__(self, key):
-        return key in self.norms
-
-    def items(self):
-        return self.norms.items()
-
-    def check(self):
-        for key, value in self.norms.items():
-            if not np.isfinite(value) or value < 0:
-                raise ValueError(f"norm {key} = {value} is not a finite nonnegative value")
-        return self
-
-    def format(self):
-        width = max((len(k) for k in self.norms), default=0)
-        return "\n".join(f"{k.ljust(width)} = {v:.12e}" for k, v in self.norms.items())
-
-
 # ---------------------------------------------------------------------------
-# quadrature and norms
+# norms
 
 
-def integrate(fld):
-    """Lumped (tensor-trapezoid) integral of a nodal field."""
-    return float(fld.grid.weights @ fld.values)
+def checked_norms(norms):
+    """``norms``, a ``{name: float}`` report, after checking each value is finite and >= 0."""
+    for key, value in norms.items():
+        if not np.isfinite(value) or value < 0:
+            raise ValueError(f"norm {key} = {value} is not a finite nonnegative value")
+    return norms
 
 
-def lp_norm(fld, p):
-    """Lumped L^p norm, p in {1, 2, 4, inf}."""
+def l2_norm(fld):
+    """Lumped L^2 norm of a nodal field."""
     v = fld.values
-    if p == np.inf:
-        return float(np.max(np.abs(v)))
-    if p not in (1, 2, 4):
-        raise ValueError(f"unsupported exponent p={p}")
-    if p == 1:
-        return float(fld.grid.weights @ np.abs(v))
-    if p == 2:
-        return float(np.sqrt(fld.grid.weights @ (v * v)))
-    v2 = v * v
-    return float((fld.grid.weights @ (v2 * v2)) ** 0.25)
+    return float(np.sqrt(fld.grid.weights @ (v * v)))
 
 
 def coefficient_norms(coeffs, weights):
@@ -400,7 +345,7 @@ def coefficient_norms(coeffs, weights):
 
     With ``Grid.h1_weights`` this is the H^1 norm, with
     ``Grid.dual_weights`` the dual norm, of each field the rows of
-    ``coeffs`` were computed from by ``Grid.coefficients``.
+    ``coeffs`` were computed from by ``SpectralBasis.coefficients``.
     """
     return np.sqrt((coeffs * coeffs) @ weights)
 
@@ -409,32 +354,26 @@ def _l2_frames(series):
     return np.sqrt((series.data * series.data) @ series.grid.weights)
 
 
-def _l4_frames(series):
-    sq = series.data * series.data
-    sq *= sq
-    return (sq @ series.grid.weights) ** 0.25
-
-
 def h1_frame_norms(series):
     """H^1 norm of every frame of a series from one batched transform."""
     g = series.grid
-    return coefficient_norms(g.coefficients(series.data), g.h1_weights)
+    return coefficient_norms(g.spectral.coefficients(series.data), g.h1_weights)
 
 
 def dual_frame_norms(series):
     """Dual norm of every frame of a series from one batched transform."""
     g = series.grid
-    return coefficient_norms(g.coefficients(series.data), g.dual_weights)
+    return coefficient_norms(g.spectral.coefficients(series.data), g.dual_weights)
 
 
-_FRAME_NORMS = {"L2": _l2_frames, "L4": _l4_frames, "H1": h1_frame_norms}
+_FRAME_NORMS = {"L2": _l2_frames, "H1": h1_frame_norms}
 
 
 def time_norm(grid, per_frame, p_time):
     """Time-Lp norm (trapezoid weights) or, for p_time = inf, max of per-frame values."""
     if p_time == np.inf:
         return float(np.max(per_frame))
-    if p_time not in (1, 2, 4):
+    if p_time not in (2, 4):
         raise ValueError(f"unsupported time exponent {p_time}")
     tw = time_weights(grid)
     return float((tw @ per_frame**p_time) ** (1.0 / p_time))
@@ -443,9 +382,9 @@ def time_norm(grid, per_frame, p_time):
 def bochner_norm(series, p_time, spatial):
     """Time-Lp norm of a spatial norm over the frames of a series.
 
-    ``spatial`` is "L2", "L4" or "H1", each evaluated for all frames in
-    one vectorised pass (H1 through one batched DCT-I).  ``p_time`` is
-    1, 2, 4 or inf.  Finite p uses trapezoid weights in time, inf takes
+    ``spatial`` is "L2" or "H1", each evaluated for all frames in one
+    vectorised pass (H1 through one batched DCT-I).  ``p_time`` is 2, 4
+    or inf.  Finite p uses trapezoid weights in time, inf takes
     the max over frames (the discrete C^0 norm).
     """
     return time_norm(series.grid, _FRAME_NORMS[spatial](series), p_time)
@@ -461,11 +400,11 @@ def dual_norm(fld):
     sqrt(sum c^2 / (N (1 + lam))) (``Grid.dual_weights``), with no solve.
     """
     g = fld.grid
-    return float(coefficient_norms(g.coefficients(fld.values), g.dual_weights))
+    return float(coefficient_norms(g.spectral.coefficients(fld.values), g.dual_weights))
 
 
 # ---------------------------------------------------------------------------
-# snapshot I/O
+# snapshot output
 
 
 def write_snapshots(path, series):
@@ -482,30 +421,6 @@ def write_snapshots(path, series):
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(series.data, dtype="<f8").tobytes())
-
-
-def read_snapshots(path):
-    """Read a snapshot file; returns (dim, nodes_per_axis, frames array).
-
-    The header carries no physical lengths or time horizon, so the
-    caller re-attaches geometry; frames come back with shape
-    (n_frames, n_nodes).
-    """
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise ValueError(f"{path}: truncated snapshot header")
-        magic, version, dim, n0, n1, n2, n_frames = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        npa = (n0, n1, n2)[:dim]
-        n_nodes = int(np.prod(npa))
-        raw = np.frombuffer(fh.read(8 * n_frames * n_nodes), dtype="<f8")
-        if raw.size != n_frames * n_nodes:
-            raise ValueError(f"{path}: truncated snapshot payload")
-    return dim, npa, raw.reshape(n_frames, n_nodes).astype(float)
 
 
 def export_csv(fld, path):

@@ -240,6 +240,6 @@ def reference_coefficients(K, grid):
         # x_a at every node, C order, from its axis vector alone
         along = [1] * grid.dim
         along[a] = -1
-        x = np.broadcast_to(x.reshape(along), grid.shape).ravel()
+        x = np.broadcast_to(x.reshape(along), grid.nodes_per_axis).ravel()
         out.append(float(x @ (K @ x)) / grid.measure)
     return tuple(out)

@@ -43,7 +43,7 @@ def gaussian_bump(grid, center, width, amplitude=1.0):
 def time_window(grid, t0, t1, profile="smooth"):
     """Per-frame weights: 0 outside [t0, t1]; smooth sin^2 arch or flat box inside."""
     t = grid.times
-    if t1 <= t0:
+    if not t1 > t0:  # also rejects a NaN bound, which would zero the window
         raise ValueError("need t1 > t0")
     inside = (t >= t0) & (t <= t1)
     w = np.zeros_like(t)

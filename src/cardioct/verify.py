@@ -48,7 +48,7 @@ from .grid import (
     Grid,
     ScalarField,
     TensorField,
-    lp_norm,
+    l2_norm,
     refined,
 )
 from .ionic import IonicParams
@@ -131,9 +131,7 @@ def stability_experiment(config, direction, scales):
     """Perturb the data by s * direction and compare energy vs. data norms.
 
     ``direction`` is a pair of FieldSeries (dI_i, dI_e).  Every scale
-    must be positive and the direction nonzero; the zero-perturbation
-    (uniqueness) probe is `identical_run_difference`, not a scale here.
-    The base run and the perturbed runs are one batched ``run_forward``.
+    must be positive and the direction nonzero.  The base run and the perturbed runs are one batched ``run_forward``.
     """
     dIi, dIe = direction
     if not (np.any(dIi.data) or np.any(dIe.data)):
@@ -177,19 +175,6 @@ def stability_experiment(config, direction, scales):
         spread=spread,
         stable=bool(np.isfinite(spread) and spread <= STABILITY_SPREAD_BOUND),
     )
-
-
-def identical_run_difference(config):
-    """Max pointwise difference between two runs of the same data (exactly 0)."""
-    a = run_forward(config, report=False)
-    b = run_forward(config, report=False)
-    diff = max(
-        float(np.max(np.abs(a.phi_tr.data - b.phi_tr.data))),
-        float(np.max(np.abs(a.w.data - b.w.data))),
-    )
-    if config.kind == "bidomain":
-        diff = max(diff, float(np.max(np.abs(a.phi_e.data - b.phi_e.data))))
-    return diff
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +308,8 @@ def apriori_check(result, config):
     I_e = result.I_e_used if result.I_e_used is not None else config.I_e
     rhs = (
         1.0
-        + lp_norm(config.phi0, 2) ** 2
-        + lp_norm(config.w0, 2) ** 2
+        + l2_norm(config.phi0) ** 2
+        + l2_norm(config.w0) ** 2
         + _series_dual_l2_sq(config.I_i)
         + _series_dual_l2_sq(I_e)
     )
@@ -377,7 +362,7 @@ def _spatial_study(levels):
         )
         res = run_forward(cfg, report=False)
         exact = np.exp(-SPATIAL_T) * np.cos(np.pi * g.coords[:, 0])
-        err = lp_norm(ScalarField(g, res.phi_tr.data[-1] - exact), 2)
+        err = l2_norm(ScalarField(g, res.phi_tr.data[-1] - exact))
         errors.append(err)
     orders = [float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)]
     return errors, orders
@@ -410,7 +395,7 @@ def _temporal_study():
         res = run_forward(cfg, report=False)
         finals.append(res.phi_tr.data[-1])
     errors = [
-        lp_norm(ScalarField(the_grid, finals[i] - finals[i + 1]), 2)
+        l2_norm(ScalarField(the_grid, finals[i] - finals[i + 1]))
         for i in range(len(finals) - 1)
     ]
     orders = [float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)]

@@ -1,3 +1,6 @@
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from cardioct import (
     TensorField,
     build_operators,
 )
-from cardioct import adjoint, assembly, forward, linalg
+from cardioct import adjoint, assembly, forward, linalg, run_forward
 from cardioct.grid import coefficient_norms
 from cardioct.stimuli import gaussian_bump, pulse_series
 
@@ -58,7 +61,55 @@ def h1_norm(fld):
     along the others (``Grid.h1_weights``).
     """
     g = fld.grid
-    return float(coefficient_norms(g.coefficients(fld.values), g.h1_weights))
+    return float(coefficient_norms(g.spectral.coefficients(fld.values), g.h1_weights))
+
+
+def integrate(fld):
+    """Lumped (tensor-trapezoid) integral of a nodal field."""
+    return float(fld.grid.weights @ fld.values)
+
+
+def constant_field(grid, value):
+    """The ScalarField holding ``value`` at every node."""
+    return ScalarField(grid, np.full(grid.n_nodes, float(value)))
+
+
+# The documented snapshot header (README, "Snapshot format"): magic,
+# version, dim, three per-axis node counts, frame count; little-endian.
+SNAPSHOT_HEADER = struct.Struct("<4s5IQ")
+
+
+def read_snapshots(path):
+    """Read a snapshot file as (dim, nodes_per_axis, frames), frames (n_frames, n_nodes).
+
+    Written from the documented layout, not from the writer's code, so
+    that a round trip checks the writer against the documentation.
+    Raises ValueError on a bad magic, version or length.
+    """
+    raw = Path(path).read_bytes()
+    if len(raw) < SNAPSHOT_HEADER.size:
+        raise ValueError(f"{path}: truncated snapshot header")
+    magic, version, dim, n0, n1, n2, n_frames = SNAPSHOT_HEADER.unpack_from(raw)
+    if magic != b"BDMF" or version != 1:
+        raise ValueError(f"{path}: bad magic {magic!r} or version {version}")
+    nodes = (n0, n1, n2)[:dim]
+    frames = np.frombuffer(raw[SNAPSHOT_HEADER.size :], dtype="<f8")
+    if frames.size != n_frames * int(np.prod(nodes)):
+        raise ValueError(f"{path}: truncated snapshot payload")
+    return dim, nodes, frames.reshape(n_frames, -1).astype(float)
+
+
+def identical_run_difference(config):
+    """Max pointwise difference between two runs of the same data (exactly 0)."""
+    a = run_forward(config, report=False)
+    b = run_forward(config, report=False)
+    diff = max(
+        float(np.max(np.abs(a.phi_tr.data - b.phi_tr.data))),
+        float(np.max(np.abs(a.w.data - b.w.data))),
+    )
+    if config.kind == "bidomain":
+        diff = max(diff, float(np.max(np.abs(a.phi_e.data - b.phi_e.data))))
+    return diff
 
 
 def snapshot(arrays):
@@ -74,7 +125,7 @@ def assert_unchanged(snapshot):
 
 def values_nd(fld):
     """The values of a ScalarField on the grid's node shape."""
-    return fld.values.reshape(fld.grid.shape)
+    return fld.values.reshape(fld.grid.nodes_per_axis)
 
 
 def random_spd(grid, rng):

@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from cardioct.adjoint import CostConfig, run_adjoint
-from cardioct.assembly import CompatibilityError, build_operators
+from cardioct.assembly import CompatibilityError, build_operators, solve_coupled_step
 from cardioct.control import (
     ControlProblem,
     control_norm,
     projected_gradient_descent,
 )
 from cardioct.forward import ProblemConfig, run_forward
-from cardioct.grid import FieldSeries, Grid, ScalarField, TensorField, integrate, refined
+from cardioct.grid import FieldSeries, Grid, ScalarField, TensorField, refined
 from cardioct.ionic import (
     IonicParams,
     d_i_ion,
@@ -35,7 +35,7 @@ from cardioct.verify import (
     stability_experiment,
 )
 
-from conftest import make_problem
+from conftest import integrate, make_problem
 
 
 class stopwatch:
@@ -198,9 +198,11 @@ def test_08_optimizer_recovers_uncontrolled_target():
         cfg = make_problem(g, model="rm")
         base = run_forward(cfg, report=False)
         cost = CostConfig(mu=1e-2, w_phi=1.0, phi_des=base.phi_tr)
-        problem = ControlProblem(config=cfg, cost=cost, budget=60, gtol=1e-12)
         start = seeded_smooth_series(g, np.random.default_rng(5), amplitude=0.3)
-        res = projected_gradient_descent(problem, start)
+        problem = ControlProblem(
+            config=replace(cfg, I_e=start), cost=cost, budget=60, gtol=1e-12
+        )
+        res = projected_gradient_descent(problem)
         Js = [h["J"] for h in res.history]
         monotone = all(b <= a + 1e-15 for a, b in zip(Js, Js[1:]))
         nrm = control_norm(res.control)
@@ -282,16 +284,20 @@ def test_11_gauge_and_compatibility():
             abs(integrate(cfg.I_i.frame(k)) + integrate(res.I_e_used.frame(k)))
             for k in range(g.n_steps + 1)
         )
+        # a step whose psi row carries an incompatible load is rejected
+        incompatible = cfg.ops.mass * cfg.I_e.data[g.n_steps // 4]
         raised = False
         try:
-            run_forward(replace(cfg, enforce_compatibility=False), report=False)
+            solve_coupled_step(
+                cfg.ops, cfg.step_system(), np.zeros(g.n_nodes), incompatible, tol=cfg.cg_tol
+            )
         except CompatibilityError:
             raised = True
         ok = gauge <= 1e-9 and compat <= 1e-12 and raised
         sw.report(
             ok,
             f"max |int phi_e| = {gauge:.2e}, max stimulus imbalance = {compat:.2e}, "
-            f"incompatible data rejected when enforcement is off",
+            f"incompatible step load rejected",
         )
     assert gauge <= 1e-9
     assert compat <= 1e-12

@@ -5,11 +5,11 @@ from dataclasses import replace
 from cardioct.adjoint import CostConfig, run_adjoint
 from cardioct.control import ControlProblem
 from cardioct.forward import run_forward
-from cardioct.grid import FieldSeries, Grid, ScalarField, integrate
+from cardioct.grid import FieldSeries, Grid, ScalarField
 from cardioct.ionic import gating_source_slope
 from cardioct.verify import gradient_check
 
-from conftest import make_problem
+from conftest import integrate, make_problem
 
 
 def test_zero_residual_gives_zero_adjoint(grid1d):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from cardioct.cli import DEFAULTS, ConfigError, _finish, main, parse_config
-from cardioct.grid import read_snapshots
+
+from conftest import read_snapshots
 
 BASE = """
 [grid]
@@ -260,6 +261,24 @@ CONFIG_MISTAKES = {
     "negative-gtol": ("optimize", {"optimize.gtol": "-1"}, "optimize"),
     "me-lambda": ("simulate", {"system.me_lambda": "1.5"}, "system.me_lambda"),
     "long-model-name": ("simulate", {"model.kind": "fitzhugh-nagumo"}, "model"),
+    # every float value, lists included, must be finite
+    "nan-lengths": ("simulate", {"grid.lengths": "nan"}, "grid.lengths"),
+    "nan-t-final": ("simulate", {"grid.t_final": "nan"}, "grid.t_final"),
+    "inf-t-final": ("simulate", {"grid.t_final": "inf"}, "grid.t_final"),
+    "nan-ie-amplitude": ("simulate", {"stimulus.ie_amplitude": "nan"}, "stimulus.ie_amplitude"),
+    "nan-phi0-center": ("simulate", {"stimulus.phi0_center": "nan"}, "stimulus.phi0_center"),
+    "nan-ie-t1": ("simulate", {"stimulus.ie_t1": "nan"}, "stimulus.ie_t1"),
+    "nan-b": ("simulate", {"model.b": "nan"}, "model.b"),
+    "nan-kappa": ("simulate", {"model.kappa": "nan"}, "model.kappa"),
+    "nan-eps": ("simulate", {"model.eps": "nan"}, "model.eps"),
+    "nan-mu": ("optimize", {"cost.mu": "nan"}, "cost.mu"),
+    "inf-mu": ("optimize", {"cost.mu": "inf"}, "cost.mu"),
+    "nan-direction-amplitude": (
+        "verify-stability", {"verify.direction_amplitude": "nan"}, "verify.direction_amplitude"
+    ),
+    "negative-lambda": ("simulate", {"system.lambda": "-1"}, "system"),
+    "negative-half-lambda": ("simulate", {"system.lambda": "-0.5"}, "system"),
+    "zero-lambda": ("simulate", {"system.lambda": "0"}, "system"),
 }
 
 
@@ -274,6 +293,25 @@ def test_config_mistake_exits_2_with_one_line(tmp_path, capsys, mistake):
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error: config:") and names in err
     assert "Traceback" not in err
+
+
+MALFORMED_INI = {
+    "duplicate-section": "[grid]\nnodes = 17\n[grid]\nsteps = 12\n",
+    "duplicate-key": "[grid]\nnodes = 17\nnodes = 9\n",
+    "line-before-section": "nodes = 17\n[grid]\nsteps = 12\n",
+    "line-without-equals": "[grid]\nnodes 17\n",
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_INI))
+def test_malformed_ini_exits_2_with_one_line(tmp_path, capsys, name):
+    p = tmp_path / "run.ini"
+    p.write_text(MALFORMED_INI[name])
+    code = main(["simulate", "--config", str(p), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: config:") and "Traceback" not in err
 
 
 SUMMARY_KEYS = {

@@ -18,7 +18,7 @@ from cardioct.control import (
     simulate,
 )
 from cardioct.forward import ForwardResult, run_forward
-from cardioct.grid import FieldSeries, Grid, ScalarField, integrate
+from cardioct.grid import FieldSeries, Grid, ScalarField
 from cardioct.stimuli import box_mask, seeded_smooth_series
 
 from conftest import make_problem
@@ -203,9 +203,9 @@ def test_descent_recovers_zero_control(grid1d):
     cfg = make_problem(grid1d, stimulus=0.0)
     base = run_forward(cfg, report=False)
     cost = CostConfig(mu=1e-2, w_phi=1.0, phi_des=base.phi_tr)
-    problem = ControlProblem(config=cfg, cost=cost, budget=40, gtol=1e-12)
     start = seeded_smooth_series(grid1d, np.random.default_rng(5), amplitude=0.2)
-    res = projected_gradient_descent(problem, start)
+    problem = ControlProblem(config=replace(cfg, I_e=start), cost=cost, budget=40, gtol=1e-12)
+    res = projected_gradient_descent(problem)
     assert control_norm(res.control) < 1e-7
     assert res.status in ("gradient", "decrease")
 

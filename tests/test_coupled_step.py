@@ -56,7 +56,7 @@ def _nested_schur_step(ops, dt, rhs_u, I_i, I_e, tol):
     rhs = rhs_u - dt * mass * I_i + dt * reduced_rhs_S(ops, I_i, I_e, tol=0.1 * tol)
     phi = cg_solve(apply, rhs, tol=tol, precond=precond)
     load = mass * (I_i + I_e) - K_i @ phi
-    return phi, bidomain_elliptic_solve(ops, load, nodal=False, tol=0.1 * tol)
+    return phi, bidomain_elliptic_solve(ops, load, tol=0.1 * tol)
 
 
 def _step_data(g, seed):

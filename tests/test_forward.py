@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardioct.forward import ProblemConfig, compatibility_enforce, run_forward
-from cardioct.grid import FieldSeries, Grid, ScalarField, TensorField, integrate
+from cardioct.grid import FieldSeries, Grid, ScalarField, TensorField
 from cardioct.ionic import IonicParams, gating_exact_update, i_ion
 from cardioct.assembly import build_operators
 
-from conftest import make_problem
+from conftest import constant_field, integrate, make_problem
 
 
 def test_rest_state_stays_identically_zero(grid1d):
@@ -32,8 +32,8 @@ def test_monodomain_matches_pointwise_recursion():
         ops=ops,
         ionic=par,
         kind="monodomain",
-        phi0=ScalarField.constant(g, 0.4),
-        w0=ScalarField.constant(g, 0.1),
+        phi0=constant_field(g, 0.4),
+        w0=constant_field(g, 0.1),
         I_i=FieldSeries.constant(g, ii),
         I_e=FieldSeries.constant(g, ie),
     )
@@ -119,16 +119,6 @@ def test_compatibility_enforcement_shifts_ie(grid1d):
     for k in range(grid1d.n_steps + 1):
         total = integrate(cfg.I_i.frame(k)) + integrate(used.frame(k))
         assert abs(total) < 1e-12
-
-
-def test_incompatible_data_raises_when_enforcement_off(grid1d):
-    from cardioct.assembly import CompatibilityError
-
-    cfg = make_problem(
-        grid1d, kind="bidomain", stimulus=0.5, enforce_compatibility=False
-    )
-    with pytest.raises(CompatibilityError):
-        run_forward(cfg, report=False)
 
 
 @settings(max_examples=20, deadline=None)

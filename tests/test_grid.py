@@ -11,15 +11,13 @@ from cardioct.grid import (
     bochner_norm,
     dual_norm,
     export_csv,
-    integrate,
-    lp_norm,
-    read_snapshots,
+    l2_norm,
     refined,
     time_weights,
     write_snapshots,
 )
 
-from conftest import fibres, h1_norm, scar
+from conftest import constant_field, fibres, h1_norm, integrate, read_snapshots, scar
 
 
 def test_grid_basic_geometry():
@@ -75,10 +73,8 @@ def test_h1_norm_of_coordinate():
 
 def test_lp_norms_of_constant():
     g = Grid((9, 9), (1.0, 1.0), 1.0, 1)
-    f = ScalarField.constant(g, -3.0)
-    assert lp_norm(f, 2) == pytest.approx(3.0, rel=1e-13)
-    assert lp_norm(f, 4) == pytest.approx(3.0, rel=1e-13)
-    assert lp_norm(f, np.inf) == pytest.approx(3.0)
+    f = constant_field(g, -3.0)
+    assert l2_norm(f) == pytest.approx(3.0, rel=1e-13)
 
 
 @settings(max_examples=50)
@@ -88,8 +84,7 @@ def test_lp_norm_homogeneous(c, seed):
     vals = np.random.default_rng(seed).standard_normal(g.n_nodes)
     f = ScalarField(g, vals)
     cf = ScalarField(g, c * vals)
-    for p in (1, 2, 4, np.inf):
-        assert lp_norm(cf, p) == pytest.approx(abs(c) * lp_norm(f, p), rel=1e-10, abs=1e-12)
+    assert l2_norm(cf) == pytest.approx(abs(c) * l2_norm(f), rel=1e-10, abs=1e-12)
 
 
 def test_bochner_norm_matches_direct_sum():
@@ -97,22 +92,22 @@ def test_bochner_norm_matches_direct_sum():
     rng = np.random.default_rng(3)
     s = FieldSeries(g, rng.standard_normal((6, 9)))
     wt = time_weights(g)
-    direct = np.sqrt(sum(w * lp_norm(s.frame(k), 2) ** 2 for k, w in enumerate(wt)))
+    direct = np.sqrt(sum(w * l2_norm(s.frame(k)) ** 2 for k, w in enumerate(wt)))
     assert bochner_norm(s, 2, "L2") == pytest.approx(direct, rel=1e-13)
-    direct_inf = max(lp_norm(s.frame(k), 2) for k in range(6))
+    direct_inf = max(l2_norm(s.frame(k)) for k in range(6))
     assert bochner_norm(s, np.inf, "L2") == pytest.approx(direct_inf, rel=1e-13)
 
 
 def test_dual_norm_of_constant_is_its_magnitude():
     g = Grid((33,), (1.0,), 1.0, 1)
-    f = ScalarField.constant(g, 2.5)
+    f = constant_field(g, 2.5)
     assert dual_norm(f) == pytest.approx(2.5, rel=1e-10)
 
 
 def test_dual_norm_below_l2():
     g = Grid((33,), (1.0,), 1.0, 1)
     f = ScalarField.from_function(g, lambda x: np.sin(3 * np.pi * x))
-    assert dual_norm(f) <= lp_norm(f, 2) + 1e-10
+    assert dual_norm(f) <= l2_norm(f) + 1e-10
 
 
 def test_refined_doubles_resolution():

@@ -16,10 +16,10 @@ import pytest
 from cardioct.assembly import build_operators
 from cardioct.cli import main
 from cardioct.forward import DivergenceError, run_forward
-from cardioct.grid import Grid, ScalarField, TensorField
+from cardioct.grid import Grid, TensorField
 from cardioct.linalg import SolverError, cg_solve
 
-from conftest import fibres, make_problem
+from conftest import constant_field, fibres, make_problem
 
 GRID = Grid((17, 17), (1.0, 1.0), 0.3, 5)
 TENSORS = {"constant": lambda g: TensorField.isotropic(g, 1.0), "fibres": fibres}
@@ -59,7 +59,7 @@ def test_a_blown_up_forward_run_raises(tensor):
     cfg = replace(cfg, ops=build_operators(GRID, TENSORS[tensor](GRID), lam=1.0))
     # the cubic ionic current of 1e120 overflows: before the load test the
     # fibre run kept phi = 1e120 in every frame and raised nothing
-    cfg = replace(cfg, phi0=ScalarField.constant(GRID, 1e120))
+    cfg = replace(cfg, phi0=constant_field(GRID, 1e120))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError, match="step 1"):
             run_forward(cfg, report=False)

@@ -152,18 +152,20 @@ def _arrays(**series):
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_control_functions_leave_their_inputs_unchanged(name):
     problem = PROBLEMS[name]()
+    g = problem.config.grid
+    noise = seeded_smooth_series(g, np.random.default_rng(3), 0.1).data
+    I0 = FieldSeries(g, problem.config.I_e.data + noise)
+    problem = replace(problem, config=replace(problem.config, I_e=I0))
     cfg = problem.config
-    g = cfg.grid
-    I0 = FieldSeries(g, cfg.I_e.data + seeded_smooth_series(g, np.random.default_rng(3), 0.1).data)
-    inputs = snapshot(_arrays(I0=I0, I_e=cfg.I_e))
-    projected_gradient_descent(problem, I0)
+    inputs = snapshot(_arrays(I_e=cfg.I_e))
+    projected_gradient_descent(problem)
     assert_unchanged(inputs)
 
-    I = project_admissible(I0, problem)
+    I = project_admissible(cfg.I_e, problem)
     assert_unchanged(inputs)
     _, traj = simulate(problem, I)
     trajectory = snapshot(_arrays(
-        I0=I0, I_e=cfg.I_e, I=I,
+        I_e=cfg.I_e, I=I,
         phi=traj.phi_tr, w=traj.w, phi_e=traj.phi_e, I_e_used=traj.I_e_used,
     ))
     grad, adj = compute_gradient(problem, I, traj)

@@ -17,7 +17,7 @@ import pytest
 from cardioct import assembly
 from cardioct.adjoint import CostConfig, run_adjoint
 from cardioct.assembly import CompatibilityError, _neumann_load, build_operators, solve_neumann
-from cardioct.forward import recover_phi_e, run_forward
+from cardioct.forward import compatibility_enforce, recover_phi_e, run_forward
 from cardioct.grid import FieldSeries, Grid, TensorField
 
 from conftest import fibres, make_problem
@@ -80,14 +80,16 @@ def test_lifts_in_blocks_of_two_frames_match_recovery(monkeypatch, tensor):
 
 def test_control_constant_in_time_raises_no_compatibility_error():
     # every frame is the same compatible field up to one rounding, so the
-    # frame-to-frame changes of the load are pure roundoff, which the
-    # compatibility test rejects; the lifts test the frame loads instead
+    # frame-to-frame changes of the load the run uses are pure roundoff,
+    # which the compatibility test rejects; the lifts test the frame loads
+    # instead
     g = GRIDS["2d"]
-    cfg = make_problem(g, kind="bidomain", stimulus=0.3, enforce_compatibility=False)
+    cfg = make_problem(g, kind="bidomain", stimulus=0.3)
     field = cfg.I_e.data[1] - (g.weights @ cfg.I_e.data[1]) / g.measure
     t = 1.0 + 0.1 * np.arange(g.n_steps + 1)[:, None]
     cfg = replace(cfg, I_e=FieldSeries(g, (field * t) / t))
-    changes = cfg.ops.mass * np.diff(cfg.I_e.data, axis=0)
+    used = compatibility_enforce(g, cfg.I_i, cfg.I_e).data
+    changes = cfg.ops.mass * np.diff(cfg.I_i.data + used, axis=0)
     assert changes.any()
     with pytest.raises(CompatibilityError):
         _neumann_load(changes.T)

@@ -6,7 +6,13 @@ import pytest
 
 from cardioct.forward import run_forward
 from cardioct.grid import Grid
-from cardioct.stimuli import box_mask, gaussian_bump, pulse_series, seeded_smooth_series
+from cardioct.stimuli import (
+    box_mask,
+    gaussian_bump,
+    pulse_series,
+    seeded_smooth_series,
+    time_window,
+)
 
 from conftest import make_problem
 
@@ -19,7 +25,7 @@ def _loop_series(grid, rng, amplitude=1.0, modes=2):
     t = grid.times
     data = np.zeros((grid.n_steps + 1, grid.n_nodes))
     for m_tuple in product(range(modes + 1), repeat=grid.dim):
-        basis = np.ones(grid.shape)
+        basis = np.ones(grid.nodes_per_axis)
         for ax, m in enumerate(m_tuple):
             basis = basis * np.cos(np.pi * m * grid.meshgrid[ax] / grid.lengths[ax])
         flat = basis.ravel()
@@ -76,7 +82,7 @@ def test_box_mask_matches_the_meshgrid_formula(nodes, lengths):
     # between nodes, or on the last node of a 2-node axis
     lo = np.array(g.h) + 5e-13
     hi = np.where(np.array(nodes) > 2, 0.7 * np.array(lengths), lengths)
-    mask = np.ones(g.shape, dtype=bool)
+    mask = np.ones(g.nodes_per_axis, dtype=bool)
     for mesh, a, b in zip(g.meshgrid, lo, hi):
         mask &= (mesh >= a - 1e-12) & (mesh <= b + 1e-12)
     ref = mask.ravel().astype(float)
@@ -116,3 +122,13 @@ def test_gaussian_bump_rejects_a_width_that_is_not_positive(width):
     g = Grid((9,), (1.0,), 1.0, 4)
     with pytest.raises(ValueError, match="width"):
         gaussian_bump(g, (0.3,), width)
+
+
+@pytest.mark.parametrize(
+    "t0, t1", [(0.6, 0.2), (0.3, 0.3), (0.0, float("nan")), (float("nan"), 0.5)]
+)
+def test_time_window_rejects_an_empty_or_nan_window(t0, t1):
+    # a NaN bound compares false everywhere: it would give a silent zero window
+    g = Grid((9,), (1.0,), 1.0, 4)
+    with pytest.raises(ValueError, match="t1 > t0"):
+        time_window(g, t0, t1)

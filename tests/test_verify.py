@@ -13,13 +13,12 @@ from cardioct.verify import (
     convergence_study,
     difference_bundle,
     gradient_check,
-    identical_run_difference,
     monodomain_limit_check,
     regularity_monitor,
     stability_experiment,
 )
 
-from conftest import make_problem
+from conftest import identical_run_difference, make_problem
 
 
 def smooth_direction(grid, seed=3, amplitude=1.0):
