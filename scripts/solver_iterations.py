@@ -23,7 +23,7 @@ A third table shows when ``cg_solve`` keeps a warm start.  It runs a
 bidomain run, the K_ie solves of phi_e: the current lifts of all
 frames, in blocks of frames, and the frame-0 recovery, both started
 cold.  It prints the CG calls and the operator applications of those
-solves, one per vector (a product with a block of k columns counts k),
+solves, one per vector (a product with a block of k rows counts k),
 three ways: PCG with every warm start kept, PCG with every warm start
 dropped, and as the package chooses (where the spectral preconditioner
 is exact, x = P b, whose residual is tested with one application on the
@@ -90,7 +90,7 @@ def systems(g, K, b):
 
 
 class Counted:
-    """An operator whose products are counted, one per vector (column of a block).
+    """An operator whose products are counted, one per vector (row of a block).
 
     ``A`` is a matrix or a callable ``v -> A @ v``.
     """
@@ -99,7 +99,7 @@ class Counted:
         self.A, self.count = A, count
 
     def __matmul__(self, v):
-        self.count[0] += v.shape[1] if v.ndim == 2 else 1
+        self.count[0] += len(v) if v.ndim == 2 else 1
         return self.A(v) if callable(self.A) else self.A @ v
 
 
@@ -173,7 +173,7 @@ def counted_solves(mode, n_nodes, calls, applications):
             kwargs["precond"] = lambda r: precond(r)
         if mode == "cold":
             kwargs.pop("x0", None)
-        if len(b) == n_nodes:
+        if b.shape[-1] == n_nodes:
             calls[0] += 1
             A = Counted(A, applications).__matmul__
         return cg_solve(A, b, **kwargs)

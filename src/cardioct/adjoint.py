@@ -81,8 +81,9 @@ class CostConfig:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.mu < 0 or self.w_phi < 0 or self.w_eta < 0 or self.w_gate < 0:
-            raise ValueError("cost weights must be nonnegative")
+        for name in ("mu", "w_phi", "w_eta", "w_gate"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
         if self.mask is not None:
             self.mask = np.asarray(self.mask, dtype=float).ravel()
 

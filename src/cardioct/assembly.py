@@ -54,23 +54,23 @@ x = P b, once the first solve of each system has measured its residual
 (``linalg``).  The pure-Neumann K_ie solve (``solve_neumann``) and the
 psi row of the block system take loads that sum to zero, on which
 these singular systems are consistent, so no solve deflates the
-constants.  A solve takes one load, or a block of loads as the columns
-of an (n, m) array (``linalg.cg_solve``); ``apply`` and the lumped mass
-then act on every column, and the compatibility test and the zero-mean
-gauge per column.
+constants.  A solve takes one load, or a block of loads as the rows of
+an (m, n) array (``linalg.cg_solve``); ``apply`` and the lumped mass
+act on every row, the compatibility test and the zero-mean gauge per
+row, and ``linalg.row_product`` hands the DIA products their columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
 
 from .grid import Grid, ScalarField, TensorField
-from .linalg import cg_solve
+from .linalg import cg_solve, row_product
 from .spectral import reference_coefficients
 
 __all__ = [
@@ -286,8 +286,8 @@ class SystemOperators:
     def step_system(self, coef):
         """Monodomain step operator Mass + coef * K_i and its spectral inverse.
 
-        ``apply(x) = mass * x + coef * (K_i @ x)``, per column of an
-        (N, k) block; built once per coef.  The inverse is marked exact
+        ``apply(x) = mass * x + coef * (K_i @ x)``, per row of a (k, N)
+        block; built once per coef.  The inverse is marked exact
         when ``mi`` is constant and diagonal (every cell equal, no
         off-diagonal entry); ``cg_solve`` then solves directly.
         """
@@ -296,7 +296,7 @@ class SystemOperators:
             K_i, mass = self.K_i, self.mass
 
             def apply(x):
-                return (mass * x.T).T + coef * (K_i @ x)
+                return mass * x + coef * row_product(K_i, x)
 
             precond = self.grid.spectral.inverse(
                 1.0 + coef * self.spectrum_i, exact=_constant_diagonal(self.mi)
@@ -315,14 +315,14 @@ class SystemOperators:
         if "neumann" not in self._systems:
             exact = _constant_diagonal(self.mi) and _constant_diagonal(self.me)
             precond = self.grid.spectral.inverse(self.spectrum_ie, exact=exact)
-            self._systems["neumann"] = (self.K_ie.__matmul__, precond)
+            self._systems["neumann"] = (partial(row_product, self.K_ie), precond)
         return self._systems["neumann"]
 
     def coupled_system(self, dt):
         """Coupled bidomain step operator and its block inverse, built once per dt.
 
-        ``apply`` maps stacked vectors [phi; psi] of length 2 N, or each
-        column of a (2 N, k) block, through the block matrix of the
+        ``apply`` maps stacked vectors [phi, psi] of length 2 N, or each
+        row of a (k, 2 N) block, through the block matrix of the
         module docstring, at the cost of two stencil products, K_i (phi +
         psi) and K_e psi.  The inverse inverts, mode by mode, the DCT-I
         blocks [[1 + dt lam_i, dt lam_i], [dt lam_i, dt lam_ie]] of the
@@ -335,9 +335,10 @@ class SystemOperators:
             K_i, K_e, mass, n = self.K_i, self.K_e, self.mass, self.grid.n_nodes
 
             def apply(x):
-                phi, psi = x[:n], x[n:]
-                k_sum = K_i @ (phi + psi)
-                return np.concatenate(((mass * phi.T).T + dt * k_sum, dt * (k_sum + K_e @ psi)))
+                phi, psi = x[..., :n], x[..., n:]
+                k_sum = row_product(K_i, phi + psi)
+                k_e = row_product(K_e, psi)
+                return np.concatenate((mass * phi + dt * k_sum, dt * (k_sum + k_e)), axis=-1)
 
             lam_i, lam_ie = self.spectrum_i, self.spectrum_ie
             exact = _constant_diagonal(self.mi) and _constant_diagonal(self.me)
@@ -382,33 +383,33 @@ def _values(u):
 def _neumann_load(load):
     """A pure-Neumann load with its roundoff-level Euclidean mean removed.
 
-    ``load`` is one load vector or an (n, m) block of them as columns.
+    ``load`` is one load vector or an (m, n) block of them as rows.
     Raises CompatibilityError when a load's total exceeds 1e-8 times
     its norm.
     """
-    total = load.sum(axis=0)
-    norm = np.sqrt((load * load).sum(axis=0))
+    total = load.sum(axis=-1, keepdims=True)
+    norm = np.sqrt((load * load).sum(axis=-1, keepdims=True))
     excess = np.abs(total) - 1e-8 * norm
     if (excess > 0.0).any():
         j = np.argmax(excess)
-        where = f"column {j} of the " if load.ndim == 2 else ""
+        where = f"row {j} of the " if load.ndim == 2 else ""
         raise CompatibilityError(
             f"{where}elliptic load integrates to {total.flat[j]:.3e} "
             f"(norm {norm.flat[j]:.3e}); enforce compatibility first"
         )
-    return load - total / load.shape[0]
+    return load - total / load.shape[-1]
 
 
 def _zero_mean(grid, x):
-    """Shift x (or each column of x) by a constant to the weighted zero-mean gauge."""
-    return x - (grid.weights @ x) / grid.measure
+    """Shift x (or each row of x) by a constant to the weighted zero-mean gauge."""
+    return x - (x @ grid.weights)[..., None] / grid.measure
 
 
 def solve_neumann(ops, load, *, tol):
     """Solve the pure-Neumann system K_ie x = load, weighted zero-mean gauge.
 
-    ``load`` is an assembled load vector, or an (n, m) block of them
-    solved column by column; a zero load gives zero.  The load must
+    ``load`` is an assembled load vector, or an (m, n) block of them
+    solved row by row; a zero load gives zero.  The load must
     sum to zero (``_neumann_load``), which puts it in the
     range of K_ie, and CG with the spectral pseudo-inverse of
     ``ops.neumann_system()``, positive definite on that range, needs no
@@ -428,7 +429,7 @@ def solve_neumann_frames(ops, load, out, *, tol):
     solutions.  ``load(index)`` returns the assembled loads of the
     frames at ``index``, a tuple of index arrays into ``out.shape[:-1]``,
     as a (frames, N) array; each load must sum to zero.  The frames go
-    through ``solve_neumann`` as the columns of blocks of at most
+    through ``solve_neumann`` as the rows of blocks of at most
     ``FRAME_BLOCK_VALUES`` values, so the temporaries of a solve stay a
     fraction of one series however long the series is.
     """
@@ -437,14 +438,14 @@ def solve_neumann_frames(ops, load, out, *, tol):
     total = int(np.prod(frames))
     for start in range(0, total, step):
         index = np.unravel_index(np.arange(start, min(start + step, total)), frames)
-        out[index] = solve_neumann(ops, load(index).T, tol=tol).T
+        out[index] = solve_neumann(ops, load(index), tol=tol)
 
 
 def bidomain_elliptic_solve(ops, load, *, tol=1e-11):
     """Solve K_ie phi_e = load with zero-flux boundaries and zero-mean gauge.
 
-    ``load`` is an assembled load vector or an (n, m) block of loads as
-    columns.  See ``solve_neumann``.
+    ``load`` is an assembled load vector or an (m, n) block of loads as
+    rows.  See ``solve_neumann``.
     """
     return solve_neumann(ops, load, tol=tol)
 
@@ -476,12 +477,12 @@ def solve_coupled_step(ops, system, f, g, *, tol):
     """Solve the coupled step system ``system = ops.coupled_system(dt)``.
 
     ``g`` is the load of the psi row, which must sum to zero, as in
-    ``solve_neumann``.  ``f`` and ``g`` may be (N, m) blocks of loads as
-    columns, solved together.  An exact block inverse solves the step
+    ``solve_neumann``.  ``f`` and ``g`` may be (m, N) blocks of loads as
+    rows, solved together.  An exact block inverse solves the step
     directly (``cg_solve``); otherwise the block PCG starts cold.  Returns
     (phi, psi) with psi in the weighted zero-mean gauge.
     """
     apply, precond = system
-    n = f.shape[0]
-    x = cg_solve(apply, np.concatenate((f, _neumann_load(g))), tol=tol, precond=precond)
-    return x[:n], _zero_mean(ops.grid, x[n:])
+    n = f.shape[-1]
+    x = cg_solve(apply, np.concatenate((f, _neumann_load(g)), axis=-1), tol=tol, precond=precond)
+    return x[..., :n], _zero_mean(ops.grid, x[..., n:])

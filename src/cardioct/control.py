@@ -85,7 +85,6 @@ class OptimizeResult:
     grad_norm: float
     history: list = field(default_factory=list)
     status: str = ""
-    trajectory: object = None
 
     @property
     def n_iter(self):
@@ -314,5 +313,4 @@ def projected_gradient_descent(problem):
         grad_norm=g_norm,
         history=history,
         status=status,
-        trajectory=traj,
     )

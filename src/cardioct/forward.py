@@ -42,11 +42,11 @@ Zero-flux boundary conditions are built into the assembled operators.
 A run may carry a batch of controls: I_i and I_e with one leading batch
 axis of m members (``FieldSeries``).  The states are then (m, n_nodes)
 arrays, and every step and the frame-0 recovery make one ``cg_solve``
-call for the whole batch, on the (n_nodes, m) block ``rhs.T`` of its
-loads; for one control ``rhs.T`` is the load itself.  The lift blocks
-take the frames of all members alike.  Each member is solved as its
-own PCG, so a batched run gives each member's unbatched trajectory to
-solver precision at the Python cost of one run.
+call for the whole batch, on the (m, n_nodes) block of its loads: one
+row per member, as the states hold them, and one vector for a single
+control.  The lift blocks take the frames of all members alike.  Each
+member is solved as its own PCG, so a batched run gives each member's
+unbatched trajectory to solver precision at the Python cost of one run.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .assembly import (
 )
 from .grid import FieldSeries, Grid, ScalarField
 from .ionic import IonicParams, gating_exact_update, i_ion
-from .linalg import cg_solve
+from .linalg import cg_solve, row_product
 
 KINDS = ("monodomain", "bidomain")
 
@@ -189,15 +189,15 @@ def step_monodomain(config, system, phi, w, k):
     rhs -= (dt / (1.0 + lam)) * config.I_e.data[..., k, :]
     rhs *= config.ops.mass
     _check_load(rhs, k)
-    return cg_solve(A, rhs.T, tol=config.cg_tol, precond=precond, x0=phi.T).T
+    return cg_solve(A, rhs, tol=config.cg_tol, precond=precond, x0=phi)
 
 
 def recover_phi_e(config, phi_tr, k):
     """Extracellular potential at frame k (zero-mean gauge), per batch member."""
     ops = config.ops
     currents = config.I_i.data[..., k, :] + config.I_e.data[..., k, :]
-    load = ops.mass * currents - (ops.K_i @ phi_tr.T).T
-    return bidomain_elliptic_solve(ops, load.T, tol=config.inner_tol).T
+    load = ops.mass * currents - row_product(ops.K_i, phi_tr)
+    return bidomain_elliptic_solve(ops, load, tol=config.inner_tol)
 
 
 def _current_lifts(config, out):
@@ -237,8 +237,7 @@ def step_bidomain(config, system, phi, w, k):
     _check_load(f, k)
     currents = I_i + I_e
     currents *= dt * mass
-    phi_new, psi = solve_coupled_step(config.ops, system, f.T, currents.T, tol=config.cg_tol)
-    return phi_new.T, psi.T
+    return solve_coupled_step(config.ops, system, f, currents, tol=config.cg_tol)
 
 
 def run_forward(config, *, report=True):

@@ -70,10 +70,10 @@ class Grid:
             raise ValueError("only 1-D, 2-D and 3-D grids are supported")
         if any(n < 2 for n in self.nodes_per_axis):
             raise ValueError("need at least two nodes per axis")
-        if any(L <= 0 for L in self.lengths):
-            raise ValueError("axis lengths must be positive")
-        if self.T <= 0 or self.n_steps < 1:
-            raise ValueError("need T > 0 and n_steps >= 1")
+        if not all(0 < L < np.inf for L in self.lengths):
+            raise ValueError("lengths must be finite and positive")
+        if not 0 < self.T < np.inf or self.n_steps < 1:
+            raise ValueError("T must be finite and positive, and n_steps at least 1")
         self.T = float(self.T)
         self.n_steps = int(self.n_steps)
 
@@ -110,15 +110,6 @@ class Grid:
         return tuple(
             np.linspace(0.0, L, n) for L, n in zip(self.lengths, self.nodes_per_axis)
         )
-
-    @cached_property
-    def meshgrid(self):
-        return np.meshgrid(*self.axis_coords, indexing="ij")
-
-    @cached_property
-    def coords(self):
-        """Node coordinates, shape (n_nodes, dim), C-ordered like field values."""
-        return np.stack([m.ravel() for m in self.meshgrid], axis=1)
 
     @cached_property
     def weights(self):
@@ -192,11 +183,6 @@ class ScalarField:
     def zeros(cls, grid):
         return cls(grid, np.zeros(grid.n_nodes))
 
-    @classmethod
-    def from_function(cls, grid, fn):
-        """Evaluate ``fn(x)``, ``fn(x, y)`` or ``fn(x, y, z)`` at the nodes."""
-        return cls(grid, np.asarray(fn(*grid.meshgrid), dtype=float).ravel())
-
 
 @dataclass
 class FieldSeries:
@@ -240,12 +226,9 @@ class FieldSeries:
             )
 
     @classmethod
-    def constant(cls, grid, field_or_value):
-        if isinstance(field_or_value, ScalarField):
-            row = field_or_value.values
-        else:
-            row = np.full(grid.n_nodes, float(field_or_value))
-        return cls(grid, np.tile(row, (grid.n_steps + 1, 1)))
+    def constant(cls, grid, fld):
+        """The series whose every frame is the ScalarField ``fld``."""
+        return cls(grid, np.tile(fld.values, (grid.n_steps + 1, 1)))
 
     @property
     def n_frames(self):
@@ -427,7 +410,8 @@ def export_csv(fld, path):
     """Write a ScalarField as CSV rows ``x,y,z,value``, one per node."""
     g = fld.grid
     xyz = np.zeros((g.n_nodes, 3))
-    xyz[:, : g.dim] = g.coords
+    mesh = np.meshgrid(*g.axis_coords, indexing="ij")
+    xyz[:, : g.dim] = np.stack(mesh, axis=-1).reshape(g.n_nodes, g.dim)
     with open(path, "w") as fh:
         fh.write("x,y,z,value\n")
         for (x, y, z), v in zip(xyz, fld.values):

@@ -43,8 +43,9 @@ class IonicParams:
             raise ValueError(f"unknown ionic model {self.kind!r}")
         if not 0.0 < self.a < 1.0:
             raise ValueError(f"need 0 < a < 1, got a={self.a}")
-        if self.b <= 0 or self.kappa <= 0 or self.eps <= 0:
-            raise ValueError("b, kappa and eps must be positive")
+        for name in ("b", "kappa", "eps"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 def i_ion(par, phi, w):

@@ -36,15 +36,15 @@ tensors: fibres, scar) the iteration keeps the caller's warm start,
 which saves iterations.  Callers therefore always pass their best
 ``x0`` and leave the choice here.
 
-Several right-hand sides of one system are solved together as the
-columns of an (n, m) block.  Each column is its own PCG, with its own
-step lengths, residual test, warm-start choice and iteration cap; the
-block only shares the operator and preconditioner calls, which then
-act on (n, k) blocks of the k columns still iterating.  A column that
-converges is retired: it is stored and dropped from the block, so no
-arithmetic is spent on it afterwards.  A single right-hand side is the
-case m = 1 kept one-dimensional, with scalar inner products and no
-column bookkeeping, so it costs what a one-vector PCG costs.
+Several right-hand sides of one system are solved together as the rows
+of an (m, n) block, as the package stores its states and series.  Each
+row is its own PCG, with its own step lengths, residual test,
+warm-start choice and iteration cap; the block only shares the operator
+and preconditioner calls, which then act on (k, n) blocks of the k rows
+still iterating.  A row that converges is retired: it is stored and
+dropped from the block, so no arithmetic is spent on it afterwards.  A
+single right-hand side is the case m = 1 kept one-dimensional, with
+scalar inner products and no row bookkeeping, as cheap as a one-vector PCG.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import numpy as np
 class SolverError(RuntimeError):
     """Raised when CG does not reach the requested tolerance.
 
-    Carries the final relative residual (of the worst column, for a
+    Carries the final relative residual (of the worst row, for a
     block of right-hand sides) and the iteration count so callers can
     report how close the solve got.
     """
@@ -66,11 +66,20 @@ class SolverError(RuntimeError):
         self.iterations = iterations
 
 
+def row_product(A, x):
+    """A @ x for one vector, or for each row of a (k, n) block.
+
+    A matrix multiplies columns, so a row block is transposed here and
+    nowhere else; its rows come back contiguous, for ``_row_dots``.
+    """
+    return np.ascontiguousarray((A @ x.T).T)
+
+
 def _row_dots(u, v):
     """Inner products of the matching rows of two (k, n) blocks, as a (k, 1) column.
 
     A stack of (1, n) @ (n, 1) products: each row's product is the BLAS
-    dot that ``np.dot`` takes for one vector, so a column's inner
+    dot that ``np.dot`` takes for one vector, so a row's inner
     products are bit-identical to those of its single solve.
     """
     return (u[:, None, :] @ v[:, :, None])[:, 0]
@@ -84,29 +93,30 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxiter=None, x0=None):
 
     Parameters
     ----------
-    A : callable ``v -> A @ v``, or an object with ``__matmul__``
-        Operator.  For a block ``b`` it receives (n, k) blocks, one
-        column per unconverged right-hand side.
-    b : array, shape (n,) or (n, m)
-        Right-hand side, or m right-hand sides as columns, each solved
-        as its own PCG (see the module docstring).  A zero column gives
-        a zero column.
+    A : callable ``v -> A @ v``, or a matrix
+        Operator.  For a block ``b`` a callable receives (k, n) blocks,
+        one row per unconverged right-hand side, and maps them row by
+        row; a matrix is applied to them by ``row_product``.
+    b : array, shape (n,) or (m, n)
+        Right-hand side, or m right-hand sides as rows, each solved as
+        its own PCG (see the module docstring).  A zero row gives a zero
+        row.
     precond : callable
         Symmetric positive (semi)definite ``r -> z`` approximating
         ``A^{-1} r``, such as ``SpectralBasis.inverse``; like ``A`` it
-        maps (n, k) blocks column by column.  A true ``precond.exact``
+        maps (k, n) blocks row by row.  A true ``precond.exact``
         marks it the exact (pseudo-)inverse of ``A``; the solve is then
         direct, guarded by ``precond.residual`` (see the module
         docstring).
     tol : float
         Relative residual target ``||b - A x|| <= tol * ||b||``, per
-        column.
+        row.
     maxiter : int, optional
-        Iteration cap; defaults to ``10 * n``.
+        Iteration cap; defaults to ``10 * n``, ten times the row length.
     x0 : array, optional
         Warm-start iterate, shaped like ``b``.  Ignored when
         ``precond.exact`` is true: the solve then starts from
-        ``precond(b)``.  A column whose warm start has a larger residual
+        ``precond(b)``.  A row whose warm start has a larger residual
         than the cold start is started cold.
 
     Returns
@@ -118,9 +128,9 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxiter=None, x0=None):
     Raises
     ------
     SolverError
-        If a column does not reach the tolerance within ``maxiter``
+        If a row does not reach the tolerance within ``maxiter``
         iterations, or if a direction of nonpositive curvature shows up;
-        it reports the column with the largest relative residual.  Also
+        it reports the row with the largest relative residual.  Also
         if the first solve with a preconditioner marked exact leaves a
         relative residual above 1e-6, and on a non-finite load (the
         direct solve tests its result, every other solve the load's
@@ -128,7 +138,7 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxiter=None, x0=None):
     """
     b = np.asarray(b, dtype=float)
     if b.ndim not in (1, 2):
-        raise ValueError(f"cg_solve takes b of shape (n,) or (n, m), not {b.shape}")
+        raise ValueError(f"cg_solve takes b of shape (n,) or (m, n), not {b.shape}")
     unmeasured = None  # an exact preconditioner on its first solve
     if getattr(precond, "exact", False):
         x0 = precond(b)
@@ -139,32 +149,24 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxiter=None, x0=None):
         if not hasattr(precond, "residual"):
             unmeasured = precond
     block = b.ndim == 2
-    matvec = A if callable(A) else A.__matmul__
+    matvec = A if callable(A) else lambda v: row_product(A, v)
     if maxiter is None:
-        maxiter = 10 * b.shape[0]
+        maxiter = 10 * b.shape[-1]
 
     rows = None
     if block:
-        # The iteration runs on the transposed (m, n) block, one row per
-        # column of b, so that the vector updates sweep contiguous rows
-        # and the per-column scalars are (k, 1) arrays that broadcast
-        # over them; A and precond still see (n, k) columns.
-        op, pre = matvec, precond
-        matvec = lambda v: np.ascontiguousarray(op(v.T).T)
-        precond = lambda v: np.ascontiguousarray(pre(v.T).T)
+        # the per-row scalars are (k, 1) arrays that broadcast over the rows
         dot = _row_dots
-        b = np.ascontiguousarray(b.T)
+        b = np.ascontiguousarray(b)
         out = np.zeros(b.shape)
         b_norm = np.sqrt(dot(b, b))
         _require_finite(b_norm)
-        rows = np.flatnonzero(b_norm)  # zero columns stay zero
+        rows = np.flatnonzero(b_norm)  # zero rows stay zero
         if rows.size == 0:
-            return out.T
-        if x0 is not None:
-            x0 = np.asarray(x0, dtype=float).T
+            return out
         if rows.size < len(b):
             b, b_norm = b[rows], b_norm[rows]
-            x0 = None if x0 is None else x0[rows]
+            x0 = None if x0 is None else np.asarray(x0, dtype=float)[rows]
     else:
         dot = np.dot
         b_norm = np.sqrt(dot(b, b))
@@ -200,11 +202,11 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxiter=None, x0=None):
         elif done.any():
             done = done[:, 0]
             if rows.size == len(out) and done.all():
-                return x.T  # every column converged together
+                return x  # every row converged together
             out[rows[done]] = x[done]
             keep = ~done
             if not keep.any():
-                return out.T
+                return out
             x, r, res, target, b_norm, rows = (
                 a[keep] for a in (x, r, res, target, b_norm, rows)
             )
@@ -244,7 +246,7 @@ def _require_finite(b_norm):
 def _store_residual(precond, rel):
     """Store ``precond.residual`` from the first solve of a system marked exact.
 
-    ``rel`` holds the relative residuals of x = P b, one per column;
+    ``rel`` holds the relative residuals of x = P b, one per row;
     see the module docstring for the estimate.  A non-finite residual
     of a finite load (an overflow) stores nothing.
     """
@@ -263,12 +265,12 @@ def _store_residual(precond, rel):
 
 
 def _stalled(rel, iterations, tol, rows):
-    """SolverError for the unconverged column with the largest relative residual.
+    """SolverError for the unconverged row with the largest relative residual.
 
-    ``rows`` maps the block's rows to the columns of b (None for a 1-D b).
+    ``rows`` maps the iterating rows to the rows of b (None for a 1-D b).
     """
     worst = int(np.argmax(rel))
-    where = "" if rows is None else f" in column {rows[worst]}"
+    where = "" if rows is None else f" in row {rows[worst]}"
     rel = float(np.max(rel))
     return SolverError(
         f"cg_solve stalled after {iterations} iterations{where} "

@@ -160,8 +160,8 @@ class SpectralBasis:
     def inverse(self, eigenvalues, *, exact=False):
         """Apply V diag(1/eigenvalues) (V^T W V)^{-1} V^T to a flat vector.
 
-        The returned ``apply`` maps a vector of length ``size``, or an
-        (size, k) block column by column, to the same shape.
+        The returned ``apply`` maps a vector of length ``size``, or each
+        row of a (..., size) block, to the same shape.
 
         This is the inverse of the operator W V diag(eigenvalues) V^{-1};
         modes with a zero eigenvalue get the inverse 0, which for the
@@ -185,9 +185,8 @@ class SpectralBasis:
         shape = self.shape
 
         def apply(r):
-            # columns become leading batch axes of the transform
-            z = self.transform(scale * self.transform(r.T.reshape(r.shape[1:] + shape)))
-            return z.reshape(r.T.shape).T
+            z = self.transform(scale * self.transform(r.reshape(r.shape[:-1] + shape)))
+            return z.reshape(r.shape)
 
         apply.exact, apply.condition = exact, float(condition)
         return apply
@@ -199,7 +198,7 @@ class SpectralBasis:
         stacked pairs [x; y] as ``inverse`` describes for one field, with
         the symmetric 2x2 matrix [[a, b], [b, c]] in place of each mode's
         eigenvalue; ``apply`` takes and returns a flat vector of length
-        2 * size, or a (2 * size, k) block of such columns, and
+        2 * size, or a (..., 2 * size) block of such rows, and
         transforms all the pairs in one batch each way.  Every
         mode's matrix must be positive definite or have b = c = 0; those
         modes get the pseudo-inverse [[1/a, 0], [0, 0]], so the y-part of
@@ -220,9 +219,9 @@ class SpectralBasis:
         shape, pair_axis = (1, 2) + self.shape, -1 - len(self.shape)
 
         def apply(r):
-            coef = self.transform(r.T.reshape(r.shape[1:] + shape))
+            coef = self.transform(r.reshape(r.shape[:-1] + shape))
             z = self.transform((inv * coef).sum(axis=pair_axis))
-            return z.reshape(r.T.shape).T
+            return z.reshape(r.shape)
 
         apply.exact, apply.condition = exact, float(largest.max() / smallest.min())
         return apply

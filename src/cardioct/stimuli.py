@@ -4,10 +4,10 @@ These builders keep experiment data analytic so refinement studies can
 re-evaluate the same functions on finer grids instead of interpolating.
 The spatial builders are separable: each evaluates one factor per axis
 on ``grid.axis_coords`` and writes the nodal field as their outer
-product, so none builds the node-sized ``grid.meshgrid`` or
-``grid.coords``.  ``seeded_smooth_series`` contracts its time table
-into the coefficients first, so that its last per-axis contraction
-writes the output.
+product, so none builds a node-sized coordinate array.
+``seeded_smooth_series`` contracts its time table into the
+coefficients first, so that its last per-axis contraction writes the
+output.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from functools import reduce
 import numpy as np
 
 from .grid import FieldSeries, ScalarField
+
+SMOOTH_MODES = 2  # the highest mode per axis and in time of ``seeded_smooth_series``
 
 
 def _outer(factors):
@@ -78,21 +80,21 @@ def box_mask(grid, lo, hi):
     )
 
 
-def seeded_smooth_series(grid, rng, amplitude=1.0, modes=2):
+def seeded_smooth_series(grid, rng, amplitude=1.0):
     """Random smooth space-time series from low cosine modes (deterministic).
 
-    Spatial basis: products of cos(pi m x / L) per axis, m <= modes;
-    time basis: sin(pi q t / T), q = 1..modes.  Coefficients come from
+    Spatial basis: products of cos(pi m x / L) per axis, m <= SMOOTH_MODES;
+    time basis: sin(pi q t / T), q = 1..SMOOTH_MODES.  Coefficients come from
     ``rng`` in one draw, row m_tuple (C order) and column q; the result
     is rescaled to the requested max amplitude.
     """
-    m = np.arange(modes + 1)
-    q = np.arange(1, modes + 1)
-    coef = rng.standard_normal(((modes + 1) ** grid.dim, modes))
+    m = np.arange(SMOOTH_MODES + 1)
+    q = np.arange(1, SMOOTH_MODES + 1)
+    coef = rng.standard_normal((len(m) ** grid.dim, len(q)))
     time = np.sin((np.pi * q) * grid.times[:, None] / grid.T)
     # the time table first, then one mode axis at a time with its axis's cosine
     # table: no Kronecker table, and the last contraction writes the output
-    data = (time @ coef.T).reshape((-1,) + (modes + 1,) * grid.dim)
+    data = (time @ coef.T).reshape((-1,) + (len(m),) * grid.dim)
     for x, L in zip(grid.axis_coords, grid.lengths):
         data = np.tensordot(data, np.cos((np.pi * m)[:, None] * x / L), axes=(1, 0))
     data = data.reshape(len(time), -1)

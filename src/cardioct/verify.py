@@ -184,7 +184,6 @@ def stability_experiment(config, direction, scales):
 @dataclass
 class LimitReport:
     discrepancy: float
-    mono_norm: float
     lam: float
 
 
@@ -221,7 +220,7 @@ def monodomain_limit_check(config):
     dphi = FieldSeries(g, bi.phi_tr.data - mono.phi_tr.data)
     mono_norm = gridmod.bochner_norm(mono.phi_tr, np.inf, "L2")
     disc = gridmod.bochner_norm(dphi, np.inf, "L2") / max(mono_norm, 1e-300)
-    return LimitReport(discrepancy=float(disc), mono_norm=float(mono_norm), lam=lam)
+    return LimitReport(discrepancy=float(disc), lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +339,26 @@ class ConvergenceReport:
         return mono_s and mono_t
 
 
+def _line_problem(g, conductivity, phi0, I_e, no_reaction=False):
+    """A 1-D monodomain problem of the convergence studies.
+
+    ``phi0`` and ``I_e`` (constant in time) are functions of the node
+    coordinates, which on the 1-D grid ``g`` are its axis.
+    """
+    x = g.axis_coords[0]
+    return ProblemConfig(
+        grid=g,
+        ops=build_operators(g, TensorField.isotropic(g, conductivity), lam=1.0),
+        ionic=IonicParams("rm"),
+        kind="monodomain",
+        phi0=ScalarField(g, phi0(x)),
+        w0=ScalarField.zeros(g),
+        I_i=FieldSeries.zeros(g),
+        I_e=FieldSeries.constant(g, ScalarField(g, I_e(x))),
+        no_reaction=no_reaction,
+    )
+
+
 def _spatial_study(levels):
     """Pure-diffusion mode against phi(x,t) = e^{-t} cos(pi x)."""
     errors = []
@@ -347,21 +366,10 @@ def _spatial_study(levels):
         nodes = (SPATIAL_BASE_NODES - 1) * 2**lvl + 1
         steps = SPATIAL_BASE_STEPS * 4**lvl
         g = Grid(nodes, 1.0, SPATIAL_T, steps)
-        mi = TensorField.isotropic(g, 2.0 / np.pi**2)
-        ops = build_operators(g, mi, lam=1.0)
-        cfg = ProblemConfig(
-            grid=g,
-            ops=ops,
-            ionic=IonicParams("rm"),
-            kind="monodomain",
-            phi0=ScalarField.from_function(g, lambda x: np.cos(np.pi * x)),
-            w0=ScalarField.zeros(g),
-            I_i=FieldSeries.zeros(g),
-            I_e=FieldSeries.zeros(g),
-            no_reaction=True,
-        )
+        cfg = _line_problem(g, 2.0 / np.pi**2, lambda x: np.cos(np.pi * x), np.zeros_like,
+                            no_reaction=True)
         res = run_forward(cfg, report=False)
-        exact = np.exp(-SPATIAL_T) * np.cos(np.pi * g.coords[:, 0])
+        exact = np.exp(-SPATIAL_T) * np.cos(np.pi * g.axis_coords[0])
         err = l2_norm(ScalarField(g, res.phi_tr.data[-1] - exact))
         errors.append(err)
     orders = [float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)]
@@ -375,23 +383,8 @@ def _temporal_study():
     for lvl in range(TEMPORAL_LEVELS):
         g = Grid(TEMPORAL_NODES, 1.0, TEMPORAL_T, TEMPORAL_BASE_STEPS * 2**lvl)
         the_grid = g
-        mi = TensorField.isotropic(g, 1.0)
-        ops = build_operators(g, mi, lam=1.0)
-        bump = ScalarField.from_function(
-            g, lambda x: np.exp(-(((x - 0.3) / 0.12) ** 2))
-        )
-        cfg = ProblemConfig(
-            grid=g,
-            ops=ops,
-            ionic=IonicParams("rm"),
-            kind="monodomain",
-            phi0=bump,
-            w0=ScalarField.zeros(g),
-            I_i=FieldSeries.zeros(g),
-            I_e=FieldSeries.constant(g, ScalarField.from_function(
-                g, lambda x: -2.0 * np.exp(-(((x - 0.7) / 0.15) ** 2))
-            )),
-        )
+        cfg = _line_problem(g, 1.0, lambda x: np.exp(-(((x - 0.3) / 0.12) ** 2)),
+                            lambda x: -2.0 * np.exp(-(((x - 0.7) / 0.15) ** 2)))
         res = run_forward(cfg, report=False)
         finals.append(res.phi_tr.data[-1])
     errors = [
@@ -442,7 +435,7 @@ def gradient_check(problem, *, n_directions=5, seed=0, deltas=None):
 
     The whole ladder of a direction, the controls base +- delta d for
     every delta, is one batched ``simulate``: one forward sweep whose
-    solves take all 2 len(deltas) controls as columns.  The first
+    solves take all 2 len(deltas) controls as rows.  The first
     direction's batch also carries the base control, as member 0, whose
     trajectory is copied out for the one adjoint sweep of the gradient;
     so a check makes n_directions forward sweeps in all.  A sweep holds

@@ -44,13 +44,13 @@ def scar(grid, c, radius=0.2):
 
 
 def jacobi(A):
-    """The Jacobi preconditioner r -> r / diag(A) of a matrix A, per column of a block.
+    """The Jacobi preconditioner r -> r / diag(A) of a matrix A, per row of a block.
 
     The package solves with spectral inverses only; tests use this as
     the baseline they are compared with.
     """
     inv_diag = 1.0 / A.diagonal()
-    return lambda r: (inv_diag * r.T).T
+    return lambda r: inv_diag * r
 
 
 def h1_norm(fld):
@@ -72,6 +72,21 @@ def integrate(fld):
 def constant_field(grid, value):
     """The ScalarField holding ``value`` at every node."""
     return ScalarField(grid, np.full(grid.n_nodes, float(value)))
+
+
+def constant_series(grid, value):
+    """The FieldSeries holding ``value`` at every node of every frame."""
+    return FieldSeries(grid, np.full((grid.n_steps + 1, grid.n_nodes), float(value)))
+
+
+def node_meshgrid(grid):
+    """The per-axis node coordinates broadcast over the grid, one array per axis."""
+    return np.meshgrid(*grid.axis_coords, indexing="ij")
+
+
+def node_coords(grid):
+    """Node coordinates, shape (n_nodes, dim), C-ordered like field values."""
+    return np.stack([m.ravel() for m in node_meshgrid(grid)], axis=1)
 
 
 # The documented snapshot header (README, "Snapshot format"): magic,
@@ -208,11 +223,11 @@ def solves(monkeypatch):
 def meets_tolerance(solve):
     """Whether a recorded solve's residual, recomputed from its operator, is within its tol.
 
-    Checked per column: ||b - A x|| <= tol ||b||.
+    Checked per row: ||b - A x|| <= tol ||b||.
     """
     b = solve["b"]
-    residual = np.linalg.norm(b - solve["matvec"](solve["x"]), axis=0)
-    return bool(np.all(residual <= solve["kwargs"]["tol"] * np.linalg.norm(b, axis=0)))
+    residual = np.linalg.norm(b - solve["matvec"](solve["x"]), axis=-1)
+    return bool(np.all(residual <= solve["kwargs"]["tol"] * np.linalg.norm(b, axis=-1)))
 
 
 def assert_direct(solve):

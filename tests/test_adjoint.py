@@ -85,7 +85,7 @@ def test_control_mask_leaves_tracking_untouched(grid1d):
     # global, so the multipliers must not depend on it
     cfg = make_problem(grid1d, stimulus=0.3)
     res = run_forward(cfg, report=False)
-    mask = (grid1d.coords[:, 0] <= 0.5).astype(float)
+    mask = (grid1d.axis_coords[0] <= 0.5).astype(float)
     full = run_adjoint(cfg, res, CostConfig(w_phi=1.0), report=False)
     masked = run_adjoint(cfg, res, CostConfig(w_phi=1.0, mask=mask), report=False)
     assert np.array_equal(masked.p1.data, full.p1.data)

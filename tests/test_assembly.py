@@ -24,7 +24,7 @@ from cardioct.assembly import (
 from cardioct.forward import run_forward
 from cardioct.grid import FieldSeries, Grid, ScalarField, TensorField, l2_norm
 
-from conftest import fibres, make_problem, random_spd
+from conftest import fibres, make_problem, node_coords, random_spd
 
 
 def test_mass_is_quadrature_weights():
@@ -39,7 +39,7 @@ def test_stiffness_energy_of_linear_function():
     # u(x) = x with unit conductivity: int (u')^2 = 1 exactly
     g = Grid((17,), (1.0,), 1.0, 1)
     K = assemble_stiffness(g, TensorField.isotropic(g, 1.0))
-    u = g.coords[:, 0]
+    u = node_coords(g)[:, 0]
     assert u @ (K @ u) == pytest.approx(1.0, rel=1e-13)
 
 
@@ -47,7 +47,7 @@ def test_stiffness_energy_anisotropic_2d():
     # u(x,y) = x with M = diag(2, 2): int 2 (du/dx)^2 = 2
     g = Grid((9, 9), (1.0, 1.0), 1.0, 1)
     K = assemble_stiffness(g, TensorField.diagonal(g, (2.0, 2.0)))
-    u = g.coords[:, 0]
+    u = node_coords(g)[:, 0]
     assert u @ (K @ u) == pytest.approx(2.0, rel=1e-12)
 
 
@@ -214,12 +214,12 @@ def test_stiffness_and_system_operators_stay_dia():
     assert ops.K_i.format == ops.K_e.format == ops.K_ie.format == "dia"
     # every system is an (apply, precond) pair of callables on the stencils
     K_i, K_ie, mass = ops.K_i.toarray(), ops.K_ie.toarray(), np.diag(ops.mass)
-    X = np.random.default_rng(3).standard_normal((g.n_nodes, 3))
+    X = np.random.default_rng(3).standard_normal((3, g.n_nodes))
     systems = ((ops.step_system(0.3), mass + 0.3 * K_i), (ops.neumann_system(), K_ie))
     for (apply, precond), A in systems:
         assert callable(apply) and callable(precond)
-        assert np.allclose(apply(X), A @ X, rtol=0.0, atol=1e-12 * np.abs(A).max())
-        assert np.allclose(apply(X[:, 1]), A @ X[:, 1], rtol=0.0, atol=1e-12 * np.abs(A).max())
+        assert np.allclose(apply(X), X @ A.T, rtol=0.0, atol=1e-12 * np.abs(A).max())
+        assert np.allclose(apply(X[1]), A @ X[1], rtol=0.0, atol=1e-12 * np.abs(A).max())
     # one memo: a second call returns the same pair, and the keys do not collide
     assert ops.step_system(0.3) is ops.step_system(0.3)
     assert ops.coupled_system(0.3) is ops.coupled_system(0.3)
@@ -380,9 +380,9 @@ def test_elliptic_solve_cosine_oracle():
     g = Grid((65,), (1.0,), 1.0, 1)
     mi = TensorField.isotropic(g, 1.0)
     ops = build_operators(g, mi, mi)
-    f = ScalarField.from_function(g, lambda x: np.cos(np.pi * x))
+    f = ScalarField(g, np.cos(np.pi * g.axis_coords[0]))
     u = bidomain_elliptic_solve(ops, ops.mass * f.values)
-    exact = ScalarField.from_function(g, lambda x: np.cos(np.pi * x) / (2 * np.pi**2))
+    exact = ScalarField(g, f.values / (2 * np.pi**2))
     err = l2_norm(ScalarField(g, u - exact.values))
     assert err <= 1e-3 * l2_norm(exact)
     assert abs(g.weights @ u) < 1e-10

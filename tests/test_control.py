@@ -21,7 +21,7 @@ from cardioct.forward import ForwardResult, run_forward
 from cardioct.grid import FieldSeries, Grid, ScalarField
 from cardioct.stimuli import box_mask, seeded_smooth_series
 
-from conftest import make_problem
+from conftest import constant_series, make_problem
 
 
 def zero_traj(grid):
@@ -45,7 +45,7 @@ def test_control_inner_skips_final_frame():
     assert tw.shape == (5,)
     assert tw[-1] == 0.0
     assert tw.sum() == pytest.approx(1.0)
-    ones = FieldSeries.constant(g, 1.0)
+    ones = constant_series(g, 1.0)
     # T |Omega| = 1, and the final frame has no weight
     assert control_inner(ones, ones) == pytest.approx(1.0, rel=1e-14)
     tail = ones.copy()
@@ -56,7 +56,7 @@ def test_control_inner_skips_final_frame():
 def test_cost_of_rest_versus_unit_target():
     # J = 1/2 int_0^T int_Omega 1 dx dt = 1/2 on the unit cylinder
     g = Grid((17,), (1.0,), 1.0, 8)
-    cost = CostConfig(mu=0.0, w_phi=1.0, phi_des=FieldSeries.constant(g, 1.0))
+    cost = CostConfig(mu=0.0, w_phi=1.0, phi_des=constant_series(g, 1.0))
     J = evaluate_cost(zero_traj(g), FieldSeries.zeros(g), cost)
     assert J == pytest.approx(0.5, rel=1e-13)
 
@@ -65,7 +65,7 @@ def test_cost_regularizer_masked():
     g = Grid((17,), (1.0,), 1.0, 8)
     mask = box_mask(g, (0.0,), (0.5,))
     cost = CostConfig(mu=2.0, w_phi=0.0, mask=mask)
-    control = FieldSeries.constant(g, 1.0)
+    control = constant_series(g, 1.0)
     J = evaluate_cost(zero_traj(g), control, cost)
     # mu/2 * |box| * T with the half-weight boundary node at x = 0.5
     expected = 0.5 * 2.0 * float(g.weights @ mask)
@@ -190,7 +190,7 @@ def test_gradient_without_adjoint_is_regularizer(grid1d):
 
 def test_descent_reduces_tracking_error(grid1d):
     cfg = make_problem(grid1d, stimulus=0.0)
-    target = FieldSeries.constant(grid1d, 0.05)
+    target = constant_series(grid1d, 0.05)
     cost = CostConfig(mu=1e-4, w_phi=1.0, phi_des=target)
     problem = ControlProblem(config=cfg, cost=cost, budget=8)
     res = projected_gradient_descent(problem)
@@ -212,7 +212,7 @@ def test_descent_recovers_zero_control(grid1d):
 
 def test_radius_constraint_respected(grid1d):
     cfg = make_problem(grid1d, stimulus=0.0)
-    target = FieldSeries.constant(grid1d, 0.2)
+    target = constant_series(grid1d, 0.2)
     cost = CostConfig(mu=1e-6, w_phi=1.0, phi_des=target)
     problem = ControlProblem(config=cfg, cost=cost, radius=0.05, budget=10)
     res = projected_gradient_descent(problem)

@@ -23,7 +23,7 @@ from cardioct.linalg import SolverError, cg_solve
 from cardioct.spectral import SpectralBasis
 from cardioct.verify import gradient_check, monodomain_limit_check
 
-from conftest import assert_exact, fibres, make_problem, meets_tolerance, scar
+from conftest import assert_exact, fibres, make_problem, meets_tolerance, node_coords, scar
 from test_cli import BASE
 from test_warm_start import _off_diagonal
 
@@ -37,38 +37,38 @@ COEFFS = st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3)
 
 
 def _loads(g, rng):
-    """A random, a smooth and a single-cosine-mode load, as three columns."""
-    x = g.coords / np.asarray(g.lengths)
+    """A random, a smooth and a single-cosine-mode load, as three rows."""
+    x = node_coords(g) / np.asarray(g.lengths)
     smooth = np.exp(-((x - 0.3) ** 2).sum(axis=1) / 0.1)
     mode = np.ones(g.n_nodes)
     for a, n in enumerate(g.nodes_per_axis):
         mode *= np.cos(np.pi * rng.integers(0, n) * x[:, a])
-    return np.column_stack([rng.standard_normal(g.n_nodes), g.weights * smooth, g.weights * mode])
+    return np.stack([rng.standard_normal(g.n_nodes), g.weights * smooth, g.weights * mode])
 
 
-def _with_zero_column(B, j):
-    return np.insert(B, min(j, B.shape[1]), 0.0, axis=1)
+def _with_zero_row(B, j):
+    return np.insert(B, min(j, len(B)), 0.0, axis=0)
 
 
 def _counting(matvec):
     widths = []
 
     def counted(v):
-        widths.append(1 if v.ndim == 1 else v.shape[1])
+        widths.append(1 if v.ndim == 1 else len(v))
         return matvec(v)
 
     return counted, widths
 
 
 def _check_solve(matvec, precond, B, tol=1e-10):
-    """Solve the columns of B twice: first with the residual test, then directly if allowed."""
+    """Solve the rows of B twice: first with the residual test, then directly if allowed."""
     assert not hasattr(precond, "residual")
     for first in (True, False):
         counted, widths = _counting(matvec)
         X = cg_solve(counted, B, tol=tol, precond=precond)
-        residual = np.linalg.norm(B - matvec(X), axis=0)
-        assert np.all(residual <= tol * np.linalg.norm(B, axis=0))
-        assert not X[:, ~B.any(axis=0)].any()
+        residual = np.linalg.norm(B - matvec(X), axis=1)
+        assert np.all(residual <= tol * np.linalg.norm(B, axis=1))
+        assert not X[~B.any(axis=1)].any()
         if not first and tol >= 100.0 * precond.residual:
             assert widths == []
             assert np.array_equal(X, precond(B))
@@ -86,22 +86,22 @@ def test_direct_solves_meet_their_tolerance(case, ci, ce, coef, zero, seed):
     ops = build_operators(
         g, TensorField.diagonal(g, ci[: g.dim]), TensorField.diagonal(g, ce[: g.dim])
     )
-    B = _with_zero_column(_loads(g, rng), zero)
+    B = _with_zero_row(_loads(g, rng), zero)
     _check_solve(*ops.step_system(coef), B)
-    zero_sum = B - B.mean(axis=0)
+    zero_sum = B - B.mean(axis=1, keepdims=True)
     _check_solve(*ops.neumann_system(), zero_sum)
     apply, block = ops.coupled_system(coef)
     assert block.exact is True
-    _check_solve(apply, block, np.concatenate((B, zero_sum[:, ::-1])))
+    _check_solve(apply, block, np.concatenate((B, zero_sum[::-1]), axis=1))
 
 
 def _axis_modes(g):
     """Loads of the two lowest cosine modes along every axis and of the highest mode."""
-    x = g.coords / np.asarray(g.lengths)
-    cols = [g.weights * np.cos(np.pi * k * x[:, a]) for a in range(g.dim) for k in (1, 2)]
+    x = node_coords(g) / np.asarray(g.lengths)
+    rows = [g.weights * np.cos(np.pi * k * x[:, a]) for a in range(g.dim) for k in (1, 2)]
     top = np.prod([np.cos(np.pi * (n - 1) * x[:, a]) for a, n in enumerate(g.nodes_per_axis)],
                   axis=0)
-    return np.column_stack(cols + [g.weights * top])
+    return np.stack(rows + [g.weights * top])
 
 
 def _check_modes(matvec, precond, first, modes):
@@ -111,8 +111,8 @@ def _check_modes(matvec, precond, first, modes):
     counted, widths = _counting(matvec)
     X = cg_solve(counted, modes, tol=tol, precond=precond)
     assert widths == []
-    residual = np.linalg.norm(modes - matvec(X), axis=0)
-    assert np.all(residual <= tol * np.linalg.norm(modes, axis=0))
+    residual = np.linalg.norm(modes - matvec(X), axis=1)
+    assert np.all(residual <= tol * np.linalg.norm(modes, axis=1))
 
 
 STRONG_CASES = st.integers(1, 3).flatmap(
@@ -139,11 +139,11 @@ def test_every_axis_mode_meets_100_times_the_residual(case, coef, seed):
     first = np.random.default_rng(seed).standard_normal(g.n_nodes)
     modes = _axis_modes(g)
     _check_modes(*ops.step_system(coef), first, modes)
-    zero_sum = modes - modes.mean(axis=0)
+    zero_sum = modes - modes.mean(axis=1, keepdims=True)
     _check_modes(*ops.neumann_system(), first - first.mean(), zero_sum)
     apply, block = ops.coupled_system(coef)
     _check_modes(apply, block, np.concatenate((first, first - first.mean())),
-                 np.concatenate((modes, zero_sum[:, ::-1])))
+                 np.concatenate((modes, zero_sum[::-1]), axis=1))
 
 
 def _always_exact(monkeypatch):
@@ -221,7 +221,7 @@ def test_a_non_finite_load_raises_on_the_direct_path(grid2d):
     for bad in (np.nan, np.inf):
         load = np.ones(grid2d.n_nodes)
         load[3] = bad
-        with pytest.raises(SolverError, match="non-finite"):
+        with pytest.raises(SolverError, match="non-finite"), np.errstate(invalid="ignore"):
             cg_solve(A, load, precond=precond)
 
 

@@ -10,7 +10,7 @@ from cardioct.grid import FieldSeries, Grid, ScalarField, TensorField
 from cardioct.ionic import IonicParams, gating_exact_update, i_ion
 from cardioct.assembly import build_operators
 
-from conftest import constant_field, integrate, make_problem
+from conftest import constant_field, constant_series, integrate, make_problem
 
 
 def test_rest_state_stays_identically_zero(grid1d):
@@ -34,8 +34,8 @@ def test_monodomain_matches_pointwise_recursion():
         kind="monodomain",
         phi0=constant_field(g, 0.4),
         w0=constant_field(g, 0.1),
-        I_i=FieldSeries.constant(g, ii),
-        I_e=FieldSeries.constant(g, ie),
+        I_i=constant_series(g, ii),
+        I_e=constant_series(g, ie),
     )
     res = run_forward(cfg, report=False)
     phi, w = 0.4, 0.1
@@ -156,7 +156,7 @@ def test_no_reaction_heat_decay():
         ops=ops,
         ionic=IonicParams("fhn"),
         kind="monodomain",
-        phi0=ScalarField.from_function(g, lambda x: np.cos(np.pi * x)),
+        phi0=ScalarField(g, np.cos(np.pi * g.axis_coords[0])),
         w0=ScalarField.zeros(g),
         I_i=FieldSeries.zeros(g),
         I_e=FieldSeries.zeros(g),

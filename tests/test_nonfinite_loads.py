@@ -5,7 +5,8 @@ iterate meets: PCG would return its warm start (or zeros).  A NaN norm
 makes a target that no iterate meets, and PCG would run to its
 iteration cap.  ``cg_solve`` raises ``SolverError`` on either before it
 applies the operator; a forward step raises ``DivergenceError`` on its
-own load, and the CLI exits 3 on both.
+own load, and the CLI exits 3 on both.  The constructors of the grid,
+the ionic model and the cost reject a non-finite number up front.
 """
 
 from dataclasses import replace
@@ -13,10 +14,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cardioct.adjoint import CostConfig
 from cardioct.assembly import build_operators
 from cardioct.cli import main
 from cardioct.forward import DivergenceError, run_forward
 from cardioct.grid import Grid, TensorField
+from cardioct.ionic import IonicParams
 from cardioct.linalg import SolverError, cg_solve
 
 from conftest import constant_field, fibres, make_problem
@@ -45,8 +48,8 @@ def test_cg_solve_rejects_a_non_finite_load(tensor, block, bad):
         A, precond = build_operators(GRID, TENSORS[tensor](GRID)).step_system(0.1)
         if measured:
             cg_solve(A, np.ones(n), precond=precond)
-        load = np.ones((n, 3) if block else n)
-        load[7] = bad
+        load = np.ones((3, n) if block else n)
+        load[..., 7] = bad
         apply, calls = _counted(A)
         with pytest.raises(SolverError, match="non-finite"), np.errstate(invalid="ignore"):
             cg_solve(apply, load, precond=precond, x0=np.ones_like(load))
@@ -76,3 +79,23 @@ def test_cli_simulate_exits_3_on_a_blown_up_run(tmp_path, capsys):
         code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == 3
     assert "non-finite load" in capsys.readouterr().err
+
+
+CONSTRUCTORS = {
+    "T": lambda v: Grid((9,), (1.0,), v, 4),
+    "lengths": lambda v: Grid((9,), (v,), 1.0, 4),
+    "b": lambda v: IonicParams("rm", b=v),
+    "kappa": lambda v: IonicParams("rm", kappa=v),
+    "eps": lambda v: IonicParams("rm", eps=v),
+    "mu": lambda v: CostConfig(mu=v),
+    "w_phi": lambda v: CostConfig(w_phi=v),
+    "w_eta": lambda v: CostConfig(w_eta=v),
+    "w_gate": lambda v: CostConfig(w_gate=v),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", list(CONSTRUCTORS))
+def test_constructors_reject_a_non_finite_number(name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        CONSTRUCTORS[name](bad)

@@ -7,6 +7,7 @@ import pytest
 from cardioct.forward import run_forward
 from cardioct.grid import Grid
 from cardioct.stimuli import (
+    SMOOTH_MODES,
     box_mask,
     gaussian_bump,
     pulse_series,
@@ -14,22 +15,23 @@ from cardioct.stimuli import (
     time_window,
 )
 
-from conftest import make_problem
+from conftest import make_problem, node_meshgrid
 
 # 1-D, 2-D and 3-D grids, with a 2-node axis and unequal lengths
 GRIDS = [((9,), (2.0,)), ((9, 6), (1.0, 0.3)), ((5, 2, 4), (1.0, 0.3, 2.0)), ((7, 6, 5), (1.0,) * 3)]
 
 
-def _loop_series(grid, rng, amplitude=1.0, modes=2):
+def _loop_series(grid, rng, amplitude=1.0):
     """Reference: one scalar draw and one rank-one update per (mode tuple, q)."""
     t = grid.times
     data = np.zeros((grid.n_steps + 1, grid.n_nodes))
-    for m_tuple in product(range(modes + 1), repeat=grid.dim):
+    mesh = node_meshgrid(grid)
+    for m_tuple in product(range(SMOOTH_MODES + 1), repeat=grid.dim):
         basis = np.ones(grid.nodes_per_axis)
         for ax, m in enumerate(m_tuple):
-            basis = basis * np.cos(np.pi * m * grid.meshgrid[ax] / grid.lengths[ax])
+            basis = basis * np.cos(np.pi * m * mesh[ax] / grid.lengths[ax])
         flat = basis.ravel()
-        for q in range(1, modes + 1):
+        for q in range(1, SMOOTH_MODES + 1):
             coef = rng.standard_normal()
             data += coef * np.outer(np.sin(np.pi * q * t / grid.T), flat)
     peak = np.max(np.abs(data))
@@ -39,14 +41,13 @@ def _loop_series(grid, rng, amplitude=1.0, modes=2):
 
 
 @pytest.mark.parametrize(
-    "nodes, lengths, modes",
-    [((9,), (2.0,), 2), ((9, 6), (1.0, 0.3), 3), ((5, 2, 4), (1.0, 0.3, 2.0), 2)],
+    "nodes, lengths", [((9,), (2.0,)), ((9, 6), (1.0, 0.3)), ((5, 2, 4), (1.0, 0.3, 2.0))]
 )
-def test_seeded_series_matches_the_scalar_loop(nodes, lengths, modes):
+def test_seeded_series_matches_the_scalar_loop(nodes, lengths):
     g = Grid(nodes, lengths, 0.7, 6)
     rng, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
-    got = seeded_smooth_series(g, rng, 0.4, modes).data
-    ref = _loop_series(g, rng_ref, 0.4, modes)
+    got = seeded_smooth_series(g, rng, 0.4).data
+    ref = _loop_series(g, rng_ref, 0.4)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     # the draws consumed the same stream
     assert rng.standard_normal() == rng_ref.standard_normal()
@@ -69,7 +70,7 @@ def test_seeded_series_peaks_near_its_output():
 def test_gaussian_bump_matches_the_meshgrid_formula(nodes, lengths):
     g = Grid(nodes, lengths, 1.0, 2)
     center = np.array([0.3, 0.2, 1.1][: g.dim])
-    r2 = sum((mesh - c) ** 2 for mesh, c in zip(g.meshgrid, center))
+    r2 = sum((mesh - c) ** 2 for mesh, c in zip(node_meshgrid(g), center))
     ref = (0.8 * np.exp(-r2 / 0.4**2)).ravel()
     got = gaussian_bump(g, center, 0.4, 0.8).values
     assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
@@ -83,7 +84,7 @@ def test_box_mask_matches_the_meshgrid_formula(nodes, lengths):
     lo = np.array(g.h) + 5e-13
     hi = np.where(np.array(nodes) > 2, 0.7 * np.array(lengths), lengths)
     mask = np.ones(g.nodes_per_axis, dtype=bool)
-    for mesh, a, b in zip(g.meshgrid, lo, hi):
+    for mesh, a, b in zip(node_meshgrid(g), lo, hi):
         mask &= (mesh >= a - 1e-12) & (mesh <= b + 1e-12)
     ref = mask.ravel().astype(float)
     got = box_mask(g, lo, hi)
@@ -93,16 +94,19 @@ def test_box_mask_matches_the_meshgrid_formula(nodes, lengths):
     assert not box_mask(g, np.full(g.dim, 2e-12), g.lengths)[0]
 
 
-def test_set_up_and_a_first_run_build_no_node_coordinates():
-    # the builders and the first solve read grid.axis_coords only
+def test_set_up_and_a_first_run_build_no_node_coordinates(monkeypatch):
+    # the builders and the first solve read grid.axis_coords only: none
+    # broadcasts the axes into node-sized coordinate arrays
+    meshgrids = []
+    monkeypatch.setattr(np, "meshgrid", lambda *axes, **kw: meshgrids.append(axes))
     g = Grid((9, 7, 5), (1.0, 0.8, 0.6), 0.5, 3)
     cfg = make_problem(g, model="ap", stimulus=0.4)
     box_mask(g, (0.2, 0.2, 0.2), (0.6, 0.6, 0.6))
     pulse_series(g, gaussian_bump(g, (0.5, 0.4, 0.3), 0.2), 0.0, 0.25, "box")
     seeded_smooth_series(g, np.random.default_rng(0), 0.1)
     run_forward(cfg)
-    assert "meshgrid" not in g.__dict__
-    assert "coords" not in g.__dict__
+    assert meshgrids == []
+    assert not any(getattr(v, "shape", None) == (g.n_nodes, g.dim) for v in vars(g).values())
 
 
 def test_gaussian_bump_peaks_near_its_output():

@@ -45,7 +45,7 @@ def test_constant_bidomain_recovers_phi_e_directly(grid2d, solves):
     # the current lifts of all frames in one block, then the frame-0 recovery
     recover = [s for s in solves if s["A"] is cfg.ops.neumann_system()[0]]
     assert [s["b"].shape for s in recover] == [
-        (grid2d.n_nodes, grid2d.n_steps + 1),
+        (grid2d.n_steps + 1, grid2d.n_nodes),
         (grid2d.n_nodes,),
     ]
     assert all("x0" not in s["kwargs"] for s in recover)
