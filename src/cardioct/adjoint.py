@@ -26,9 +26,9 @@ Both come from one solve of the forward step's coupled block system
 (``assembly.solve_coupled_step``) with the load [rhs; -dt Mass r_eta]:
 its Schur complement on p1 is the lifted p1 equation, and its second
 block is p2.  psi_eta itself is still solved for, because the control
-gradient reads it; it depends on the data only, so all its frames are
-solved before the sweep, in blocks of frames
-(``assembly.solve_neumann_frames``).
+gradient reads it; it depends on the data only, so the loads of all
+frames are formed before the sweep and solved in place, in blocks of
+frames (``assembly.solve_neumann_frames``).
 
 ``run_adjoint`` steps over the series it returns: step k reads frame
 k + 1 and writes frame k, in place, with the cost partials of frame k;
@@ -151,7 +151,7 @@ def run_adjoint(config, traj, cost, *, report=True):
     def eta_load(k, scale=1.0):
         """scale Mass r_bar^k of the zero-mean eta-tracking partial.
 
-        ``k`` is one frame, or an index of frames (one load per row).
+        ``k`` is one frame, or Ellipsis for every frame (one load per row).
         """
         r = _partial(scale * cost.w_eta, traj.phi_e, cost.eta_des, k)
         r -= (r @ g.weights)[..., None] / g.measure
@@ -163,9 +163,9 @@ def run_adjoint(config, traj, cost, *, report=True):
     if bidomain:
         # psi_eta reads the data only: solved for every frame before the
         # sweep, and before the other multipliers exist, to keep the peak low
-        psi_eta = FieldSeries.zeros(g)
+        psi_eta = FieldSeries(g, eta_load(Ellipsis)) if track_eta else FieldSeries.zeros(g)
         if track_eta:
-            solve_neumann_frames(ops, eta_load, psi_eta.data, tol=config.inner_tol)
+            solve_neumann_frames(ops, psi_eta.data, tol=config.inner_tol)
         no_eta_load = np.zeros(g.n_nodes)
     p1 = FieldSeries.zeros(g)
     p3 = FieldSeries.zeros(g)

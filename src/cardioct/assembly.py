@@ -69,7 +69,7 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Grid, ScalarField, TensorField
+from .grid import Grid, TensorField
 from .linalg import cg_solve, row_product
 from .spectral import reference_coefficients
 
@@ -107,13 +107,13 @@ def _cells(tensor):
 
 
 def ellipticity_check(tensor):
-    """Validate a tensor field and return (mu1, mu2) eigenvalue bounds.
+    """Validate a tensor field: every cell finite, symmetric and positive definite.
 
-    mu1 is the smallest eigenvalue over all cells, mu2 the largest.
-    A constant tensor is checked on its one stored cell.  Cells whose
-    off-diagonal entries are all zero are read off their diagonal; only
-    the others go through ``eigvalsh``.  Raises EllipticityError for
-    non-finite, non-symmetric or non-positive-definite cells.
+    A constant tensor is checked on its one stored cell.  The smallest
+    eigenvalue of a cell whose off-diagonal entries are all zero is read
+    off its diagonal; only the others go through ``eigvalsh``.  Raises
+    EllipticityError, naming the smallest eigenvalue over the cells when
+    it is not positive.
     """
     e = _cells(tensor)
     if not np.isfinite(e).all():
@@ -123,17 +123,13 @@ def ellipticity_check(tensor):
     upper, lower = e[:, i, j], e[:, j, i]
     if float(np.abs(upper - lower).max(initial=0.0)) > 1e-12 * scale:
         raise EllipticityError("tensor has a non-symmetric cell")
-    diag = np.diagonal(e, axis1=1, axis2=2).T.copy()  # (dim, n_cells): fast axis-0 reductions
-    lo, hi = diag.min(axis=0), diag.max(axis=0)
+    lo = np.diagonal(e, axis1=1, axis2=2).T.copy().min(axis=0)  # a fast contiguous reduction
     full = (lower != 0.0).any(axis=1)  # eigvalsh reads the lower triangle
     if full.any():
-        eigs = np.linalg.eigvalsh(e[full])
-        lo[full], hi[full] = eigs[:, 0], eigs[:, -1]
+        lo[full] = np.linalg.eigvalsh(e[full])[:, 0]
     mu1 = float(lo.min())
-    mu2 = float(hi.max())
     if mu1 <= 0.0:
         raise EllipticityError(f"tensor is not uniformly elliptic (min eigenvalue {mu1:g})")
-    return mu1, mu2
 
 
 @cache
@@ -236,24 +232,23 @@ def _constant_diagonal(tensor):
     """True when every cell of ``tensor`` holds the same diagonal matrix.
 
     The DCT-I inverse built from such a tensor's stiffness is exact
-    (``spectral``).  A missing tensor (None) gives False.
+    (``spectral``).
     """
-    if tensor is None or not tensor.constant:
-        return False
     cell = tensor.entries[0]
-    return not (cell - np.diag(np.diag(cell))).any()
+    return tensor.constant and not (cell - np.diag(np.diag(cell))).any()
 
 
 @dataclass
 class SystemOperators:
     """Assembled operators for one conductivity configuration.
 
-    K_i is the intracellular stiffness, K_e the extracellular one and
-    K_ie = K_i + K_e (both None for monodomain-only use), all DIA
-    stencils; mass is the lumped diagonal, and lam the extra/intra
-    conductivity ratio used by the monodomain reduction.  The spectral
-    eigenvalues and the ``(apply, precond)`` pair of each system are
-    built on first use, the pairs memoized in one dict.  The dual norms
+    K_i is the intracellular stiffness of the tensor mi, K_e the
+    extracellular one of me and K_ie = K_i + K_e (me, K_e and K_ie are
+    None for monodomain-only use), all DIA stencils; the tensors decide
+    which inverses are exact.  mass is the lumped diagonal, and lam the
+    extra/intra conductivity ratio used by the monodomain reduction.
+    The spectral eigenvalues and the ``(apply, precond)`` pair of each
+    system are built on first use, the pairs memoized in one dict.  The dual norms
     need no operator: ``grid`` reads them off the DCT-I coefficients.
     """
 
@@ -261,9 +256,9 @@ class SystemOperators:
     mass: np.ndarray
     K_i: sp.dia_matrix
     lam: float
+    mi: TensorField
     K_e: sp.dia_matrix | None = None
     K_ie: sp.dia_matrix | None = None
-    mi: TensorField | None = None
     me: TensorField | None = None
     _systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -369,15 +364,11 @@ def build_operators(grid, mi, me=None, lam=1.0):
         mass=grid.weights.copy(),
         K_i=K_i,
         lam=float(lam),
+        mi=mi,
         K_e=K_e,
         K_ie=K_ie,
-        mi=mi,
         me=me,
     )
-
-
-def _values(u):
-    return u.values if isinstance(u, ScalarField) else np.asarray(u, dtype=float)
 
 
 def _neumann_load(load):
@@ -422,23 +413,21 @@ def solve_neumann(ops, load, *, tol):
     return _zero_mean(ops.grid, x)
 
 
-def solve_neumann_frames(ops, load, out, *, tol):
-    """Solve K_ie x = load for every frame of a series, in blocks of frames.
+def solve_neumann_frames(ops, frames, *, tol):
+    """Solve K_ie x = load for every frame of a series, in place, in blocks of frames.
 
-    ``out`` is a (*batch, n_frames, N) array that receives the
-    solutions.  ``load(index)`` returns the assembled loads of the
-    frames at ``index``, a tuple of index arrays into ``out.shape[:-1]``,
-    as a (frames, N) array; each load must sum to zero.  The frames go
-    through ``solve_neumann`` as the rows of blocks of at most
-    ``FRAME_BLOCK_VALUES`` values, so the temporaries of a solve stay a
-    fraction of one series however long the series is.
+    ``frames`` is a C-contiguous (*batch, n_frames, N) array that holds
+    the assembled loads, each summing to zero, on entry and their
+    solutions on return.  Its rows go through ``solve_neumann`` in
+    blocks of at most ``FRAME_BLOCK_VALUES`` values, so the temporaries
+    of a solve stay a fraction of one series however long it is.
     """
-    frames = out.shape[:-1]
-    step = max(1, FRAME_BLOCK_VALUES // out.shape[-1])
-    total = int(np.prod(frames))
-    for start in range(0, total, step):
-        index = np.unravel_index(np.arange(start, min(start + step, total)), frames)
-        out[index] = solve_neumann(ops, load(index), tol=tol)
+    if not frames.flags.c_contiguous:
+        raise ValueError("solve_neumann_frames solves in place and needs a C-contiguous array")
+    rows = frames.reshape(-1, frames.shape[-1])
+    step = max(1, FRAME_BLOCK_VALUES // rows.shape[1])
+    for block in np.split(rows, range(step, len(rows), step)):
+        block[...] = solve_neumann(ops, block, tol=tol)
 
 
 def bidomain_elliptic_solve(ops, load, *, tol=1e-11):
@@ -453,15 +442,14 @@ def bidomain_elliptic_solve(ops, load, *, tol=1e-11):
 def reduced_rhs_S(ops, I_i, I_e, *, tol=1e-11):
     """Forcing load of the reduced (Schur) transmembrane system.
 
-    Lifts the total current I_i + I_e through the extracellular solve
-    (psi_e, zero-mean) and returns the load vector Mass I_i - K_i psi_e.
-    With M_e = lam M_i this equals Mass (lam I_i - I_e)/(1+lam), the
+    Lifts the total current I_i + I_e (nodal arrays) through the
+    extracellular solve (psi_e, zero-mean) and returns the load vector
+    Mass I_i - K_i psi_e.  With M_e = lam M_i this equals Mass (lam I_i - I_e)/(1+lam), the
     monodomain forcing.  The coupled step does not need it: its second
     block row carries the lift.
     """
-    ii, ie = _values(I_i), _values(I_e)
-    psibar = bidomain_elliptic_solve(ops, ops.mass * (ii + ie), tol=tol)
-    return ops.mass * ii - ops.K_i @ psibar
+    psibar = bidomain_elliptic_solve(ops, ops.mass * (I_i + I_e), tol=tol)
+    return ops.mass * I_i - ops.K_i @ psibar
 
 
 def reduced_operator(ops, dt):

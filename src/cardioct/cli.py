@@ -494,7 +494,10 @@ COMMANDS = {
 
 def dispatch(args):
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot make the output directory ({exc})") from None
     # report reads no config; main requires one for every other command
     rc = parse_config(args.config) if args.config else None
     return COMMANDS[args.command](rc, args, out)
@@ -511,10 +514,11 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    if args.command != "report" and args.config is None:
-        print("error: config: --config is required for this command", file=sys.stderr)
-        return 2
     try:
+        if args.command != "report" and args.config is None:
+            raise ConfigError("--config is required for this command")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, not {args.seed}")
         return dispatch(args)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)

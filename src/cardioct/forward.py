@@ -203,19 +203,13 @@ def recover_phi_e(config, phi_tr, k):
 def _current_lifts(config, out):
     """Write lift^k = K_ie^+ Mass (I_i + I_e)^k of every frame and member into ``out``.
 
-    ``out`` is shaped like the run's series; the lifts are solved to
-    ``inner_tol`` in blocks of frames (``solve_neumann_frames``).
+    ``out``, shaped like the run's series, receives the loads, which
+    ``solve_neumann_frames`` replaces in place by their lifts, solved
+    to ``inner_tol``.
     """
-    I_i = np.broadcast_to(config.I_i.data, out.shape)
-    I_e = np.broadcast_to(config.I_e.data, out.shape)
-
-    def load(index):
-        currents = I_i[index]
-        currents += I_e[index]
-        currents *= config.ops.mass
-        return currents
-
-    solve_neumann_frames(config.ops, load, out, tol=config.inner_tol)
+    np.add(config.I_i.data, config.I_e.data, out=out)
+    out *= config.ops.mass
+    solve_neumann_frames(config.ops, out, tol=config.inner_tol)
 
 
 def _check_load(load, k):

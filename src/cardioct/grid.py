@@ -247,8 +247,7 @@ class TensorField:
 
     ``entries`` has shape (n_cells, dim, dim).  Symmetry and positive
     definiteness are checked where the tensor is assembled
-    (``assembly.ellipticity_check``), which also returns its eigenvalue
-    bounds.
+    (``assembly.ellipticity_check``).
 
     A tensor whose cells are all equal is ``constant``, and the assembly
     checks and contracts only its first cell.  Its ``entries`` are then

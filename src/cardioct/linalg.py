@@ -85,7 +85,7 @@ def _row_dots(u, v):
     return (u[:, None, :] @ v[:, :, None])[:, 0]
 
 
-def cg_solve(A, b, *, precond, tol=1e-10, maxiter=None, x0=None):
+def cg_solve(A, b, *, precond, tol=1e-10, x0=None):
     """Solve ``A x = b`` for symmetric positive (semi)definite ``A``.
 
     A singular ``A`` needs a consistent ``b`` (in the range of ``A``)
@@ -93,10 +93,10 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxiter=None, x0=None):
 
     Parameters
     ----------
-    A : callable ``v -> A @ v``, or a matrix
-        Operator.  For a block ``b`` a callable receives (k, n) blocks,
-        one row per unconverged right-hand side, and maps them row by
-        row; a matrix is applied to them by ``row_product``.
+    A : callable ``v -> A @ v``
+        Operator.  For a block ``b`` it receives (k, n) blocks, one row
+        per unconverged right-hand side, and maps them row by row (a
+        matrix is wrapped as ``partial(row_product, matrix)``).
     b : array, shape (n,) or (m, n)
         Right-hand side, or m right-hand sides as rows, each solved as
         its own PCG (see the module docstring).  A zero row gives a zero
@@ -111,8 +111,6 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxiter=None, x0=None):
     tol : float
         Relative residual target ``||b - A x|| <= tol * ||b||``, per
         row.
-    maxiter : int, optional
-        Iteration cap; defaults to ``10 * n``, ten times the row length.
     x0 : array, optional
         Warm-start iterate, shaped like ``b``.  Ignored when
         ``precond.exact`` is true: the solve then starts from
@@ -128,9 +126,9 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxiter=None, x0=None):
     Raises
     ------
     SolverError
-        If a row does not reach the tolerance within ``maxiter``
-        iterations, or if a direction of nonpositive curvature shows up;
-        it reports the row with the largest relative residual.  Also
+        If a row does not reach the tolerance within 10 n iterations,
+        or if a direction of nonpositive curvature shows up; it reports
+        the row with the largest relative residual.  Also
         if the first solve with a preconditioner marked exact leaves a
         relative residual above 1e-6, and on a non-finite load (the
         direct solve tests its result, every other solve the load's
@@ -149,9 +147,6 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxiter=None, x0=None):
         if not hasattr(precond, "residual"):
             unmeasured = precond
     block = b.ndim == 2
-    matvec = A if callable(A) else lambda v: row_product(A, v)
-    if maxiter is None:
-        maxiter = 10 * b.shape[-1]
 
     rows = None
     if block:
@@ -180,7 +175,7 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxiter=None, x0=None):
         r = b.copy()
     else:
         x = np.array(x0, dtype=float)
-        r = b - matvec(x)
+        r = b - A(x)
         if unmeasured is not None:
             _store_residual(unmeasured, np.sqrt(dot(r, r)) / b_norm)
         # a warm start worse than a cold one (this happens when the load
@@ -212,13 +207,13 @@ def cg_solve(A, b, *, precond, tol=1e-10, maxiter=None, x0=None):
             )
             if p is not None:
                 p, rz = p[keep], rz[keep]
-        if it >= maxiter:
+        if it >= 10 * b.shape[-1]:
             raise _stalled(res / b_norm, it, tol, rows)
         z = precond(r)
         rz_new = dot(r, z)
         p = z if p is None else z + (rz_new / rz) * p
         rz = rz_new
-        Ap = matvec(p)
+        Ap = A(p)
         pAp = dot(p, Ap)
         if (pAp <= 0.0).any():
             raise SolverError(

@@ -130,15 +130,17 @@ class StabilityReport:
 def stability_experiment(config, direction, scales):
     """Perturb the data by s * direction and compare energy vs. data norms.
 
-    ``direction`` is a pair of FieldSeries (dI_i, dI_e).  Every scale
-    must be positive and the direction nonzero.  The base run and the perturbed runs are one batched ``run_forward``.
+    ``direction``, a pair of FieldSeries (dI_i, dI_e), must be finite and
+    nonzero, and ``scales`` finite, positive and at least one (ValueError
+    otherwise).  The base run and the perturbed runs are one batched ``run_forward``.
     """
     dIi, dIe = direction
-    if not (np.any(dIi.data) or np.any(dIe.data)):
-        raise ValueError("perturbation direction is identically zero")
+    finite = np.isfinite(dIi.data).all() and np.isfinite(dIe.data).all()
+    if not finite or not (np.any(dIi.data) or np.any(dIe.data)):
+        raise ValueError("perturbation direction must be finite and not identically zero")
     scales = [float(s) for s in scales]
-    if any(s <= 0 for s in scales):
-        raise ValueError("perturbation scales must be positive")
+    if not scales or not all(0.0 < s < np.inf for s in scales):
+        raise ValueError(f"perturbation scales must be finite and positive, not {scales}")
 
     g = config.grid
     # the base run (scale 0) and every perturbed run, as one batch
@@ -199,12 +201,9 @@ def monodomain_limit_check(config):
     """
     if config.kind != "monodomain":
         raise ValueError("limit check starts from a monodomain configuration")
-    if config.ops.mi is None:
-        raise ValueError("operators carry no tensor to build the bidomain twin")
     lam = config.ops.lam
     g = config.grid
-    me = config.ops.mi * lam
-    ops_bi = build_operators(g, config.ops.mi, me, lam=lam)
+    ops_bi = build_operators(g, config.ops.mi, config.ops.mi * lam, lam=lam)
     I_e = compatibility_enforce(g, config.I_i, config.I_e)
     cfg_mono = replace(config, cg_tol=LIMIT_CG_TOL, I_e=I_e)
     cfg_bi = replace(
@@ -429,9 +428,9 @@ def gradient_check(problem, *, n_directions=5, seed=0, deltas=None):
 
     For each seeded unit direction in the control subspace the FD step
     is chosen by a three-point plateau rule: among a geometric ladder
-    of at least two steps, take the one whose FD value moves least
-    relative to its neighbors.  Reports the worst relative error over
-    all directions.
+    of at least two finite positive steps (ValueError otherwise), take
+    the one whose FD value moves least relative to its neighbors.
+    Reports the worst relative error over all directions.
 
     The whole ladder of a direction, the controls base +- delta d for
     every delta, is one batched ``simulate``: one forward sweep whose
@@ -447,9 +446,9 @@ def gradient_check(problem, *, n_directions=5, seed=0, deltas=None):
         deltas = [1e-2 * 0.5**j for j in range(6)]
     if n_directions < 1:
         raise ValueError(f"gradient_check needs n_directions >= 1, not {n_directions}")
-    if len(deltas) < 2:
+    if len(deltas) < 2 or not all(0.0 < d < np.inf for d in deltas):
         raise ValueError(
-            f"gradient_check needs at least two deltas for its plateau rule, not {len(deltas)}"
+            f"gradient_check needs at least two finite positive deltas, not {list(deltas)}"
         )
     rng = np.random.default_rng(seed)
     base = project_admissible(problem.config.I_e, problem)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 from itertools import product
@@ -339,8 +340,16 @@ def _mixed_tensor(grid, rng):
 def test_ellipticity_bounds_match_eigvalsh_on_mixed_cells(nodes, lengths):
     g = Grid(nodes, lengths, 1.0, 1)
     entries = _mixed_tensor(g, np.random.default_rng(7))
-    eigs = np.linalg.eigvalsh(entries)
-    assert ellipticity_check(TensorField(g, entries)) == (eigs[:, 0].min(), eigs[:, -1].max())
+    assert ellipticity_check(TensorField(g, entries)) is None
+    # shifted below zero, the diagonal cells and then the full ones hold the
+    # smallest eigenvalue, which the error names as eigvalsh finds it
+    shift = np.linalg.eigvalsh(entries)[:, 0].max() + 0.5
+    for part in (slice(0, None, 2), slice(1, None, 2))[: len(entries)]:
+        shifted = entries.copy()
+        shifted[part] -= shift * np.eye(g.dim)
+        lowest = np.linalg.eigvalsh(shifted)[:, 0].min()
+        with pytest.raises(EllipticityError, match=re.escape(f"min eigenvalue {lowest:g})")):
+            ellipticity_check(TensorField(g, shifted))
 
 
 @pytest.mark.parametrize(
@@ -362,9 +371,9 @@ def test_ellipticity_rejects_bad_cell_among_mixed_cells(bad_cell):
 
 def test_ellipticity_caches_bounds():
     g = Grid((5,), (1.0,), 1.0, 1)
-    mu1, mu2 = ellipticity_check(TensorField.isotropic(g, 3.0))
-    assert mu1 == pytest.approx(3.0)
-    assert mu2 == pytest.approx(3.0)
+    assert ellipticity_check(TensorField.isotropic(g, 3.0)) is None
+    with pytest.raises(EllipticityError, match=re.escape("min eigenvalue -3)")):
+        ellipticity_check(TensorField.isotropic(g, -3.0))
 
 
 def test_build_operators_monodomain_has_no_kie():
@@ -407,7 +416,7 @@ def test_reduced_rhs_collapses_for_proportional_tensors():
     I_e = ScalarField(g, rng.standard_normal(g.n_nodes))
     shift = (g.weights @ (I_i.values + I_e.values)) / g.measure
     I_e = ScalarField(g, I_e.values - shift)
-    S = reduced_rhs_S(ops, I_i, I_e)
+    S = reduced_rhs_S(ops, I_i.values, I_e.values)
     expected = g.weights * (lam * I_i.values - I_e.values) / (1.0 + lam)
     assert np.allclose(S, expected, atol=1e-10)
 

@@ -103,6 +103,24 @@ def test_missing_config_exit_code(tmp_path, capsys):
     assert "error: config" in capsys.readouterr().err
 
 
+ARGUMENT_MISTAKES = {
+    "negative-stability-seed": (["verify-stability", "--seed", "-1"], "o", "--seed"),
+    "negative-gradcheck-seed": (["gradcheck", "--seed", "-3"], "o", "--seed"),
+    "out-is-a-file": (["simulate"], "run.ini", "--out"),
+    "out-under-a-file": (["simulate"], "run.ini/o", "--out"),
+}
+
+
+@pytest.mark.parametrize("mistake", list(ARGUMENT_MISTAKES))
+def test_argument_mistake_exits_2_with_one_line(config_path, capsys, mistake):
+    args, out, names = ARGUMENT_MISTAKES[mistake]
+    code = main([*args, "--config", str(config_path), "--out", str(config_path.parent / out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: config:") and names in err
+
+
 def test_simulate_outputs_and_determinism(config_path, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--config", str(config_path), "--out", str(out1)]) == 0

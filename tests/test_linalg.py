@@ -1,14 +1,16 @@
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cardioct.linalg import SolverError, cg_solve
+from cardioct.linalg import SolverError, cg_solve, row_product
 from conftest import jacobi
 
 
 def test_small_spd_system():
     A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    x = cg_solve(A, np.array([3.0, 3.0]), tol=1e-14, precond=jacobi(A))
+    x = cg_solve(partial(row_product, A), np.array([3.0, 3.0]), tol=1e-14, precond=jacobi(A))
     assert np.allclose(x, [1.0, 1.0], atol=1e-12)
 
 
@@ -17,13 +19,13 @@ def test_matches_dense_solve():
     B = rng.standard_normal((12, 12))
     A = B @ B.T + 12 * np.eye(12)
     b = rng.standard_normal(12)
-    x = cg_solve(sp.csr_matrix(A), b, tol=1e-13, precond=jacobi(A))
+    x = cg_solve(partial(row_product, sp.csr_matrix(A)), b, tol=1e-13, precond=jacobi(A))
     assert np.allclose(x, np.linalg.solve(A, b), atol=1e-10)
 
 
 def test_zero_rhs_short_circuits():
     A = sp.eye(5, format="csr")
-    assert np.all(cg_solve(A, np.zeros(5), precond=jacobi(A)) == 0.0)
+    assert np.all(cg_solve(partial(row_product, A), np.zeros(5), precond=jacobi(A)) == 0.0)
 
 
 def test_matrix_free_needs_precond():
@@ -50,7 +52,7 @@ def test_deflated_singular_system():
     # a consistent singular system needs no deflation: the Jacobi-preconditioned
     # iteration stays in the range of A
     A, b = _path_laplacian(9)
-    x = cg_solve(A, b, tol=1e-12, precond=jacobi(A))
+    x = cg_solve(partial(row_product, A), b, tol=1e-12, precond=jacobi(A))
     r = b - A @ x
     assert np.linalg.norm(r - r.mean()) < 1e-10
 
@@ -59,18 +61,20 @@ def test_warm_start_helps_and_never_hurts():
     A = sp.csr_matrix(np.diag(np.linspace(1.0, 4.0, 20)))
     b = np.linspace(1.0, 2.0, 20)
     exact = b / np.linspace(1.0, 4.0, 20)
-    x = cg_solve(A, b, tol=1e-13, precond=jacobi(A), x0=exact + 1e-8)
+    x = cg_solve(partial(row_product, A), b, tol=1e-13, precond=jacobi(A), x0=exact + 1e-8)
     assert np.allclose(x, exact, atol=1e-10)
     # a wildly off warm start must not poison a tiny right-hand side
-    x = cg_solve(A, 1e-30 * b, tol=1e-10, precond=jacobi(A), x0=np.ones(20))
+    x = cg_solve(partial(row_product, A), 1e-30 * b, tol=1e-10, precond=jacobi(A), x0=np.ones(20))
     assert np.linalg.norm(x) < 1e-29
 
 
 def test_iteration_cap_raises():
-    # [1, 0] excites both eigenvectors, so two iterations are needed
-    A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    with pytest.raises(SolverError):
-        cg_solve(A, np.array([1.0, 0.0]), tol=1e-14, precond=jacobi(A), maxiter=1)
+    # I + S with S skew: positive curvature on every direction, but not
+    # symmetric, so CG never converges and stops at the cap of 10 n
+    A = np.array([[1.0, 1.0], [-1.0, 1.0]])
+    with pytest.raises(SolverError) as err:
+        cg_solve(partial(row_product, A), np.array([1.0, 0.0]), tol=1e-14, precond=jacobi(A))
+    assert err.value.iterations == 20
 
 
 def test_exact_preconditioner_converges_in_one_iteration():
@@ -131,5 +135,5 @@ def test_exact_preconditioner_discards_the_warm_start():
 def test_deflated_solve_with_preconditioner():
     # P = I + 1 1^T is positive definite; the constant it adds lies in the kernel of A
     A, b = _path_laplacian(9)
-    x = cg_solve(A, b, tol=1e-12, precond=lambda r: r + r.sum())
+    x = cg_solve(partial(row_product, A), b, tol=1e-12, precond=lambda r: r + r.sum())
     assert np.linalg.norm(b - A @ x) < 1e-10

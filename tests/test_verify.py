@@ -168,6 +168,36 @@ def test_gradient_check_rejects_a_ladder_it_cannot_judge(grid1d, kwargs, name):
         gradient_check(problem, **kwargs)
 
 
+def _nan_direction(grid):
+    dIi, dIe = smooth_direction(grid)
+    dIe.data[2, 3] = np.nan
+    return dIi, dIe
+
+
+VERIFY_INPUT_MISTAKES = {
+    "nan-scale": ("stability", {"scales": [np.nan, 1.0]}, "scales"),
+    "inf-scale": ("stability", {"scales": [np.inf]}, "scales"),
+    "no-scale": ("stability", {"scales": []}, "scales"),
+    "nan-direction": ("stability", {"direction": _nan_direction}, "direction"),
+    "zero-delta": ("gradcheck", {"deltas": [0.0, 1e-3, 5e-4]}, "deltas"),
+    "negative-delta": ("gradcheck", {"deltas": [1e-3, -5e-4]}, "deltas"),
+    "nan-delta": ("gradcheck", {"deltas": [1e-3, np.nan]}, "deltas"),
+}
+
+
+@pytest.mark.parametrize("mistake", list(VERIFY_INPUT_MISTAKES))
+def test_verify_rejects_a_bad_input_by_name(grid1d, mistake):
+    experiment, kwargs, name = VERIFY_INPUT_MISTAKES[mistake]
+    cfg = make_problem(grid1d, stimulus=0.2)
+    with pytest.raises(ValueError, match=name):
+        if experiment == "stability":
+            direction = kwargs.get("direction", smooth_direction)(grid1d)
+            stability_experiment(cfg, direction, kwargs.get("scales", (0.5, 1.0)))
+        else:
+            problem = ControlProblem(config=cfg, cost=CostConfig(mu=1e-2, w_phi=1.0))
+            gradient_check(problem, n_directions=1, **kwargs)
+
+
 def test_gradient_check_reports_plateau(grid1d):
     cfg = make_problem(grid1d, stimulus=0.2)
     problem = ControlProblem(config=cfg, cost=CostConfig(mu=1e-2, w_phi=1.0))

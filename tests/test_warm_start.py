@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cardioct.adjoint import CostConfig, run_adjoint
-from cardioct.assembly import SystemOperators, build_operators
+from cardioct.assembly import build_operators
 from cardioct.forward import run_forward
 from cardioct.grid import Grid, TensorField
 
@@ -126,9 +126,3 @@ def test_inexact_inverses_are_not_marked(make, nodes):
     assert mixed.step_system(0.1)[1].exact is True
     assert mixed.neumann_system()[1].exact is False
     assert mixed.coupled_system(0.1)[1].exact is False
-
-
-def test_operators_without_tensors_are_not_marked(grid2d):
-    ops = build_operators(grid2d, TensorField.isotropic(grid2d, 1.0))
-    bare = SystemOperators(grid=grid2d, mass=ops.mass, K_i=ops.K_i, lam=1.0)
-    assert bare.step_system(0.1)[1].exact is False
