@@ -104,18 +104,8 @@ class AdjointResult:
     psi_eta: FieldSeries | None = None
 
 
-def cost_partials(cost, traj):
-    """Running-cost partials (r_phi, r_eta, r_w) of every frame; None for a zero term."""
-    terms = (
-        (cost.w_phi, traj.phi_tr, cost.phi_des),
-        (cost.w_eta, traj.phi_e, cost.eta_des),
-        (cost.w_gate, traj.w, None),
-    )
-    return tuple(None if c == 0.0 or s is None else _partial(c, s, t) for c, s, t in terms)
-
-
-def _partial(weight, series, target, k=Ellipsis):
-    """weight (series - target) at frames k, in a fresh array."""
+def _partial(weight, series, target, k):
+    """weight (series - target) at frames k (an index, a slice or Ellipsis), in a fresh array."""
     if target is None:
         return weight * series.data[k]
     r = series.data[k] - target.data[k]
@@ -209,12 +199,17 @@ def run_adjoint(config, traj, cost, *, report=True):
             A, precond = system
             p1.data[k] = cg_solve(A, rhs, tol=config.cg_tol, precond=precond, x0=p1_next)
 
-    rep = adjoint_report(config, p1, p3, p2, cost_partials(cost, traj)) if report else {}
+    rep = adjoint_report(p1, p3, p2, cost, traj) if report else {}
     return AdjointResult(p1=p1, p3=p3, report=rep, p2=p2, psi_eta=psi_eta)
 
 
-def adjoint_report(config, p1, p3, p2, partials):
-    """Norm bundle for the adjoint energy estimate, as ``{name: float}``."""
+def adjoint_report(p1, p3, p2, cost, traj):
+    """Norm bundle for the adjoint energy estimate, as ``{name: float}``.
+
+    The running-cost partials of the trajectory ``traj`` are formed and
+    normed one block of frames at a time (``grid.frame_blocks``); a
+    zero weight or an absent series gives 0.
+    """
     h1_p1 = gridmod.h1_frame_norms(p1)
     rep = {
         "C0_L2_p1": gridmod.bochner_norm(p1, np.inf, "L2"),
@@ -224,8 +219,24 @@ def adjoint_report(config, p1, p3, p2, partials):
     }
     if p2 is not None:
         rep["L2_H1_p2"] = gridmod.bochner_norm(p2, 2, "H1")
-    for name, r in zip(("r_phi", "r_eta", "r_w"), partials):
+    terms = (
+        ("r_phi", cost.w_phi, traj.phi_tr, cost.phi_des),
+        ("r_eta", cost.w_eta, traj.phi_e, cost.eta_des),
+        ("r_w", cost.w_gate, traj.w, None),
+    )
+    for name, weight, series, target in terms:
         rep[f"L2_L2_{name}"] = (
-            0.0 if r is None else gridmod.bochner_norm(FieldSeries(p1.grid, r), 2, "L2")
+            0.0 if weight == 0.0 or series is None else _partial_norm(weight, series, target)
         )
     return gridmod.checked_norms(rep)
+
+
+def _partial_norm(weight, series, target):
+    """L2(0,T;L2) norm of the partial weight (series - target), trapezoid in time."""
+
+    def l2(s):
+        r = _partial(weight, series, target, s)
+        r *= r
+        return np.sqrt(r @ series.grid.weights)
+
+    return gridmod.time_norm(series.grid, gridmod.block_norms(series, l2), 2)

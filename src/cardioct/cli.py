@@ -49,6 +49,7 @@ from .ionic import IonicParams
 from .linalg import SolverError
 from .stimuli import box_mask, gaussian_bump, pulse_series, seeded_smooth_series
 from .verify import (
+    SPATIAL_MAX_LEVELS,
     convergence_study,
     gradient_check,
     monodomain_limit_check,
@@ -85,8 +86,8 @@ def _scales(s):
 
 
 def _levels(s):
-    if int(s) < 2:
-        raise ValueError("need at least 2 levels")
+    if not 2 <= int(s) <= SPATIAL_MAX_LEVELS:
+        raise ValueError(f"need 2 to {SPATIAL_MAX_LEVELS} levels")
     return int(s)
 
 

@@ -298,30 +298,42 @@ def forward_report(config, phi, w, phi_e=None):
     space-time L4 norm, the L4-in-time H1 monitor, and dual-norm rates
     of change of phi (L^{4/3} in time) and w (L^2 in time).
 
-    The L2 and L4 norms of phi come from one squared series.  The H1
-    and dual norms come from one batched DCT-I per series
-    (``SpectralBasis.coefficients``).  The coefficients are linear in the frames,
-    so a rate's coefficients are the differences of the frames'
-    coefficients divided by dt.
+    One pass over the blocks of frames of phi and w
+    (``grid.frame_blocks``).  A block gives the L2 and L4 norms of phi
+    and the L2 norm of w from one squared block, and the H1 and dual
+    norms from one batched DCT-I per block and series
+    (``SpectralBasis.coefficients``).
+    The coefficients are linear in the frames, so a rate's coefficients
+    are the differences of the frames' coefficients divided by dt; the
+    last coefficient row of each block is carried to the next.
     """
     g = config.grid
     dt = g.dt
-    sq = phi.data * phi.data
-    l2_phi = np.sqrt(sq @ g.weights)
-    sq *= sq
-    l4_phi = (sq @ g.weights) ** 0.25
-    del sq  # keeps it out of the peak of the transforms below
-    c_phi = g.spectral.coefficients(phi.data)
-    h1_phi = gridmod.coefficient_norms(c_phi, g.h1_weights)
-    dphi = _rate_norms(g, c_phi)
-    del c_phi  # frees its series before the transform of w
-    dw = _rate_norms(g, g.spectral.coefficients(w.data))
+    # squared frame norms (the fourth power for L4), rooted after the pass
+    l2_phi, l4_phi, h1_phi, l2_w, dphi, dw = sq_norms = np.empty((6, phi.n_frames))
+    last_phi = last_w = None
+    for s in gridmod.frame_blocks(phi):
+        dw[s], last_w = _rate_sq(g, g.spectral.coefficients(w.data[s]), last_w)
+        c_phi = g.spectral.coefficients(phi.data[s])
+        h1_phi[s] = (c_phi * c_phi) @ g.h1_weights
+        dphi[s], last_phi = _rate_sq(g, c_phi, last_phi)
+        sq = phi.data[s] * phi.data[s]
+        l2_phi[s] = sq @ g.weights
+        sq *= sq
+        l4_phi[s] = sq @ g.weights
+        np.multiply(w.data[s], w.data[s], out=sq)
+        l2_w[s] = sq @ g.weights
+        del c_phi, sq  # out of the peak of the next block's transforms
+    l4_phi **= 0.5
+    np.sqrt(sq_norms, out=sq_norms)
+    # frame 0 has no rate, and the dt of the rates divides their norms
+    dphi, dw = dphi[1:] / dt, dw[1:] / dt
     rep = {
         "C0_L2_phi": gridmod.time_norm(g, l2_phi, np.inf),
         "L2_H1_phi": gridmod.time_norm(g, h1_phi, 2),
         "L4_OmegaT_phi": gridmod.time_norm(g, l4_phi, 4),
         "L4_H1_phi": gridmod.time_norm(g, h1_phi, 4),
-        "C0_L2_w": gridmod.bochner_norm(w, np.inf, "L2"),
+        "C0_L2_w": gridmod.time_norm(g, l2_w, np.inf),
         "L43_dual_dphi_dt": float((dt * np.sum(dphi ** (4.0 / 3.0))) ** 0.75),
         "L2_dual_dw_dt": float(np.sqrt(dt * np.sum(dw**2))),
     }
@@ -330,14 +342,18 @@ def forward_report(config, phi, w, phi_e=None):
     return gridmod.checked_norms(rep)
 
 
-def _rate_norms(grid, coeffs):
-    """Dual norms of the rates of change of the frames with these coefficients.
+def _rate_sq(grid, coeffs, before):
+    """Squared dual norms of dt times the rates into the frames with these coefficients.
 
-    Overwrites ``coeffs``: frames 1.. end as the squared differences of
-    consecutive frames, and the dt of the rates divides the norms.
+    ``before`` holds the coefficients of the frame before the first
+    row, or None for frame 0, whose rate is then zero.  Overwrites
+    ``coeffs`` with the squared differences.  Returns the norms and
+    the last row of ``coeffs`` as it came in, the ``before`` of the
+    next block.
     """
-    for k in range(len(coeffs) - 1, 0, -1):
-        coeffs[k] -= coeffs[k - 1]
-    rate = coeffs[1:]
-    rate *= rate
-    return np.sqrt(rate @ grid.dual_weights) / grid.dt
+    last = coeffs[-1].copy()
+    first = coeffs[0] if before is None else before
+    coeffs[1:] -= coeffs[:-1]  # numpy buffers the overlap
+    coeffs[0] -= first
+    coeffs *= coeffs
+    return coeffs @ grid.dual_weights, last

@@ -13,10 +13,16 @@ of |grad u|^2.  The dual norm is a discrete surrogate for the
 measured against the Riesz operator K + M (identity-tensor stiffness
 plus lumped mass).  Both are diagonal in the grid's DCT-I basis
 (``Grid.spectral``), so they are weighted sums of squares of the
-coefficients V^T W x (``SpectralBasis.coefficients``), read off one
-batched transform of all frames of a series with no linear solve.  The
-trapezoid weights are separable, so that transform carries them in its
-per-axis cosine matrices and reads each series once.
+coefficients V^T W x (``SpectralBasis.coefficients``), with no linear
+solve.  The trapezoid weights are separable, so that transform carries
+them in its per-axis cosine matrices and reads each frame once.
+
+The norms of a series are taken over blocks of consecutive frames
+(``frame_blocks``), one batched transform per block.  A block holds at
+most ``NORM_BLOCK_VALUES`` values and at least one frame, so its
+temporaries stay in cache: one frame per block at 25^3 and 129^2,
+three at 65^2, and the whole series on a small 1-D grid, where one
+transform of all frames is the cheapest.
 """
 
 from __future__ import annotations
@@ -332,20 +338,53 @@ def coefficient_norms(coeffs, weights):
     return np.sqrt((coeffs * coeffs) @ weights)
 
 
+# Most values (frames x nodes) of one block of frames of the series norms.
+NORM_BLOCK_VALUES = 2**14
+
+
+def frame_blocks(series):
+    """Slices of consecutive frames that cover ``series`` in order.
+
+    Each block holds at most ``NORM_BLOCK_VALUES`` values per series,
+    and at least one frame however large a frame is.
+    """
+    step = max(1, NORM_BLOCK_VALUES // series.grid.n_nodes)
+    return [slice(k, k + step) for k in range(0, series.n_frames, step)]
+
+
+def block_norms(series, norms):
+    """``norms(s)`` of every block ``s`` of ``frame_blocks(series)``, joined in frame order.
+
+    ``norms`` maps a slice of frames to one value per frame, along the
+    last axis.
+    """
+    return np.concatenate([norms(s) for s in frame_blocks(series)], axis=-1)
+
+
 def _l2_frames(series):
-    return np.sqrt((series.data * series.data) @ series.grid.weights)
+    def l2(s):
+        x = series.data[..., s, :]
+        return np.sqrt((x * x) @ series.grid.weights)
+
+    return block_norms(series, l2)
+
+
+def _spectral_frames(series, weights):
+    """``coefficient_norms`` of every frame, one batched transform per block of frames."""
+    basis = series.grid.spectral
+    return block_norms(
+        series, lambda s: coefficient_norms(basis.coefficients(series.data[..., s, :]), weights)
+    )
 
 
 def h1_frame_norms(series):
-    """H^1 norm of every frame of a series from one batched transform."""
-    g = series.grid
-    return coefficient_norms(g.spectral.coefficients(series.data), g.h1_weights)
+    """H^1 norm of every frame of a series, one batched transform per block of frames."""
+    return _spectral_frames(series, series.grid.h1_weights)
 
 
 def dual_frame_norms(series):
-    """Dual norm of every frame of a series from one batched transform."""
-    g = series.grid
-    return coefficient_norms(g.spectral.coefficients(series.data), g.dual_weights)
+    """Dual norm of every frame of a series, one batched transform per block of frames."""
+    return _spectral_frames(series, series.grid.dual_weights)
 
 
 _FRAME_NORMS = {"L2": _l2_frames, "H1": h1_frame_norms}
@@ -364,10 +403,10 @@ def time_norm(grid, per_frame, p_time):
 def bochner_norm(series, p_time, spatial):
     """Time-Lp norm of a spatial norm over the frames of a series.
 
-    ``spatial`` is "L2" or "H1", each evaluated for all frames in one
-    vectorised pass (H1 through one batched DCT-I).  ``p_time`` is 2, 4
-    or inf.  Finite p uses trapezoid weights in time, inf takes
-    the max over frames (the discrete C^0 norm).
+    ``spatial`` is "L2" or "H1", each evaluated over blocks of frames
+    (``frame_blocks``), H1 through one batched DCT-I per block.
+    ``p_time`` is 2, 4 or inf.  Finite p uses trapezoid weights in
+    time, inf takes the max over frames (the discrete C^0 norm).
     """
     return time_norm(series.grid, _FRAME_NORMS[spatial](series), p_time)
 

@@ -36,16 +36,21 @@ of lam_M.  With the coefficients c = V^T W x and N = diag(V^T W V),
 ||x||_H1^2 = sum c^2 (1 + mu) / N, and the squared dual norm through
 the Riesz operator K(identity) + M, whose eigenvalues are 1 + lam with
 lam the identity-tensor stiffness eigenvalues, is
-sum c^2 / (N (1 + lam)).  One batched
-transform of all frames of a series gives every frame's norms.  For
-the H1 norm alone that is not always cheaper than the direct
-differences, which cost O(1) flops per node against the transform's
-O(n_a) per node and axis.  One BLAS thread, 2-core x86 host, H1
-Bochner norm of a series, batched transform against frame-by-frame
-differences: 0.19 against 0.38 ms at 65^2 (6 frames), 1.6 against
-1.7 ms at 25^3, 2.5 against 1.0 ms at 129^2 and 13 against 3.4 ms at
-257^2 (7 frames each).  A norm report shares each series' transform
-between its H1 and dual norms, so this cost does not arise there.
+sum c^2 / (N (1 + lam)).  The norms of a series go over blocks of
+consecutive frames of at most ``grid.NORM_BLOCK_VALUES`` values (one
+frame at 25^3 and 129^2), one batched transform per block, so the
+temporaries of a transform stay in cache and are reused rather than
+faulted in afresh.  For the H1 norm alone that is not always cheaper
+than the direct differences, which cost O(1) flops per node against
+the transform's O(n_a) per node and axis.  One BLAS thread, 2-core x86
+host, H1 Bochner norm of 7 random frames, blocked transforms against
+frame-by-frame differences (medians of 25 alternating rounds, two
+runs): 0.19 against 0.46-0.50 ms at 65^2, 0.55-0.81 against 1.8-2.9 ms
+at 25^3, 1.6-2.0 against 1.25 ms at 129^2 and 10.1-10.6 against 5.2 ms
+at 257^2.  One transform of all 7 frames took 1.3-1.9, 2.6-3.0 and
+14 ms at the last three sizes, with 380-1,700 page faults per call.  A
+norm report shares each block's transform between its H1 and dual
+norms, so the comparison does not arise there.
 
 The basis is separable, V = Cos_0 (x) ... (x) Cos_{d-1} with the
 symmetric per-axis matrices Cos_a[j, k] = cos(pi j k / (n_a - 1)), so a

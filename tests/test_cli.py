@@ -203,6 +203,17 @@ def test_bad_verify_input_is_a_config_error(tmp_path, capsys, command, ini, name
     assert len(err.strip().splitlines()) == 1
 
 
+def test_levels_above_six_are_refused_when_parsed(tmp_path):
+    # level 7 would hold about 1 GB of series, so this only parses: a
+    # regression must not start the study
+    p = tmp_path / "run.ini"
+    p.write_text(BASE + "\n[verify]\nlevels = 6\n")
+    assert parse_config(p)[("verify", "levels")] == 6
+    p.write_text(BASE + "\n[verify]\nlevels = 7\n")
+    with pytest.raises(ConfigError, match=r"verify\.levels: '7' \(need 2 to 6 levels\)"):
+        parse_config(p)
+
+
 @pytest.mark.parametrize(
     "flags", [["--levels", "2"], ["--scales", "0.5,1"]], ids=["levels", "scales"]
 )

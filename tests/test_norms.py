@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from conftest import h1_norm, make_problem, values_nd
+from cardioct import grid as gridmod
+from cardioct.adjoint import CostConfig, adjoint_report, run_adjoint
 from cardioct.assembly import assemble_stiffness
-from cardioct.forward import run_forward
+from cardioct.forward import forward_report, run_forward
+from cardioct.verify import _w12_l2_sq
 from cardioct.grid import (
     FieldSeries,
     Grid,
     ScalarField,
     TensorField,
     bochner_norm,
+    dual_frame_norms,
     dual_norm,
+    frame_blocks,
     time_weights,
 )
 
@@ -133,11 +138,14 @@ def test_weighted_transform_equals_transform_of_weighted_series(nodes, lengths):
         assert np.abs(folded - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
-@pytest.mark.parametrize("kind, grid", [
+REPORT_CASES = [
     ("monodomain", Grid((17,), (1.0,), 0.3, 6)),
     ("monodomain", Grid((6, 5, 4), (1.0, 2.0, 0.5), 0.2, 4)),
     ("bidomain", Grid((9, 7), (1.0, 0.8), 0.2, 4)),
-])
+]
+
+
+@pytest.mark.parametrize("kind, grid", REPORT_CASES)
 def test_forward_report_matches_plain_formulas(kind, grid):
     cfg = make_problem(grid, kind=kind, stimulus=2.0)
     res = run_forward(cfg)
@@ -175,3 +183,42 @@ def test_forward_report_matches_plain_formulas(kind, grid):
     assert set(res.report) == set(expected)
     for key, value in expected.items():
         assert res.report[key] == pytest.approx(value, rel=1e-13), key
+
+
+@pytest.mark.parametrize("frames_per_block", [2, 3])
+@pytest.mark.parametrize("kind, grid", REPORT_CASES)
+def test_norms_over_blocks_equal_one_block(monkeypatch, kind, grid, frames_per_block):
+    # blocks that do not divide the frame count, so the last one is short
+    # and the report's rates cross every block boundary
+    cfg = make_problem(grid, kind=kind, stimulus=2.0)
+    res = run_forward(cfg, report=False)
+    bidomain = kind == "bidomain"
+    target = FieldSeries(grid, 0.5 * res.phi_tr.data)
+    cost = CostConfig(w_phi=1.0, w_gate=0.5, w_eta=0.5 if bidomain else 0.0, phi_des=target)
+    adj = run_adjoint(cfg, res, cost, report=False)
+
+    def norms():
+        phi = res.phi_tr
+        return {
+            **forward_report(cfg, phi, res.w, res.phi_e),
+            **adjoint_report(adj.p1, adj.p3, adj.p2, cost, res),
+            "L2_L2": bochner_norm(phi, 2, "L2"),
+            "C0_L2": bochner_norm(phi, np.inf, "L2"),
+            "L2_H1": bochner_norm(phi, 2, "H1"),
+            "L4_H1": bochner_norm(phi, 4, "H1"),
+            "W12_L2_w": _w12_l2_sq(res.w),
+            **{f"dual_{k}": v for k, v in enumerate(dual_frame_norms(phi))},
+        }
+
+    n_frames = grid.n_steps + 1
+    monkeypatch.setattr(gridmod, "NORM_BLOCK_VALUES", n_frames * grid.n_nodes)
+    assert len(frame_blocks(res.phi_tr)) == 1
+    whole = norms()
+    monkeypatch.setattr(gridmod, "NORM_BLOCK_VALUES", frames_per_block * grid.n_nodes + 1)
+    blocks = frame_blocks(res.phi_tr)
+    assert [b.stop - b.start for b in blocks[:-1]] == [frames_per_block] * (len(blocks) - 1)
+    assert n_frames % frames_per_block != 0 and blocks[-1].stop > n_frames
+    split = norms()
+    assert set(split) == set(whole)
+    for key, value in whole.items():
+        assert split[key] == pytest.approx(value, rel=1e-13, abs=0.0), key

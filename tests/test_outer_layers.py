@@ -6,8 +6,9 @@ projected gradient loop (Birgin, Martinez & Raydan, SIAM J. Optim. 10,
 for every step, the rectangle-rule inner product as a weighted double
 sum, the projection as mask, mean removal and radial clip.  The public
 control functions must leave their inputs as they were, bitwise.  The
-tracemalloc peaks of the norm report and of the optimizer are bounded
-in series (one frame array of the run's size per series).
+tracemalloc peaks of the norm reports and of the optimizer are bounded
+in series (one frame array of the run's size per series), and the
+forward report's transforms are counted per block of frames.
 """
 
 import tracemalloc
@@ -16,8 +17,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cardioct.adjoint import CostConfig, run_adjoint
+from cardioct.adjoint import CostConfig, adjoint_report, run_adjoint
 from cardioct.assembly import build_operators
+from cardioct.cli import build_problem, parse_config
 from cardioct.control import (
     ARMIJO_C,
     MAX_HALVINGS,
@@ -31,8 +33,9 @@ from cardioct.control import (
     simulate,
 )
 from cardioct.forward import ProblemConfig, forward_report, run_forward
-from cardioct.grid import FieldSeries, Grid, ScalarField, TensorField
+from cardioct.grid import FieldSeries, Grid, ScalarField, TensorField, frame_blocks
 from cardioct.ionic import IonicParams
+from cardioct.spectral import SpectralBasis
 from cardioct.stimuli import box_mask, gaussian_bump, pulse_series, seeded_smooth_series
 
 from conftest import assert_unchanged, make_problem, snapshot
@@ -223,12 +226,15 @@ def _mono2d_control():
 
 # Peaks in series, each at its measured figure plus at most 0.1.  Before
 # the weighted transform and the in-place control algebra the report read
-# 3.00 (its weighted copy of each series) and the optimizer 15.0.
-REPORT_PEAK = 2.1
+# 3.00 (its weighted copy of each series) and the optimizer 15.0; before
+# the norms went over blocks of frames the forward report read 2.00 and
+# the adjoint report 4.00 (its partials of every frame).
+REPORT_PEAK = 0.67
+ADJOINT_REPORT_PEAK = 0.39
 OPTIMIZER_PEAK = 13.1
 
 
-def test_forward_report_peak_stays_near_two_series():
+def test_forward_report_peak_stays_below_one_series():
     cfg = _mono3d_forward()
     res = run_forward(cfg, report=False)
     forward_report(cfg, res.phi_tr, res.w)
@@ -236,8 +242,47 @@ def test_forward_report_peak_stays_near_two_series():
     assert peak <= REPORT_PEAK, peak
 
 
+def test_adjoint_report_peak_stays_below_one_series():
+    # 21 frames of 65^2 go in seven blocks of three
+    g = Grid((65, 65), (1.0, 1.0), 1.0, 20)
+    cfg = _benchmark_config(g, (1.0, 0.5), "rm", 0.5)
+    res = run_forward(cfg, report=False)
+    cost = CostConfig(w_phi=1.0, w_gate=0.5, phi_des=FieldSeries(g, 0.5 * res.phi_tr.data))
+    adj = run_adjoint(cfg, res, cost, report=False)
+    assert len(frame_blocks(adj.p1)) == 7
+
+    def report():
+        return adjoint_report(adj.p1, adj.p3, adj.p2, cost, res)
+
+    report()
+    peak = _peak_series(report, g)
+    assert peak <= ADJOINT_REPORT_PEAK, peak
+
+
 def test_optimizer_peak_stays_bounded():
     problem = _mono2d_control()
     projected_gradient_descent(problem)  # the first solves measure their residual
     peak = _peak_series(lambda: projected_gradient_descent(problem), problem.config.grid)
     assert peak <= OPTIMIZER_PEAK, peak
+
+
+def test_forward_report_transforms_once_per_block(monkeypatch, tmp_path):
+    # A small 1-D series is one block, one transform of all its frames;
+    # a 25^3 frame is a block of its own.
+    calls = []
+    original = SpectralBasis.coefficients
+
+    def counted(self, x):
+        calls.append(len(x))
+        return original(self, x)
+
+    monkeypatch.setattr(SpectralBasis, "coefficients", counted)
+    ini = tmp_path / "default.ini"
+    ini.write_text("")
+    cli_default = build_problem(parse_config(ini))
+    assert (cli_default.grid.nodes_per_axis, cli_default.grid.n_steps) == ((33,), 50)
+    for cfg, expected in ((cli_default, [51, 51]), (_mono3d_forward(), [1] * 14)):
+        res = run_forward(cfg, report=False)
+        calls.clear()
+        forward_report(cfg, res.phi_tr, res.w)
+        assert calls == expected
