@@ -49,7 +49,6 @@ from cardioct.forward import ProblemConfig, run_forward
 from cardioct.grid import FieldSeries, Grid, ScalarField, TensorField
 from cardioct.ionic import IonicParams
 from cardioct.linalg import cg_solve
-from cardioct.spectral import reference_coefficients
 from cardioct.stimuli import gaussian_bump, pulse_series
 
 
@@ -80,9 +79,10 @@ def tensors(g):
     return {"isotropic": TensorField.isotropic(g, 1.0), "fibres": fibres(g)}
 
 
-def systems(g, K, b):
-    """name -> (matrix, spectral eigenvalues, load) for one stiffness K and load b."""
-    lam = g.spectral.stiffness_eigenvalues(reference_coefficients(K, g))
+def systems(g, tensor, b):
+    """name -> (matrix, spectral eigenvalues, load) for one tensor's stiffness K and load b."""
+    K = assemble_stiffness(g, tensor)
+    lam = g.spectral.stiffness_eigenvalues(tensor.mean_diagonal)
     return {
         "step": (sp.diags(g.weights) + K, 1.0 + lam, b),
         "neumann": (K, lam, b - b.mean()),
@@ -112,7 +112,7 @@ def nested_step(ops, dt, f, I_i, I_e):
     ``M_e = lam M_i``.
     """
     K_i, mass = ops.K_i, ops.mass
-    K_ie, precond_ie = ops.neumann_system()
+    K_ie, precond_ie = ops.neumann_system
 
     def apply(v):
         Kv = K_i @ v
@@ -127,8 +127,9 @@ def nested_step(ops, dt, f, I_i, I_e):
 
 
 def coupled_step(ops, dt, f, I_i, I_e):
-    system = ops.coupled_system(dt)
-    return solve_coupled_step(ops, system, f, dt * ops.mass * (I_i + I_e), tol=1e-10)[0]
+    """phi of the step as the coupled block PCG solves it; ``ops.grid.dt`` is ``dt``."""
+    load = dt * ops.mass * (I_i + I_e)
+    return solve_coupled_step(ops, ops.coupled_system, f, load, tol=1e-10)[0]
 
 
 def bidomain_rows(g, label):
@@ -139,7 +140,6 @@ def bidomain_rows(g, label):
     f = g.weights * (phi0 + g.dt * I_i)
     for tname, mi in tensors(g).items():
         ops = build_operators(g, mi, TensorField(g, 0.6 * np.eye(g.dim) + 0.5 * mi.entries))
-        ops.spectrum_i, ops.spectrum_ie  # built before counting
         count = [0]
         for name in ("K_i", "K_ie", "K_e"):  # before the systems that apply them
             setattr(ops, name, Counted(getattr(ops, name), count))
@@ -230,8 +230,7 @@ def main():
         b = g.weights * np.random.default_rng(0).standard_normal(g.n_nodes)
         rows = []
         for tname, tensor in tensors(g).items():
-            K = assemble_stiffness(g, tensor)
-            for sname, (A, eig, load) in systems(g, K, b).items():
+            for sname, (A, eig, load) in systems(g, tensor, b).items():
                 rows.append((sname, tname, A, g.spectral.inverse(eig), load))
         for sname, tname, A, precond, load in rows:
             jac = solve_counted(A, load, precond=lambda r, d=1.0 / A.diagonal(): d * r)

@@ -39,14 +39,17 @@ whenever the extracellular tensor is lam times the intracellular one.
 Solving the block system with one flat PCG avoids the inner K_ie
 solve that every application of the Schur complement would need.
 
-Every linear system is one ``(apply, precond)`` pair, built on first
-use and memoized on ``SystemOperators``: the monodomain step Mass +
-coef K_i (``step_system``), the pure-Neumann K_ie (``neumann_system``)
-and the coupled block (``coupled_system``).  ``apply`` multiplies
-through the DIA stencils; no system matrix is formed.  ``precond`` is
-CG's preconditioner in the grid's DCT-I eigenbasis (``spectral``),
-with eigenvalues taken from the per-axis cell means of each tensor's
-diagonal: exact for constant diagonal tensors, spectrally equivalent
+Every linear system is one ``(apply, precond)`` pair, a property of
+``SystemOperators`` built on first read from its own tensors, grid and
+lam: the monodomain step Mass + dt (lam/(1+lam)) K_i
+(``step_system``), the pure-Neumann K_ie (``neumann_system``) and the
+coupled block (``coupled_system``), with dt the step of the grid.
+``apply`` multiplies through the DIA stencils; no system matrix is
+formed.  ``precond`` is CG's preconditioner in the grid's DCT-I
+eigenbasis (``spectral``), with eigenvalues taken from the per-axis
+cell means of each tensor's diagonal (``TensorField.mean_diagonal``):
+exact for constant diagonal tensors
+(``TensorField.constant_diagonal``), spectrally equivalent
 (mesh-independent iteration counts) otherwise.  The block system gets
 one 2x2 inverse per mode.  The inverses are marked ``exact`` in the
 first case, and ``cg_solve`` then solves their systems directly,
@@ -62,16 +65,15 @@ row, and ``linalg.row_product`` hands the DIA products their columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
 
-from .grid import Grid, TensorField
+from .grid import Grid, TensorField, frame_blocks
 from .linalg import cg_solve, row_product
-from .spectral import reference_coefficients
 
 __all__ = [
     "EllipticityError",
@@ -101,11 +103,6 @@ class CompatibilityError(ValueError):
     """A pure-Neumann load does not integrate to zero."""
 
 
-def _cells(tensor):
-    """The cells to check and contract: one cell of a constant tensor, else all."""
-    return tensor.entries[:1] if tensor.constant else tensor.entries
-
-
 def ellipticity_check(tensor):
     """Validate a tensor field: every cell finite, symmetric and positive definite.
 
@@ -115,7 +112,7 @@ def ellipticity_check(tensor):
     EllipticityError, naming the smallest eigenvalue over the cells when
     it is not positive.
     """
-    e = _cells(tensor)
+    e = tensor.cells
     if not np.isfinite(e).all():
         raise EllipticityError("tensor has a non-finite entry")
     scale = float(np.max(np.abs(e))) or 1.0
@@ -203,8 +200,7 @@ def assemble_stiffness(grid, tensor):
     # a constant tensor gives one cell, of shape (1,) * dim, which broadcasts.
     T = np.tensordot(w[:, None, None] * Gp, Gp, axes=(0, 0)).transpose(1, 3, 0, 2)
     n_corners = 2**dim
-    cells = _cells(tensor)
-    Ke = T.reshape(dim * dim, n_corners**2).T @ cells.reshape(-1, dim * dim).T
+    Ke = T.reshape(dim * dim, n_corners**2).T @ tensor.cells.reshape(-1, dim * dim).T
     cells_shape = (1,) * dim if tensor.constant else tuple(n - 1 for n in nodes)
     Ke = grid.cell_volume * Ke.reshape((n_corners, n_corners) + cells_shape)
 
@@ -228,28 +224,20 @@ def assemble_stiffness(grid, tensor):
     return sp.dia_matrix((stencil.reshape(len(offsets), n), offsets), shape=(n, n))
 
 
-def _constant_diagonal(tensor):
-    """True when every cell of ``tensor`` holds the same diagonal matrix.
-
-    The DCT-I inverse built from such a tensor's stiffness is exact
-    (``spectral``).
-    """
-    cell = tensor.entries[0]
-    return tensor.constant and not (cell - np.diag(np.diag(cell))).any()
-
-
 @dataclass
 class SystemOperators:
     """Assembled operators for one conductivity configuration.
 
     K_i is the intracellular stiffness of the tensor mi, K_e the
     extracellular one of me and K_ie = K_i + K_e (me, K_e and K_ie are
-    None for monodomain-only use), all DIA stencils; the tensors decide
-    which inverses are exact.  mass is the lumped diagonal, and lam the
-    extra/intra conductivity ratio used by the monodomain reduction.
-    The spectral eigenvalues and the ``(apply, precond)`` pair of each
-    system are built on first use, the pairs memoized in one dict.  The dual norms
-    need no operator: ``grid`` reads them off the DCT-I coefficients.
+    None for monodomain-only use), all DIA stencils; the tensors give
+    the spectral eigenvalues and decide which inverses are exact.  mass
+    is the lumped diagonal, and lam the extra/intra conductivity ratio
+    used by the monodomain reduction.  The eigenvalues and the
+    ``(apply, precond)`` pair of each system are properties built on
+    first read, the step systems with the time step of ``grid``.  The
+    dual norms need no operator: ``grid`` reads them off the DCT-I
+    coefficients.
     """
 
     grid: Grid
@@ -260,88 +248,82 @@ class SystemOperators:
     K_e: sp.dia_matrix | None = None
     K_ie: sp.dia_matrix | None = None
     me: TensorField | None = None
-    _systems: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def spectrum_i(self):
-        """DCT-I eigenvalues of the stiffness of K_i's cell-mean diagonal tensor."""
-        return self.grid.spectral.stiffness_eigenvalues(
-            reference_coefficients(self.K_i, self.grid)
-        )
+        """DCT-I eigenvalues of the stiffness of mi's cell-mean diagonal tensor."""
+        return self.grid.spectral.stiffness_eigenvalues(self.mi.mean_diagonal)
 
     @cached_property
     def spectrum_ie(self):
-        """DCT-I eigenvalues of the stiffness of K_ie's cell-mean diagonal tensor."""
-        if self.K_ie is None:
+        """DCT-I eigenvalues of the stiffness of (mi + me)'s cell-mean diagonal tensor."""
+        if self.me is None:
             raise ValueError("operators were built without an extracellular tensor")
         return self.grid.spectral.stiffness_eigenvalues(
-            reference_coefficients(self.K_ie, self.grid)
+            self.mi.mean_diagonal + self.me.mean_diagonal
         )
 
-    def step_system(self, coef):
-        """Monodomain step operator Mass + coef * K_i and its spectral inverse.
+    @cached_property
+    def step_system(self):
+        """Monodomain step operator Mass + coef K_i and its spectral inverse.
 
+        coef = dt lam/(1+lam), with dt the step of ``grid``, and
         ``apply(x) = mass * x + coef * (K_i @ x)``, per row of a (k, N)
-        block; built once per coef.  The inverse is marked exact
-        when ``mi`` is constant and diagonal (every cell equal, no
-        off-diagonal entry); ``cg_solve`` then solves directly.
+        block.  The inverse is marked exact when ``mi`` is constant and
+        diagonal; ``cg_solve`` then solves directly.
         """
-        key = ("step", coef)
-        if key not in self._systems:
-            K_i, mass = self.K_i, self.mass
+        K_i, mass = self.K_i, self.mass
+        coef = self.grid.dt * self.lam / (1.0 + self.lam)
 
-            def apply(x):
-                return mass * x + coef * row_product(K_i, x)
+        def apply(x):
+            return mass * x + coef * row_product(K_i, x)
 
-            precond = self.grid.spectral.inverse(
-                1.0 + coef * self.spectrum_i, exact=_constant_diagonal(self.mi)
-            )
-            self._systems[key] = (apply, precond)
-        return self._systems[key]
+        precond = self.grid.spectral.inverse(
+            1.0 + coef * self.spectrum_i, exact=self.mi.constant_diagonal
+        )
+        return apply, precond
 
+    @cached_property
     def neumann_system(self):
-        """Pure-Neumann operator K_ie and its spectral pseudo-inverse, built once.
+        """Pure-Neumann operator K_ie and its spectral pseudo-inverse.
 
         The pseudo-inverse maps the weights (hence the constant mode) to
         zero and is positive definite on the zero-sum vectors, the range
         of K_ie.  It is marked exact when ``mi`` and ``me`` are both
         constant and diagonal; ``cg_solve`` then solves directly.
         """
-        if "neumann" not in self._systems:
-            exact = _constant_diagonal(self.mi) and _constant_diagonal(self.me)
-            precond = self.grid.spectral.inverse(self.spectrum_ie, exact=exact)
-            self._systems["neumann"] = (partial(row_product, self.K_ie), precond)
-        return self._systems["neumann"]
+        exact = self.mi.constant_diagonal and self.me.constant_diagonal
+        precond = self.grid.spectral.inverse(self.spectrum_ie, exact=exact)
+        return partial(row_product, self.K_ie), precond
 
-    def coupled_system(self, dt):
-        """Coupled bidomain step operator and its block inverse, built once per dt.
+    @cached_property
+    def coupled_system(self):
+        """Coupled bidomain step operator and its block inverse.
 
         ``apply`` maps stacked vectors [phi, psi] of length 2 N, or each
         row of a (k, 2 N) block, through the block matrix of the
-        module docstring, at the cost of two stencil products, K_i (phi +
-        psi) and K_e psi.  The inverse inverts, mode by mode, the DCT-I
-        blocks [[1 + dt lam_i, dt lam_i], [dt lam_i, dt lam_ie]] of the
-        reference tensors, with the pseudo-inverse [[1, 0], [0, 0]] on
-        the constant mode (lam_ie = 0); it is marked exact under the
-        rule of ``neumann_system``.
+        module docstring, with dt the step of ``grid``, at the cost of
+        two stencil products, K_i (phi + psi) and K_e psi.  The inverse
+        inverts, mode by mode, the DCT-I blocks [[1 + dt lam_i, dt lam_i],
+        [dt lam_i, dt lam_ie]] of the reference tensors, with the
+        pseudo-inverse [[1, 0], [0, 0]] on the constant mode (lam_ie = 0);
+        it is marked exact under the rule of ``neumann_system``.
         """
-        key = ("coupled", dt)
-        if key not in self._systems:
-            K_i, K_e, mass, n = self.K_i, self.K_e, self.mass, self.grid.n_nodes
+        K_i, K_e, mass, n = self.K_i, self.K_e, self.mass, self.grid.n_nodes
+        dt = self.grid.dt
 
-            def apply(x):
-                phi, psi = x[..., :n], x[..., n:]
-                k_sum = row_product(K_i, phi + psi)
-                k_e = row_product(K_e, psi)
-                return np.concatenate((mass * phi + dt * k_sum, dt * (k_sum + k_e)), axis=-1)
+        def apply(x):
+            phi, psi = x[..., :n], x[..., n:]
+            k_sum = row_product(K_i, phi + psi)
+            k_e = row_product(K_e, psi)
+            return np.concatenate((mass * phi + dt * k_sum, dt * (k_sum + k_e)), axis=-1)
 
-            lam_i, lam_ie = self.spectrum_i, self.spectrum_ie
-            exact = _constant_diagonal(self.mi) and _constant_diagonal(self.me)
-            precond = self.grid.spectral.block_inverse(
-                1.0 + dt * lam_i, dt * lam_i, dt * lam_ie, exact=exact
-            )
-            self._systems[key] = (apply, precond)
-        return self._systems[key]
+        lam_i, lam_ie = self.spectrum_i, self.spectrum_ie
+        exact = self.mi.constant_diagonal and self.me.constant_diagonal
+        precond = self.grid.spectral.block_inverse(
+            1.0 + dt * lam_i, dt * lam_i, dt * lam_ie, exact=exact
+        )
+        return apply, precond
 
 
 def build_operators(grid, mi, me=None, lam=1.0):
@@ -403,12 +385,10 @@ def solve_neumann(ops, load, *, tol):
     solved row by row; a zero load gives zero.  The load must
     sum to zero (``_neumann_load``), which puts it in the
     range of K_ie, and CG with the spectral pseudo-inverse of
-    ``ops.neumann_system()``, positive definite on that range, needs no
+    ``ops.neumann_system``, positive definite on that range, needs no
     deflation.  The returned field integrates to zero.
     """
-    if not load.any():
-        return np.zeros(load.shape)
-    apply, precond = ops.neumann_system()
+    apply, precond = ops.neumann_system
     x = cg_solve(apply, _neumann_load(load), tol=tol, precond=precond)
     return _zero_mean(ops.grid, x)
 
@@ -419,18 +399,18 @@ def solve_neumann_frames(ops, frames, *, tol):
     ``frames`` is a C-contiguous (*batch, n_frames, N) array that holds
     the assembled loads, each summing to zero, on entry and their
     solutions on return.  Its rows go through ``solve_neumann`` in
-    blocks of at most ``FRAME_BLOCK_VALUES`` values, so the temporaries
-    of a solve stay a fraction of one series however long it is.
+    blocks of at most ``FRAME_BLOCK_VALUES`` values (``grid.frame_blocks``),
+    so the temporaries of a solve stay a fraction of one series however
+    long it is.
     """
     if not frames.flags.c_contiguous:
         raise ValueError("solve_neumann_frames solves in place and needs a C-contiguous array")
     rows = frames.reshape(-1, frames.shape[-1])
-    step = max(1, FRAME_BLOCK_VALUES // rows.shape[1])
-    for block in np.split(rows, range(step, len(rows), step)):
-        block[...] = solve_neumann(ops, block, tol=tol)
+    for s in frame_blocks(len(rows), rows.shape[1], FRAME_BLOCK_VALUES):
+        rows[s] = solve_neumann(ops, rows[s], tol=tol)
 
 
-def bidomain_elliptic_solve(ops, load, *, tol=1e-11):
+def bidomain_elliptic_solve(ops, load, *, tol):
     """Solve K_ie phi_e = load with zero-flux boundaries and zero-mean gauge.
 
     ``load`` is an assembled load vector or an (m, n) block of loads as
@@ -452,17 +432,17 @@ def reduced_rhs_S(ops, I_i, I_e, *, tol=1e-11):
     return ops.mass * I_i - ops.K_i @ psibar
 
 
-def reduced_operator(ops, dt):
-    """``ops.coupled_system(dt)``, named after the block's Schur complement Mass + dt A_h.
+def reduced_operator(ops):
+    """``ops.coupled_system``, named after the block's Schur complement Mass + dt A_h.
 
     The name stays because ``perfbench/tracing.py`` looks the function
     up and times the returned ``apply`` as ``assembly.reduced_apply``.
     """
-    return ops.coupled_system(dt)
+    return ops.coupled_system
 
 
 def solve_coupled_step(ops, system, f, g, *, tol):
-    """Solve the coupled step system ``system = ops.coupled_system(dt)``.
+    """Solve the coupled step system ``system = ops.coupled_system``.
 
     ``g`` is the load of the psi row, which must sum to zero, as in
     ``solve_neumann``.  ``f`` and ``g`` may be (m, N) blocks of loads as

@@ -125,13 +125,12 @@ class ProblemConfig:
     def step_system(self):
         """The implicit system of one step and its spectral preconditioner.
 
-        Monodomain: the operator Mass + dt (lam/(1+lam)) K_i.  Bidomain:
-        the coupled block operator of ``assembly.reduced_operator``.
+        Monodomain: ``ops.step_system``, Mass + dt (lam/(1+lam)) K_i.
+        Bidomain: the coupled block operator of ``assembly.reduced_operator``.
         """
-        dt = self.grid.dt
         if self.kind == "bidomain":
-            return reduced_operator(self.ops, dt)
-        return self.ops.step_system(dt * self.ops.lam / (1.0 + self.ops.lam))
+            return reduced_operator(self.ops)
+        return self.ops.step_system
 
 
 @dataclass
@@ -312,7 +311,7 @@ def forward_report(config, phi, w, phi_e=None):
     # squared frame norms (the fourth power for L4), rooted after the pass
     l2_phi, l4_phi, h1_phi, l2_w, dphi, dw = sq_norms = np.empty((6, phi.n_frames))
     last_phi = last_w = None
-    for s in gridmod.frame_blocks(phi):
+    for s in gridmod.frame_blocks(phi.n_frames, g.n_nodes, gridmod.NORM_BLOCK_VALUES):
         dw[s], last_w = _rate_sq(g, g.spectral.coefficients(w.data[s]), last_w)
         c_phi = g.spectral.coefficients(phi.data[s])
         h1_phi[s] = (c_phi * c_phi) @ g.h1_weights

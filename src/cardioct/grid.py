@@ -299,6 +299,22 @@ class TensorField:
         """True when every cell holds the same matrix: one cell, or a stride-0 view."""
         return len(self.entries) == 1 or self.entries.strides[0] == 0
 
+    @property
+    def cells(self):
+        """The cells to check and contract: the one cell of a constant tensor, else all."""
+        return self.entries[:1] if self.constant else self.entries
+
+    @property
+    def mean_diagonal(self):
+        """The per-axis cell means of the diagonal (``dim`` values), for the DCT-I inverses."""
+        return np.diagonal(self.cells, axis1=1, axis2=2).mean(axis=0)
+
+    @property
+    def constant_diagonal(self):
+        """True when every cell holds the same diagonal matrix: the DCT-I inverses are exact."""
+        cell = self.entries[0]
+        return self.constant and not (cell - np.diag(np.diag(cell))).any()
+
     def __add__(self, other):
         if other.grid is not self.grid and other.grid != self.grid:
             raise ValueError("tensors live on different grids")
@@ -342,23 +358,25 @@ def coefficient_norms(coeffs, weights):
 NORM_BLOCK_VALUES = 2**14
 
 
-def frame_blocks(series):
-    """Slices of consecutive frames that cover ``series`` in order.
+def frame_blocks(rows, row_length, budget):
+    """Slices of consecutive rows that cover ``rows`` rows in order.
 
-    Each block holds at most ``NORM_BLOCK_VALUES`` values per series,
-    and at least one frame however large a frame is.
+    Each block holds at most ``budget`` values (rows x ``row_length``),
+    and at least one row however long a row is.  The norms of a series
+    take their frames in blocks of ``NORM_BLOCK_VALUES``.
     """
-    step = max(1, NORM_BLOCK_VALUES // series.grid.n_nodes)
-    return [slice(k, k + step) for k in range(0, series.n_frames, step)]
+    step = max(1, budget // row_length)
+    return [slice(k, k + step) for k in range(0, rows, step)]
 
 
 def block_norms(series, norms):
-    """``norms(s)`` of every block ``s`` of ``frame_blocks(series)``, joined in frame order.
+    """``norms(s)`` of every block ``s`` of the frames of ``series``, joined in frame order.
 
     ``norms`` maps a slice of frames to one value per frame, along the
     last axis.
     """
-    return np.concatenate([norms(s) for s in frame_blocks(series)], axis=-1)
+    blocks = frame_blocks(series.n_frames, series.grid.n_nodes, NORM_BLOCK_VALUES)
+    return np.concatenate([norms(s) for s in blocks], axis=-1)
 
 
 def _l2_frames(series):

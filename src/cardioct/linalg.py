@@ -85,7 +85,7 @@ def _row_dots(u, v):
     return (u[:, None, :] @ v[:, :, None])[:, 0]
 
 
-def cg_solve(A, b, *, precond, tol=1e-10, x0=None):
+def cg_solve(A, b, *, precond, tol, x0=None):
     """Solve ``A x = b`` for symmetric positive (semi)definite ``A``.
 
     A singular ``A`` needs a consistent ``b`` (in the range of ``A``)

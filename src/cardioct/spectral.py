@@ -17,9 +17,12 @@ its exact (pseudo-)inverse with two cosine transforms.  The coupled
 bidomain step system is block diagonal in it, one 2x2 block per mode,
 and ``SpectralBasis.block_inverse`` inverts those blocks between two
 batched transforms of the stacked pair.  For variable tensors, such as
-rotating fibres, the inverse built from the cell-mean diagonal is
-spectrally equivalent to the operator, so preconditioned CG needs a
-number of iterations that does not grow under refinement.
+rotating fibres, the inverse built from the cell-mean diagonal
+(``TensorField.mean_diagonal``) is spectrally equivalent to the
+operator, so preconditioned CG needs a number of iterations that does
+not grow under refinement.  Those means are the coefficients c_a of
+the constant diagonal tensor with the same energy on each linear
+function x_a: x_a^T K x_a = |Omega| c_a.
 
 The norms of ``grid`` are diagonal in the same basis.  The H1
 seminorm quadrature differences along axis a and averages the two
@@ -231,19 +234,3 @@ class SpectralBasis:
         apply.exact, apply.condition = exact, float(largest.max() / smallest.min())
         return apply
 
-
-def reference_coefficients(K, grid):
-    """Per-axis cell means of the diagonal of the tensor that K was assembled from.
-
-    For the linear function u = x_a the discrete energy u^T K u is
-    exactly sum over cells of volume * M_aa, so the means are read off
-    the assembled matrix without the tensor.
-    """
-    out = []
-    for a, x in enumerate(grid.axis_coords):
-        # x_a at every node, C order, from its axis vector alone
-        along = [1] * grid.dim
-        along[a] = -1
-        x = np.broadcast_to(x.reshape(along), grid.nodes_per_axis).ravel()
-        out.append(float(x @ (K @ x)) / grid.measure)
-    return tuple(out)

@@ -90,7 +90,7 @@ def _w12_l2_sq(series):
     g = series.grid
     l2_sq = gridmod.bochner_norm(series, 2, "L2") ** 2
     rate_sq = 0.0
-    for s in gridmod.frame_blocks(series):
+    for s in gridmod.frame_blocks(series.n_frames, g.n_nodes, gridmod.NORM_BLOCK_VALUES):
         # the rates into the block's frames, from the frame before it on
         rates = np.diff(series.data[max(s.start - 1, 0) : s.stop], axis=0)
         rates /= g.dt

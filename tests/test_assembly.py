@@ -210,22 +210,30 @@ def test_build_operators_uses_no_coo_and_no_transpose(monkeypatch):
 
 
 def test_stiffness_and_system_operators_stay_dia():
-    g = Grid((6, 5), (1.0, 0.8), 1.0, 1)
+    # dt = 0.6, so that the step system with lam = 1 is Mass + 0.3 K_i
+    g = Grid((6, 5), (1.0, 0.8), 0.6, 1)
     ops = build_operators(g, fibres(g), TensorField.diagonal(g, (0.6, 1.2)))
     assert ops.K_i.format == ops.K_e.format == ops.K_ie.format == "dia"
-    # every system is an (apply, precond) pair of callables on the stencils
+    # every system is an (apply, precond) pair of callables on the stencils,
+    # equal to its matrix on the operator set's own dt
+    dt, rng = g.dt, np.random.default_rng(3)
     K_i, K_ie, mass = ops.K_i.toarray(), ops.K_ie.toarray(), np.diag(ops.mass)
-    X = np.random.default_rng(3).standard_normal((3, g.n_nodes))
-    systems = ((ops.step_system(0.3), mass + 0.3 * K_i), (ops.neumann_system(), K_ie))
+    coupled = np.block([[mass + dt * K_i, dt * K_i], [dt * K_i, dt * K_ie]])
+    systems = (
+        (ops.step_system, mass + 0.3 * K_i),
+        (ops.neumann_system, K_ie),
+        (ops.coupled_system, coupled),
+    )
     for (apply, precond), A in systems:
         assert callable(apply) and callable(precond)
+        X = rng.standard_normal((3, len(A)))
         assert np.allclose(apply(X), X @ A.T, rtol=0.0, atol=1e-12 * np.abs(A).max())
         assert np.allclose(apply(X[1]), A @ X[1], rtol=0.0, atol=1e-12 * np.abs(A).max())
-    # one memo: a second call returns the same pair, and the keys do not collide
-    assert ops.step_system(0.3) is ops.step_system(0.3)
-    assert ops.coupled_system(0.3) is ops.coupled_system(0.3)
-    assert ops.step_system(0.3) is not ops.coupled_system(0.3)
-    assert ops.neumann_system() is ops.neumann_system()
+    # each pair is built once, and reduced_operator gives the coupled one
+    assert ops.step_system is ops.step_system
+    assert ops.neumann_system is ops.neumann_system
+    assert ops.coupled_system is ops.coupled_system
+    assert reduced_operator(ops) is ops.coupled_system
 
 
 def test_monodomain_build_operators_makes_no_csr(monkeypatch):
@@ -243,7 +251,7 @@ def test_monodomain_build_operators_makes_no_csr(monkeypatch):
         monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
     g = Grid((6, 5, 4), (1.0, 0.8, 0.6), 1.0, 1)
     ops = build_operators(g, TensorField.diagonal(g, (1.0, 0.5, 0.25)), lam=1.0)
-    ops.step_system(0.1)
+    ops.step_system
     assert calls[0] == 0
     g = Grid((9, 7), (1.0, 0.8), 0.3, 4)
     for kind in ("monodomain", "bidomain"):
@@ -390,7 +398,7 @@ def test_elliptic_solve_cosine_oracle():
     mi = TensorField.isotropic(g, 1.0)
     ops = build_operators(g, mi, mi)
     f = ScalarField(g, np.cos(np.pi * g.axis_coords[0]))
-    u = bidomain_elliptic_solve(ops, ops.mass * f.values)
+    u = bidomain_elliptic_solve(ops, ops.mass * f.values, tol=1e-11)
     exact = ScalarField(g, f.values / (2 * np.pi**2))
     err = l2_norm(ScalarField(g, u - exact.values))
     assert err <= 1e-3 * l2_norm(exact)
@@ -402,7 +410,7 @@ def test_elliptic_solve_rejects_incompatible_load():
     mi = TensorField.isotropic(g, 1.0)
     ops = build_operators(g, mi, mi)
     with pytest.raises(CompatibilityError):
-        bidomain_elliptic_solve(ops, ops.mass.copy())
+        bidomain_elliptic_solve(ops, ops.mass.copy(), tol=1e-11)
 
 
 def test_reduced_rhs_collapses_for_proportional_tensors():
@@ -426,7 +434,7 @@ def test_reduced_operator_collapses_for_proportional_tensors():
     lam, dt, n = 0.5, g.dt, g.n_nodes
     mi = TensorField.isotropic(g, 1.0)
     ops = build_operators(g, mi, mi * lam, lam=lam)
-    apply_B, precond = reduced_operator(ops, dt)
+    apply_B, precond = reduced_operator(ops)
     rng = np.random.default_rng(6)
     K_i, K_ie = ops.K_i.toarray(), ops.K_ie.toarray()
     B = np.block([[np.diag(g.weights) + dt * K_i, dt * K_i], [dt * K_i, dt * K_ie]])

@@ -20,6 +20,8 @@ from cardioct.linalg import SolverError, cg_solve, row_product
 from conftest import fibres, jacobi, random_spd
 
 GRIDS = [((17,), (1.0,)), ((9, 7), (1.0, 1.3)), ((5, 4, 6), (1.0, 0.8, 1.2))]
+# dt = 0.1, so that the step system with lam = 1 is Mass + 0.05 K_i
+T, N_STEPS = 1.0, 10
 
 
 def _rel(a, b):
@@ -85,8 +87,8 @@ def _load_block(rng, n, m, zero):
 )
 def test_step_system_columns_equal_their_single_solves(case, kind, m, zero, far, seed):
     rng = np.random.default_rng(seed)
-    g = Grid(*case, 1.0, 1)
-    A, precond = build_operators(g, _tensor(g, kind, rng)).step_system(0.05)
+    g = Grid(*case, T, N_STEPS)
+    A, precond = build_operators(g, _tensor(g, kind, rng)).step_system
     B = _load_block(rng, g.n_nodes, m, zero)
     # warm starts near the solution, except the rows in ``far``, which are
     # worse than a cold start and must be discarded
@@ -117,7 +119,7 @@ def test_step_system_columns_equal_their_single_solves(case, kind, m, zero, far,
        st.integers(0, 2**31 - 1))
 def test_jacobi_columns_equal_their_single_solves(case, m, zero, seed):
     rng = np.random.default_rng(seed)
-    g = Grid(*case, 1.0, 1)
+    g = Grid(*case, T, N_STEPS)
     ops = build_operators(g, random_spd(g, rng))
     A = (sp.diags(ops.mass) + 0.05 * ops.K_i).tocsr()  # the step matrix
     B = _load_block(rng, g.n_nodes, m, zero)
@@ -125,7 +127,7 @@ def test_jacobi_columns_equal_their_single_solves(case, m, zero, seed):
     X = cg_solve(matvec, B, tol=1e-10, precond=jacobi(A))
     _assert_rows_match(X, B, lambda b, _: cg_solve(matvec, b, tol=1e-10, precond=jacobi(A)))
     # the package's step operator with the same diagonal scaling of the rows
-    apply, _ = ops.step_system(0.05)
+    apply, _ = ops.step_system
     Y = cg_solve(apply, B, tol=1e-10, precond=jacobi(A))
     _assert_rows_match(Y, B, lambda b, _: cg_solve(apply, b, tol=1e-10, precond=jacobi(A)))
 
@@ -135,8 +137,8 @@ def test_jacobi_columns_equal_their_single_solves(case, m, zero, seed):
        st.integers(0, 2**31 - 1))
 def test_exact_columns_are_solved_directly_and_ignore_x0(case, m, zero, seed):
     rng = np.random.default_rng(seed)
-    g = Grid(*case, 1.0, 1)
-    A, precond = build_operators(g, _tensor(g, "constant", rng)).step_system(0.05)
+    g = Grid(*case, T, N_STEPS)
+    A, precond = build_operators(g, _tensor(g, "constant", rng)).step_system
     assert precond.exact
     B = _load_block(rng, g.n_nodes, m, zero)
     nonzero = np.count_nonzero(B.any(axis=1))
@@ -168,11 +170,11 @@ def test_exact_columns_are_solved_directly_and_ignore_x0(case, m, zero, seed):
        st.integers(1, 5), st.sets(st.integers(0, 4), max_size=2), st.integers(0, 2**31 - 1))
 def test_singular_kie_columns_with_zero_sums(case, kind, m, zero, seed):
     rng = np.random.default_rng(seed)
-    g = Grid(*case, 1.0, 1)
+    g = Grid(*case, T, N_STEPS)
     ops = build_operators(g, _tensor(g, kind, rng), _tensor(g, kind, rng))
     B = _load_block(rng, g.n_nodes, m, zero)
     B -= B.mean(axis=1, keepdims=True)
-    K_ie, precond = ops.neumann_system()
+    K_ie, precond = ops.neumann_system
     X = cg_solve(K_ie, B, tol=1e-10, precond=precond)
     _assert_rows_match(X, B, lambda b, _: cg_solve(K_ie, b, tol=1e-10, precond=precond))
     R = B - K_ie(X)
@@ -181,8 +183,8 @@ def test_singular_kie_columns_with_zero_sums(case, kind, m, zero, seed):
 
 def _fibre_step(nodes):
     """The step operator and preconditioner of a fibre tensor, and the node count."""
-    g = Grid(nodes, (1.0,) * len(nodes), 1.0, 1)
-    return *build_operators(g, fibres(g)).step_system(0.05), g.n_nodes
+    g = Grid(nodes, (1.0,) * len(nodes), T, N_STEPS)
+    return *build_operators(g, fibres(g)).step_system, g.n_nodes
 
 
 def _iterations(A, precond, b, tol=1e-10):
@@ -209,7 +211,7 @@ def test_fibre_columns_retire_at_different_iterations(nodes):
 def test_zero_block_returns_zeros_without_applications():
     A, precond, n = _fibre_step((9, 9))
     matvec, widths = _counting(A)
-    X = cg_solve(matvec, np.zeros((3, n)), precond=precond, x0=np.ones((3, n)))
+    X = cg_solve(matvec, np.zeros((3, n)), tol=1e-10, precond=precond, x0=np.ones((3, n)))
     assert X.shape == (3, n) and not X.any()
     assert widths == []
 
@@ -242,7 +244,7 @@ def test_solver_error_reports_the_worst_unconverged_column():
 def test_block_b_must_be_one_or_two_dimensional():
     A, precond, n = _fibre_step((5, 5))
     with pytest.raises(ValueError, match="shape"):
-        cg_solve(A, np.ones((2, 2, n)), precond=precond)
+        cg_solve(A, np.ones((2, 2, n)), tol=1e-10, precond=precond)
 
 
 def _row_entry_points():
@@ -252,12 +254,12 @@ def _row_entry_points():
     vector, 1e-15 relative through the batched transforms, and the
     tolerance for the spectral solves.
     """
-    g = Grid((9, 7), (1.0, 1.3), 1.0, 1)
+    g = Grid((9, 7), (1.0, 1.3), T, N_STEPS)
     n, tol = g.n_nodes, 1e-10
     ops = build_operators(g, fibres(g), TensorField.diagonal(g, (0.6, 1.2)))
-    step, step_pre = ops.step_system(0.05)
-    neumann, _ = ops.neumann_system()
-    coupled = ops.coupled_system(0.05)
+    step, step_pre = ops.step_system
+    neumann, _ = ops.neumann_system
+    coupled = ops.coupled_system
     jac = jacobi(sp.diags(ops.mass) + 0.05 * ops.K_i)
 
     def coupled_solve(b):

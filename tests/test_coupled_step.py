@@ -43,7 +43,7 @@ def _nested_schur_step(ops, dt, rhs_u, I_i, I_e, tol):
     psi is then K_ie^+ (Mass (I_i + I_e) - K_i phi).
     """
     K_i, mass = ops.K_i, ops.mass
-    K_ie, precond_ie = ops.neumann_system()
+    K_ie, precond_ie = ops.neumann_system
 
     def apply(v):
         Kv = K_i @ v
@@ -71,7 +71,7 @@ def test_coupled_step_matches_nested_schur_solve(nodes):
     g = Grid(nodes, (1.0,) * len(nodes), 0.3, 3)
     ops = _fibre_operators(g)
     f, I_i, I_e = _step_data(g, 3)
-    system = reduced_operator(ops, g.dt)
+    system = reduced_operator(ops)
     phi, psi = solve_coupled_step(ops, system, f, g.dt * ops.mass * (I_i + I_e), tol=1e-13)
     phi_ref, psi_ref = _nested_schur_step(ops, g.dt, f, I_i, I_e, tol=1e-13)
     assert np.linalg.norm(phi - phi_ref) <= 1e-9 * np.linalg.norm(phi_ref)
@@ -84,7 +84,7 @@ def test_block_pcg_iterations_do_not_grow_under_refinement():
     for n in (33, 65):
         g = Grid((n, n), (1.0, 1.0), 0.3, 3)
         ops = _fibre_operators(g)
-        apply, precond = reduced_operator(ops, g.dt)
+        apply, precond = reduced_operator(ops)
         f, I_i, I_e = _step_data(g, 4)
         b = np.concatenate((f, g.dt * ops.mass * (I_i + I_e)))
         b[n * n :] -= b[n * n :].mean()

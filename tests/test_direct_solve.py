@@ -80,17 +80,17 @@ def _check_solve(matvec, precond, B, tol=1e-10):
 @settings(max_examples=25, deadline=None)
 @given(GRID_CASES, COEFFS, COEFFS, st.floats(1e-3, 10.0), st.integers(0, 3),
        st.integers(0, 2**31 - 1))
-def test_direct_solves_meet_their_tolerance(case, ci, ce, coef, zero, seed):
+def test_direct_solves_meet_their_tolerance(case, ci, ce, dt, zero, seed):
     rng = np.random.default_rng(seed)
-    g = Grid(tuple(case[0]), tuple(case[1]), 1.0, 1)
+    g = Grid(tuple(case[0]), tuple(case[1]), dt, 1)
     ops = build_operators(
         g, TensorField.diagonal(g, ci[: g.dim]), TensorField.diagonal(g, ce[: g.dim])
     )
     B = _with_zero_row(_loads(g, rng), zero)
-    _check_solve(*ops.step_system(coef), B)
+    _check_solve(*ops.step_system, B)
     zero_sum = B - B.mean(axis=1, keepdims=True)
-    _check_solve(*ops.neumann_system(), zero_sum)
-    apply, block = ops.coupled_system(coef)
+    _check_solve(*ops.neumann_system, zero_sum)
+    apply, block = ops.coupled_system
     assert block.exact is True
     _check_solve(apply, block, np.concatenate((B, zero_sum[::-1]), axis=1))
 
@@ -129,25 +129,25 @@ STRONG_CASES = st.integers(1, 3).flatmap(
 @given(STRONG_CASES, st.floats(1e-3, 10.0), st.integers(0, 2**31 - 1))
 @example(((33, 9), (1.0, 2.0), (10.0, 0.1), (1.0, 1.0)), 1.0, 0)
 @example(((201,), (1.0,), (10.0,), (1.0,)), 1.0, 0)
-def test_every_axis_mode_meets_100_times_the_residual(case, coef, seed):
+def test_every_axis_mode_meets_100_times_the_residual(case, dt, seed):
     # the first load is random and so may underrate the residual of the
     # softest mode, whose solution is the largest; the condition number of
     # the spectrum in the residual estimate covers it
     nodes, lengths, ci, ce = case
-    g = Grid(tuple(nodes), tuple(lengths), 1.0, 1)
+    g = Grid(tuple(nodes), tuple(lengths), dt, 1)
     ops = build_operators(g, TensorField.diagonal(g, ci), TensorField.diagonal(g, ce))
     first = np.random.default_rng(seed).standard_normal(g.n_nodes)
     modes = _axis_modes(g)
-    _check_modes(*ops.step_system(coef), first, modes)
+    _check_modes(*ops.step_system, first, modes)
     zero_sum = modes - modes.mean(axis=1, keepdims=True)
-    _check_modes(*ops.neumann_system(), first - first.mean(), zero_sum)
-    apply, block = ops.coupled_system(coef)
+    _check_modes(*ops.neumann_system, first - first.mean(), zero_sum)
+    apply, block = ops.coupled_system
     _check_modes(apply, block, np.concatenate((first, first - first.mean())),
                  np.concatenate((modes, zero_sum[::-1]), axis=1))
 
 
 def _always_exact(monkeypatch):
-    monkeypatch.setattr(assembly, "_constant_diagonal", lambda tensor: tensor is not None)
+    monkeypatch.setattr(TensorField, "constant_diagonal", property(lambda self: True))
 
 
 @pytest.mark.parametrize(
@@ -157,14 +157,14 @@ def _always_exact(monkeypatch):
 @pytest.mark.parametrize("nodes", [(9, 7), (5, 4, 6)], ids=["2d", "3d"])
 def test_a_wrong_exact_mark_raises_at_first_use(make, nodes, monkeypatch):
     _always_exact(monkeypatch)
-    g = Grid(nodes, (1.0,) * len(nodes), 1.0, 1)
+    g = Grid(nodes, (1.0,) * len(nodes), 0.1, 1)
     ops = build_operators(g, make(g), TensorField.isotropic(g, 1.0))
     load = np.random.default_rng(0).standard_normal(g.n_nodes)
     load -= load.mean()
     systems = {
-        "step": (ops.step_system(0.1), load),
-        "K_ie": (ops.neumann_system(), load),
-        "coupled": (ops.coupled_system(0.1), np.concatenate((load, load))),
+        "step": (ops.step_system, load),
+        "K_ie": (ops.neumann_system, load),
+        "coupled": (ops.coupled_system, np.concatenate((load, load))),
     }
     for name, ((op, marked), b) in systems.items():
         assert marked.exact is True
@@ -189,40 +189,46 @@ def test_cli_reports_a_wrong_exact_mark_as_a_solver_error(tmp_path, capsys, monk
 
 
 def test_the_residual_is_tested_on_the_first_solve_of_each_system_only(solves):
-    g = Grid((9, 7), (1.0, 1.3), 1.0, 1)
-    ops = build_operators(g, TensorField.isotropic(g, 1.0), TensorField.diagonal(g, (2.0, 0.5)))
-    systems = [ops.step_system(0.1), ops.neumann_system(), ops.coupled_system(0.1)]
+    # operator sets on two time steps, each with its step and coupled systems
+    grids = [Grid((9, 7), (1.0, 1.3), dt, 1) for dt in (0.2, 0.4)]
+    op_sets = [
+        build_operators(g, TensorField.isotropic(g, 1.0), TensorField.diagonal(g, (2.0, 0.5)))
+        for g in grids
+    ]
+    ops = op_sets[0]
+    systems = [ops.step_system, ops.neumann_system, ops.coupled_system]
     # neither building the operators nor building the systems tests anything
     assert not any(hasattr(precond, "residual") for _, precond in systems)
-    assert ops.step_system(0.1)[1] is systems[0][1]
+    assert ops.step_system[1] is systems[0][1]
+    g = grids[0]
     load = np.random.default_rng(0).standard_normal(g.n_nodes)
     load -= load.mean()
     for _ in range(2):
         assembly.solve_neumann(ops, load, tol=1e-10)
-        for coef in (0.1, 0.2):
-            A, precond = ops.step_system(coef)
+        for each in op_sets:
+            A, precond = each.step_system
             assembly.cg_solve(A, load, tol=1e-10, precond=precond)
-            assembly.solve_coupled_step(ops, ops.coupled_system(coef), load, load, tol=1e-10)
+            assembly.solve_coupled_step(each, each.coupled_system, load, load, tol=1e-10)
     # one application on the first solve of each of the five systems
     assert [s["applications"] for s in solves] == [1] * 5 + [0] * 5
     for s in solves:
         assert_exact(s)
     # an inexact system is never marked, so it stores nothing
     fibre = build_operators(g, fibres(g), TensorField.isotropic(g, 1.0))
-    A, precond = fibre.step_system(0.1)
+    A, precond = fibre.step_system
     cg_solve(A, load, tol=1e-10, precond=precond)
     assert not hasattr(precond, "residual")
 
 
 def test_a_non_finite_load_raises_on_the_direct_path(grid2d):
     ops = build_operators(grid2d, TensorField.isotropic(grid2d, 1.0))
-    A, precond = ops.step_system(0.1)
-    cg_solve(A, np.ones(grid2d.n_nodes), precond=precond)
+    A, precond = ops.step_system
+    cg_solve(A, np.ones(grid2d.n_nodes), tol=1e-10, precond=precond)
     for bad in (np.nan, np.inf):
         load = np.ones(grid2d.n_nodes)
         load[3] = bad
         with pytest.raises(SolverError, match="non-finite"), np.errstate(invalid="ignore"):
-            cg_solve(A, load, precond=precond)
+            cg_solve(A, load, tol=1e-10, precond=precond)
 
 
 def test_monodomain_limit_check_keeps_its_tight_tolerance(solves):

@@ -25,12 +25,13 @@ def test_matches_dense_solve():
 
 def test_zero_rhs_short_circuits():
     A = sp.eye(5, format="csr")
-    assert np.all(cg_solve(partial(row_product, A), np.zeros(5), precond=jacobi(A)) == 0.0)
+    x = cg_solve(partial(row_product, A), np.zeros(5), tol=1e-10, precond=jacobi(A))
+    assert np.all(x == 0.0)
 
 
 def test_matrix_free_needs_precond():
     with pytest.raises(TypeError):
-        cg_solve(lambda v: 2.0 * v, np.ones(4))
+        cg_solve(lambda v: 2.0 * v, np.ones(4), tol=1e-10)
 
 
 def test_matrix_free_with_diag():

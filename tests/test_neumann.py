@@ -35,7 +35,7 @@ def test_kie_pseudo_inverse_is_positive_on_zero_sum_vectors(case, seed):
     g = Grid(*case, 1.0, 1)
     rng = np.random.default_rng(seed)
     ops = build_operators(g, random_spd(g, rng), random_spd(g, rng))
-    precond = ops.neumann_system()[1]
+    precond = ops.neumann_system[1]
     P = np.column_stack([precond(e) for e in np.eye(g.n_nodes)])
     scale = np.abs(P).max()
     assert np.abs(P - P.T).max() <= 1e-12 * scale
@@ -75,11 +75,31 @@ def test_solve_neumann_matches_dense_solve(nodes, contrast, bound):
     assert abs(g.weights @ x) <= 1e-12 * g.measure * np.abs(x).max()
 
 
+@pytest.mark.parametrize("kind", ["constant", "fibres"])
+def test_a_zero_load_gives_exact_zeros(kind):
+    # cg_solve returns a zero row for a zero load on the direct and the PCG
+    # path, first solve or later, and the gauge shift of zero is zero
+    g = Grid((9, 7), (1.0, 1.3), 1.0, 1)
+    mi = fibres(g) if kind == "fibres" else TensorField.diagonal(g, (1.0, 0.4))
+    ops = build_operators(g, mi, TensorField.diagonal(g, (0.6, 1.2)))
+    assert ops.neumann_system[1].exact is (kind == "constant")
+    block = g.weights * np.random.default_rng(4).standard_normal((3, g.n_nodes))
+    block -= block.mean(axis=1, keepdims=True)
+    block[1] = 0.0
+    for _ in range(2):
+        x = solve_neumann(ops, np.zeros(g.n_nodes), tol=1e-10)
+        assert x.shape == (g.n_nodes,) and not x.any()
+        X = solve_neumann(ops, block, tol=1e-10)
+        assert X.shape == block.shape and not X[1].any()
+        assert X[0].any() and X[2].any()
+    assert not solve_neumann(ops, np.zeros((2, g.n_nodes)), tol=1e-10).any()
+
+
 def test_solve_coupled_step_rejects_incompatible_load():
     g = Grid((9, 9), (1.0, 1.0), 0.3, 3)
     mi = fibres(g)
     ops = build_operators(g, mi, 1.5 * mi)
-    system = reduced_operator(ops, g.dt)
+    system = reduced_operator(ops)
     f = g.weights * np.random.default_rng(2).standard_normal(g.n_nodes)
     with pytest.raises(CompatibilityError):
         solve_coupled_step(ops, system, f, g.dt * g.weights, tol=1e-10)

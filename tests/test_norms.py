@@ -212,10 +212,10 @@ def test_norms_over_blocks_equal_one_block(monkeypatch, kind, grid, frames_per_b
 
     n_frames = grid.n_steps + 1
     monkeypatch.setattr(gridmod, "NORM_BLOCK_VALUES", n_frames * grid.n_nodes)
-    assert len(frame_blocks(res.phi_tr)) == 1
+    assert len(frame_blocks(n_frames, grid.n_nodes, gridmod.NORM_BLOCK_VALUES)) == 1
     whole = norms()
     monkeypatch.setattr(gridmod, "NORM_BLOCK_VALUES", frames_per_block * grid.n_nodes + 1)
-    blocks = frame_blocks(res.phi_tr)
+    blocks = frame_blocks(n_frames, grid.n_nodes, gridmod.NORM_BLOCK_VALUES)
     assert [b.stop - b.start for b in blocks[:-1]] == [frames_per_block] * (len(blocks) - 1)
     assert n_frames % frames_per_block != 0 and blocks[-1].stop > n_frames
     split = norms()

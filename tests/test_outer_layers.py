@@ -33,7 +33,14 @@ from cardioct.control import (
     simulate,
 )
 from cardioct.forward import ProblemConfig, forward_report, run_forward
-from cardioct.grid import FieldSeries, Grid, ScalarField, TensorField, frame_blocks
+from cardioct.grid import (
+    NORM_BLOCK_VALUES,
+    FieldSeries,
+    Grid,
+    ScalarField,
+    TensorField,
+    frame_blocks,
+)
 from cardioct.ionic import IonicParams
 from cardioct.spectral import SpectralBasis
 from cardioct.stimuli import box_mask, gaussian_bump, pulse_series, seeded_smooth_series
@@ -249,7 +256,7 @@ def test_adjoint_report_peak_stays_below_one_series():
     res = run_forward(cfg, report=False)
     cost = CostConfig(w_phi=1.0, w_gate=0.5, phi_des=FieldSeries(g, 0.5 * res.phi_tr.data))
     adj = run_adjoint(cfg, res, cost, report=False)
-    assert len(frame_blocks(adj.p1)) == 7
+    assert len(frame_blocks(adj.p1.n_frames, g.n_nodes, NORM_BLOCK_VALUES)) == 7
 
     def report():
         return adjoint_report(adj.p1, adj.p3, adj.p2, cost, res)
