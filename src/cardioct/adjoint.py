@@ -41,6 +41,15 @@ With the running cost integrated by the left-rectangle rule in time,
 this backward sweep is the exact discrete transpose of the forward
 scheme, which is what makes the finite-difference gradient checks in
 ``verify`` agree to solver precision.
+
+A sweep may stop above frame 0 (``lowest_frame``), as the reduced
+gradient, which reads frames 1..n_steps, lets it.  Such a truncated
+sweep reads no trajectory frame above n_steps - 1, the frames of a
+truncated forward run (``forward.run_forward``): the terms of step
+n_steps - 1 that multiply p3^n = 0 drop (the ``ap`` slope s'(pb^{n-1})
+reads phi^n), and p2^n = -psi_eta^n is not formed, because the
+gradient takes p2^n + psi_eta^n = 0 as such: the eta load of frame
+n_steps, which reads phi_e^n, is left a zero row of the psi_eta block.
 """
 
 from __future__ import annotations
@@ -113,14 +122,18 @@ def _partial(weight, series, target, k):
     return r
 
 
-def run_adjoint(config, traj, cost, *, report=True):
+def run_adjoint(config, traj, cost, *, report=True, lowest_frame=0):
     """Integrate the adjoint system backward from zero terminal data.
 
     Returns the multiplier trajectories with n_steps + 1 frames each;
     the terminal frames of p1 and p3 are identically zero.  Step k
-    reads frame k + 1 of the returned series and writes frame k.  The
-    sweep reads single trajectories: a batched config or trajectory
-    raises ValueError.
+    reads frame k + 1 of the returned series and writes frame k, down
+    to frame ``lowest_frame``.  A sweep that stops above frame 0 is
+    truncated: p1, p3 and p2 are NaN below ``lowest_frame``, p2 and
+    psi_eta are NaN at frame n_steps, and it reads no frame of ``traj``
+    above n_steps - 1 (module docstring); it has no norm report, so
+    ``report=True`` rejects it (ValueError).  The sweep reads single
+    trajectories: a batched config or trajectory raises ValueError.
     """
     for series in (config.I_i, config.I_e, traj.phi_tr):
         series.require_unbatched("run_adjoint")
@@ -128,6 +141,11 @@ def run_adjoint(config, traj, cost, *, report=True):
         raise ValueError("tracking the extracellular potential needs a bidomain run")
     g = config.grid
     n, dt, ops = g.n_steps, g.dt, config.ops
+    if not 0 <= lowest_frame <= n:
+        raise ValueError(f"run_adjoint stops at a frame from 0 to {n}, not {lowest_frame}")
+    truncated = lowest_frame > 0
+    if report and truncated:
+        raise ValueError(f"run_adjoint(report=True) sweeps down to frame 0, not {lowest_frame}")
     bidomain = config.kind == "bidomain"
     reaction = not config.no_reaction
     alpha = float(np.exp(-config.ionic.eps * dt)) if reaction else 1.0
@@ -138,36 +156,49 @@ def run_adjoint(config, traj, cost, *, report=True):
         """(1 - alpha)/2 s'(pb^k) at the midpoint of step k."""
         return 0.5 * (1.0 - alpha) * midpoint_source_slope(config.ionic, phi[k], phi[k + 1])
 
-    def eta_load(k, scale=1.0):
-        """scale Mass r_bar^k of the zero-mean eta-tracking partial.
-
-        ``k`` is one frame, or Ellipsis for every frame (one load per row).
-        """
-        r = _partial(scale * cost.w_eta, traj.phi_e, cost.eta_des, k)
+    def mass_zero_mean(r):
+        """Mass r_bar of each row of ``r``, shifted to weighted zero mean in place."""
         r -= (r @ g.weights)[..., None] / g.measure
         r *= ops.mass
         return r
+
+    def eta_load(k, scale):
+        """scale Mass r_bar^k of the zero-mean eta-tracking partial of frame k."""
+        return mass_zero_mean(_partial(scale * cost.w_eta, traj.phi_e, cost.eta_des, k))
 
     p2 = psi_eta = None
     track_eta = bidomain and cost.w_eta != 0.0
     if bidomain:
         # psi_eta reads the data only: solved for every frame before the
         # sweep, and before the other multipliers exist, to keep the peak low
-        psi_eta = FieldSeries(g, eta_load(Ellipsis)) if track_eta else FieldSeries.zeros(g)
+        psi_eta = FieldSeries.zeros(g)
         if track_eta:
-            solve_neumann_frames(ops, psi_eta.data, tol=config.inner_tol)
+            # a truncated sweep leaves frame n a zero load: the block keeps
+            # its n + 1 rows, whose BLAS products round every row as in the
+            # full sweep (a block of n rows rounds them differently)
+            top = n if truncated else n + 1
+            psi_eta.data[:top] = _partial(cost.w_eta, traj.phi_e, cost.eta_des, slice(0, top))
+            solve_neumann_frames(ops, mass_zero_mean(psi_eta.data), tol=config.inner_tol)
         no_eta_load = np.zeros(g.n_nodes)
     p1 = FieldSeries.zeros(g)
     p3 = FieldSeries.zeros(g)
     if bidomain:
         p2 = FieldSeries.zeros(g)
         # Terminal elliptic multiplier from the terminal cost partials
-        # (p1(T) = 0, so only the eta term can contribute).
-        p2.data[n] = -psi_eta.data[n]
+        # (p1(T) = 0, so only the eta term can contribute); the reduced
+        # gradient reads p2^n + psi_eta^n = 0, so a truncated sweep forms neither
+        if truncated:
+            p2.data[n] = psi_eta.data[n] = np.nan
+        else:
+            p2.data[n] = -psi_eta.data[n]
+    for series in (p1, p3, p2) if bidomain else (p1, p3):
+        series.data[:lowest_frame] = np.nan  # below the sweep
 
-    # s'_k of step k is s'_{k-1} of step k + 1; s'_{-1} is taken as s'_0
-    sp_k = slope(n - 1) if reaction else 0.0
-    for k in range(n - 1, -1, -1):
+    # s'_k of step k is s'_{k-1} of step k + 1; s'_{-1} is taken as s'_0.
+    # s'_{n-1} multiplies p3^n = 0: a truncated sweep, which never reuses
+    # it at step 0, takes it as 0 and so reads no phi^n
+    sp_k = slope(n - 1) if reaction and not truncated else 0.0
+    for k in range(n - 1, lowest_frame - 1, -1):
         p1_next, p3_next, p3_k = p1.data[k + 1], p3.data[k + 1], p3.data[k]
         # p3^k = alpha p3^{k+1} - dt r_w^k - dt (di_ion/dw)^k p1^{k+1}
         np.multiply(p3_next, alpha, out=p3_k)

@@ -18,6 +18,19 @@ and the final frame is zero (it is inert: the dynamics read frames
 The one-level offset between p and I_e is what the discrete transpose
 of the forward scheme produces; the finite-difference checks in
 ``verify`` hold at solver precision because of it.
+
+So J reads the states of frames 0..n_steps-1 and the gradient the
+multipliers of frames 1..n_steps, with p1^n = 0 and, for bidomain
+runs, p2^n + psi_eta^n = 0 from the terminal condition.  The last
+forward step writes frame n_steps only, which J weighs by 0, and the
+adjoint step to frame 0 writes multipliers that no gradient frame
+pairs with: both are inert.  ``simulate`` stops after step
+n_steps - 1 and ``compute_gradient`` at frame 1 (``run_forward``
+``steps``, ``run_adjoint`` ``lowest_frame``), so the line search,
+the optimizer and ``verify.gradient_check`` skip them; their J and
+gradients are bitwise those of full sweeps.  The runs that report
+norms (the CLI's ``simulate`` and ``adjoint``, ``verify``) keep full
+sweeps.
 """
 
 from __future__ import annotations
@@ -191,11 +204,14 @@ def evaluate_cost(traj, control, cost):
 def simulate(problem, control):
     """Forward run with the given control; returns (J, trajectory).
 
-    A batched control runs every member in one forward sweep
-    (``run_forward``) and gives an array of J and a batched trajectory.
+    The run stops after step n_steps - 1 (``run_forward(steps=...)``):
+    J reads frames 0..n_steps-1 only, so the trajectory's frame n_steps
+    is NaN, and a frame J reads that is not finite raises
+    ``DivergenceError``.  A batched control runs every member in one
+    forward sweep and gives an array of J and a batched trajectory.
     """
     cfg = replace(problem.config, I_e=control)
-    traj = run_forward(cfg, report=False)
+    traj = run_forward(cfg, report=False, steps=cfg.grid.n_steps - 1)
     return evaluate_cost(traj, control, problem.cost), traj
 
 
@@ -211,7 +227,9 @@ def reduced_gradient(adj, control, config, cost):
         grad += cost.mu * control.data[:n]
     else:
         np.multiply(control.data[:n], cost.mu, out=grad)
-        track = adj.p2.data[1 : n + 1] + adj.psi_eta.data[1 : n + 1]
+        # p2^n + psi_eta^n = 0, the terminal condition, is not read
+        track = np.zeros_like(grad)
+        np.add(adj.p2.data[1:n], adj.psi_eta.data[1:n], out=track[:-1])
         track -= adj.psi_eta.data[:n]
         grad -= track
     out = FieldSeries(g, out)
@@ -220,11 +238,16 @@ def reduced_gradient(adj, control, config, cost):
 
 
 def compute_gradient(problem, control, traj):
-    """Adjoint solve plus reduced gradient for the given trajectory."""
+    """The reduced gradient at ``control``, whose trajectory is ``traj``.
+
+    The adjoint sweep stops at frame 1 (``run_adjoint(lowest_frame=1)``),
+    the lowest the gradient reads, and reads no frame of ``traj`` above
+    n_steps - 1, so the trajectory of ``simulate`` serves.
+    """
     control.require_unbatched("compute_gradient")
     cfg = replace(problem.config, I_e=control)
-    adj = run_adjoint(cfg, traj, problem.cost, report=False)
-    return reduced_gradient(adj, control, cfg, problem.cost), adj
+    adj = run_adjoint(cfg, traj, problem.cost, report=False, lowest_frame=1)
+    return reduced_gradient(adj, control, cfg, problem.cost)
 
 
 def random_admissible_direction(problem, rng):
@@ -264,7 +287,7 @@ def projected_gradient_descent(problem):
     step = prev_grad = None
 
     for it in range(problem.budget):
-        grad, _ = compute_gradient(problem, I, traj)
+        grad = compute_gradient(problem, I, traj)
         g_norm = control_norm(grad)
         if g0_norm is None:
             g0_norm = g_norm
@@ -305,7 +328,7 @@ def projected_gradient_descent(problem):
             break
 
     if g_norm is None or status in ("decrease", "budget"):
-        grad, _ = compute_gradient(problem, I, traj)
+        grad = compute_gradient(problem, I, traj)
         g_norm = control_norm(grad)
     return OptimizeResult(
         control=I,

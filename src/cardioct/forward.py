@@ -35,7 +35,10 @@ of phi and w and writes frame k + 1.  ``step_monodomain`` gives
 phi^{k+1} and ``step_bidomain`` gives (phi^{k+1}, psi); ``run_forward``
 stores them and makes the gating update.  A step builds its load,
 frame-k forcing included, in one fresh array, and raises
-``DivergenceError`` when that load is not finite.
+``DivergenceError`` when that load is not finite.  A run may stop
+early (``steps``), as ``control.simulate`` does after step
+n_steps - 1: the frames it does not write are NaN, and its last frame,
+which no load of its own reads, is tested as a load would be.
 
 Zero-flux boundary conditions are built into the assembled operators.
 
@@ -217,6 +220,12 @@ def _check_load(load, k):
         raise DivergenceError(f"non-finite load at step {k + 1}: the potential has blown up")
 
 
+def _check_frame(frames, k):
+    """Raise DivergenceError unless the frames k of the states, written by step k, are finite."""
+    if not all(np.isfinite(f).all() for f in frames):
+        raise DivergenceError(f"non-finite state after step {k}: the potential has blown up")
+
+
 def step_bidomain(config, system, phi, w, k):
     """(phi^{k+1}, psi) of one bidomain step from phi^k and w^k.
 
@@ -233,21 +242,31 @@ def step_bidomain(config, system, phi, w, k):
     return solve_coupled_step(config.ops, system, f, currents, tol=config.cg_tol)
 
 
-def run_forward(config, *, report=True):
-    """Integrate the system over all steps and report trajectory norms.
+def run_forward(config, *, report=True, steps=None):
+    """Integrate the system over the first ``steps`` steps (all by default).
 
     Step k reads frame k of the returned series and writes frame k + 1.
-    A batched config (``ProblemConfig.batch_shape``) gives series with
-    the same batch axis, one trajectory per member; the norm report
-    reads single series, so ``report=True`` rejects a batch.  For a
-    bidomain run, phi_e is psi of each step plus the change of the
-    current lifts (module docstring): it is accurate to ``cg_tol`` of
-    the coupled step plus ``inner_tol`` of the lifts, and frame 0, which
-    is recovered, to ``inner_tol``.
+    A run of fewer steps than ``grid.n_steps`` leaves the frames after
+    frame ``steps`` NaN, in every series it returns, and raises
+    ``DivergenceError`` when frame ``steps``, which no load test of
+    its own reads, is not finite; it has no norm report, so
+    ``report=True`` rejects it (ValueError).  A batched config
+    (``ProblemConfig.batch_shape``) gives series with the same batch
+    axis, one trajectory per member; the norm report reads single
+    series, so ``report=True`` rejects a batch.  For a bidomain run,
+    phi_e is psi of each step plus the change of the current lifts
+    (module docstring): it is accurate to ``cg_tol`` of the coupled
+    step plus ``inner_tol`` of the lifts, and frame 0, which is
+    recovered, to ``inner_tol``.
     """
     g = config.grid
     bidomain = config.kind == "bidomain"
     batch = config.batch_shape
+    steps = g.n_steps if steps is None else steps
+    if not 0 <= steps <= g.n_steps:
+        raise ValueError(f"run_forward takes 0 to {g.n_steps} steps, not {steps}")
+    if report and steps < g.n_steps:
+        raise ValueError(f"run_forward(report=True) needs all {g.n_steps} steps, not {steps}")
     if report:
         for series in (config.I_i, config.I_e):
             series.require_unbatched("run_forward(report=True)")
@@ -258,7 +277,9 @@ def run_forward(config, *, report=True):
     phi_e = None
     if bidomain:
         # phi_e holds the lifts until each step overwrites its frame; they
-        # are solved before phi and w exist, which keeps the peak low
+        # are solved before phi and w exist, which keeps the peak low.  A
+        # shorter run solves them all too: its blocks keep their rows,
+        # whose BLAS products round each row as in the full run
         phi_e = FieldSeries.zeros(g, batch)
         _current_lifts(config, phi_e.data)
         lift = phi_e.data[..., 0, :].copy()
@@ -269,7 +290,7 @@ def run_forward(config, *, report=True):
     w.data[..., 0, :] = config.w0.values
     system = config.step_system()
 
-    for k in range(g.n_steps):
+    for k in range(steps):
         phi_k, w_k = phi.data[..., k, :], w.data[..., k, :]
         if bidomain:
             phi_next, psi = step_bidomain(config, system, phi_k, w_k, k)
@@ -286,6 +307,11 @@ def run_forward(config, *, report=True):
         else:
             w.data[..., k + 1, :] = gating_exact_update(config.ionic, w_k, phi_k, phi_next, g.dt)
 
+    if steps < g.n_steps:
+        states = [phi, w] + ([phi_e] if bidomain else [])
+        _check_frame([s.data[..., steps, :] for s in states], steps)
+        for s in states:
+            s.data[..., steps + 1 :, :] = np.nan
     rep = forward_report(config, phi, w, phi_e) if report else {}
     return ForwardResult(phi_tr=phi, w=w, report=rep, phi_e=phi_e, I_e_used=config.I_e)
 

@@ -476,7 +476,7 @@ def gradient_check(problem, *, n_directions=5, seed=0, deltas=None):
         if i == 0:
             base_traj = batch.member(0)
             J, batch = J[1:], None  # frees the batch before the adjoint sweep
-            grad, _ = compute_gradient(problem, base, base_traj)
+            grad = compute_gradient(problem, base, base_traj)
         gd = control_inner(grad, d)
         J_plus, J_minus = J.reshape(-1, 2).T
         fd_ladder = (J_plus - J_minus) / (2.0 * np.asarray(deltas))

@@ -184,7 +184,7 @@ def test_gradient_without_adjoint_is_regularizer(grid1d):
     problem = ControlProblem(config=cfg, cost=cost)
     zero = FieldSeries.zeros(grid1d)
     _, traj = simulate(problem, zero)
-    grad, _ = compute_gradient(problem, zero, traj)
+    grad = compute_gradient(problem, zero, traj)
     assert np.allclose(grad.data, 0.0, atol=1e-12)
 
 
