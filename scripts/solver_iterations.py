@@ -81,7 +81,7 @@ def tensors(g):
 
 def systems(g, tensor, b):
     """name -> (matrix, spectral eigenvalues, load) for one tensor's stiffness K and load b."""
-    K = assemble_stiffness(g, tensor)
+    K = assemble_stiffness(tensor)
     lam = g.spectral.stiffness_eigenvalues(tensor.mean_diagonal)
     return {
         "step": (sp.diags(g.weights) + K, 1.0 + lam, b),
@@ -129,7 +129,7 @@ def nested_step(ops, dt, f, I_i, I_e):
 def coupled_step(ops, dt, f, I_i, I_e):
     """phi of the step as the coupled block PCG solves it; ``ops.grid.dt`` is ``dt``."""
     load = dt * ops.mass * (I_i + I_e)
-    return solve_coupled_step(ops, ops.coupled_system, f, load, tol=1e-10)[0]
+    return solve_coupled_step(ops, f, load, tol=1e-10)[0]
 
 
 def bidomain_rows(g, label):

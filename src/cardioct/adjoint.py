@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as gridmod
-from .assembly import solve_coupled_step, solve_neumann_frames
+from .assembly import compatible_load, solve_coupled_step, solve_neumann_frames
 from .grid import FieldSeries
 from .ionic import d_i_ion, midpoint_source_slope
 from .linalg import cg_solve
@@ -149,18 +149,21 @@ def run_adjoint(config, traj, cost, *, report=True, lowest_frame=0):
     bidomain = config.kind == "bidomain"
     reaction = not config.no_reaction
     alpha = float(np.exp(-config.ionic.eps * dt)) if reaction else 1.0
-    system = config.step_system()
     phi, w = traj.phi_tr.data, traj.w.data
 
     def slope(k):
         """(1 - alpha)/2 s'(pb^k) at the midpoint of step k."""
         return 0.5 * (1.0 - alpha) * midpoint_source_slope(config.ionic, phi[k], phi[k + 1])
 
+    mass_norm = np.linalg.norm(ops.mass)
+
     def mass_zero_mean(r):
         """Mass r_bar of each row of ``r``, shifted to weighted zero mean in place."""
-        r -= (r @ g.weights)[..., None] / g.measure
+        mean = (r @ g.weights)[..., None] / g.measure
+        r -= mean
         r *= ops.mass
-        return r
+        # the shift's term Mass mean cancels a constant r
+        return compatible_load(r, np.abs(mean) * mass_norm)
 
     def eta_load(k, scale):
         """scale Mass r_bar^k of the zero-mean eta-tracking partial of frame k."""
@@ -225,9 +228,9 @@ def run_adjoint(config, traj, cost, *, report=True, lowest_frame=0):
         rhs *= ops.mass
         if bidomain:
             eta = eta_load(k, -dt) if track_eta else no_eta_load
-            p1.data[k], p2.data[k] = solve_coupled_step(ops, system, rhs, eta, tol=config.cg_tol)
+            p1.data[k], p2.data[k] = solve_coupled_step(ops, rhs, eta, tol=config.cg_tol)
         else:
-            A, precond = system
+            A, precond = ops.step_system
             p1.data[k] = cg_solve(A, rhs, tol=config.cg_tol, precond=precond, x0=p1_next)
 
     rep = adjoint_report(p1, p3, p2, cost, traj) if report else {}

@@ -43,7 +43,9 @@ Every linear system is one ``(apply, precond)`` pair, a property of
 ``SystemOperators`` built on first read from its own tensors, grid and
 lam: the monodomain step Mass + dt (lam/(1+lam)) K_i
 (``step_system``), the pure-Neumann K_ie (``neumann_system``) and the
-coupled block (``coupled_system``), with dt the step of the grid.
+coupled block (``coupled_system``), with dt the step of the grid.  A
+solve reads its pair off the operator set, the coupled step
+(``solve_coupled_step``) through ``reduced_operator`` on every call.
 ``apply`` multiplies through the DIA stencils; no system matrix is
 formed.  ``precond`` is CG's preconditioner in the grid's DCT-I
 eigenbasis (``spectral``), with eigenvalues taken from the per-axis
@@ -57,10 +59,12 @@ x = P b, once the first solve of each system has measured its residual
 (``linalg``).  The pure-Neumann K_ie solve (``solve_neumann``) and the
 psi row of the block system take loads that sum to zero, on which
 these singular systems are consistent, so no solve deflates the
-constants.  A solve takes one load, or a block of loads as the rows of
-an (m, n) array (``linalg.cg_solve``); ``apply`` and the lumped mass
-act on every row, the compatibility test and the zero-mean gauge per
-row, and ``linalg.row_product`` hands the DIA products their columns.
+constants.  A load whose terms cancel is tested against their norms
+where it is formed (``compatible_load``).  A solve takes one load, or
+a block of loads as the rows of an (m, n) array (``linalg.cg_solve``);
+``apply`` and the lumped mass act on every row, the compatibility test
+and the zero-mean gauge per row, and ``linalg.row_product`` hands the
+DIA products their columns.
 """
 
 from __future__ import annotations
@@ -84,6 +88,7 @@ __all__ = [
     "build_operators",
     "solve_neumann",
     "solve_neumann_frames",
+    "compatible_load",
     "bidomain_elliptic_solve",
     "reduced_rhs_S",
     "reduced_operator",
@@ -180,8 +185,8 @@ def _stencil_pairs(dim):
     return deltas, corners, tuple(pairs)
 
 
-def assemble_stiffness(grid, tensor):
-    """Assemble the stiffness matrix for int grad(u)^T M grad(v) dx.
+def assemble_stiffness(tensor):
+    """Assemble the stiffness matrix for int grad(u)^T M grad(v) dx on the tensor's grid.
 
     The tensor goes through ``ellipticity_check`` first.  Returns the
     3^dim-point stencil as a ``scipy.sparse.dia_matrix`` (see the
@@ -190,6 +195,7 @@ def assemble_stiffness(grid, tensor):
     whose element matrix every slice-add broadcasts over the cells.
     """
     ellipticity_check(tensor)
+    grid = tensor.grid
     dim, nodes = grid.dim, grid.nodes_per_axis
     G, w = _reference_gradients(dim)
     Gp = G / np.asarray(grid.h)  # physical gradients
@@ -332,14 +338,18 @@ def build_operators(grid, mi, me=None, lam=1.0):
     Each tensor is checked and assembled once; K_ie is the sum of the
     two stiffness matrices, which is the stiffness of mi + me, summed
     in DIA.  The lumped mass is a copy of the quadrature weights.  The
-    conductivity ratio ``lam`` must be positive (ValueError).
+    conductivity ratio ``lam`` must be positive, and each tensor must
+    live on ``grid`` (ValueError).
     """
     if not lam > 0:
         raise ValueError(f"lam must be positive, not {lam}")
-    K_i = assemble_stiffness(grid, mi)
+    for name, tensor in (("mi", mi), ("me", me)):
+        if tensor is not None and tensor.grid is not grid and tensor.grid != grid:
+            raise ValueError(f"{name} lives on a different grid")
+    K_i = assemble_stiffness(mi)
     K_e = K_ie = None
     if me is not None:
-        K_e = assemble_stiffness(grid, me)
+        K_e = assemble_stiffness(me)
         K_ie = K_i + K_e
     return SystemOperators(
         grid=grid,
@@ -353,24 +363,44 @@ def build_operators(grid, mi, me=None, lam=1.0):
     )
 
 
-def _neumann_load(load):
+def _neumann_load(load, scale=None):
     """A pure-Neumann load with its roundoff-level Euclidean mean removed.
 
     ``load`` is one load vector or an (m, n) block of them as rows.
     Raises CompatibilityError when a load's total exceeds 1e-8 times
-    its norm.
+    ``scale`` (a row's entry of an (m, 1) column), by default its norm.
     """
     total = load.sum(axis=-1, keepdims=True)
-    norm = np.sqrt((load * load).sum(axis=-1, keepdims=True))
-    excess = np.abs(total) - 1e-8 * norm
+    if scale is None:
+        scale = np.sqrt((load * load).sum(axis=-1, keepdims=True))
+    excess = np.abs(total) - 1e-8 * scale
     if (excess > 0.0).any():
         j = np.argmax(excess)
         where = f"row {j} of the " if load.ndim == 2 else ""
         raise CompatibilityError(
             f"{where}elliptic load integrates to {total.flat[j]:.3e} "
-            f"(norm {norm.flat[j]:.3e}); enforce compatibility first"
+            f"(norm {np.broadcast_to(scale, total.shape).flat[j]:.3e}); "
+            "enforce compatibility first"
         )
     return load - total / load.shape[-1]
+
+
+def compatible_load(load, scale):
+    """``load``, fit for the Neumann solves though compatible terms cancelled in it.
+
+    ``scale`` is the norm of those terms (each row's, as an (m, 1)
+    column, for a block).  Their roundoff in the total can exceed 1e-8
+    times the load's own norm, the test of the solves, as for ``K_i phi``
+    of a constant ``phi``.  A load (row) the solves would reject is
+    tested against its norm plus ``scale`` instead and replaced, in
+    place, by what the solves solve.  Returns ``load``.
+    """
+    total = load.sum(axis=-1, keepdims=True)
+    norm = np.sqrt((load * load).sum(axis=-1, keepdims=True))
+    cancelled = (np.abs(total) > 1e-8 * norm)[..., 0]
+    if cancelled.any():
+        load[cancelled] = _neumann_load(load, norm + scale)[cancelled]
+    return load
 
 
 def _zero_mean(grid, x):
@@ -435,14 +465,15 @@ def reduced_rhs_S(ops, I_i, I_e, *, tol=1e-11):
 def reduced_operator(ops):
     """``ops.coupled_system``, named after the block's Schur complement Mass + dt A_h.
 
-    The name stays because ``perfbench/tracing.py`` looks the function
-    up and times the returned ``apply`` as ``assembly.reduced_apply``.
+    ``solve_coupled_step`` reads the pair through it on every call, so
+    ``perfbench/tracing.py``, which looks it up and times the returned
+    ``apply`` as ``assembly.reduced_apply``, sees every application.
     """
     return ops.coupled_system
 
 
-def solve_coupled_step(ops, system, f, g, *, tol):
-    """Solve the coupled step system ``system = ops.coupled_system``.
+def solve_coupled_step(ops, f, g, *, tol):
+    """Solve the coupled step system ``ops.coupled_system`` (read through ``reduced_operator``).
 
     ``g`` is the load of the psi row, which must sum to zero, as in
     ``solve_neumann``.  ``f`` and ``g`` may be (m, N) blocks of loads as
@@ -450,7 +481,7 @@ def solve_coupled_step(ops, system, f, g, *, tol):
     directly (``cg_solve``); otherwise the block PCG starts cold.  Returns
     (phi, psi) with psi in the weighted zero-mean gauge.
     """
-    apply, precond = system
+    apply, precond = reduced_operator(ops)
     n = f.shape[-1]
     x = cg_solve(apply, np.concatenate((f, _neumann_load(g)), axis=-1), tol=tol, precond=precond)
     return x[..., :n], _zero_mean(ops.grid, x[..., n:])

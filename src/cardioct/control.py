@@ -215,9 +215,9 @@ def simulate(problem, control):
     return evaluate_cost(traj, control, problem.cost), traj
 
 
-def reduced_gradient(adj, control, config, cost):
-    """Gradient of the reduced cost with respect to the control series."""
-    g = control.grid
+def reduced_gradient(adj, config, cost):
+    """Gradient of the reduced cost with respect to the control series ``config.I_e``."""
+    g, control = config.grid, config.I_e
     n = g.n_steps
     out = np.empty_like(control.data)
     out[n] = 0.0
@@ -247,7 +247,7 @@ def compute_gradient(problem, control, traj):
     control.require_unbatched("compute_gradient")
     cfg = replace(problem.config, I_e=control)
     adj = run_adjoint(cfg, traj, problem.cost, report=False, lowest_frame=1)
-    return reduced_gradient(adj, control, cfg, problem.cost)
+    return reduced_gradient(adj, cfg, problem.cost)
 
 
 def random_admissible_direction(problem, rng):

@@ -32,8 +32,10 @@ coupled step's ``cg_tol`` (a block residual), plus that of the lifts,
 
 ``run_forward`` steps over the series it returns: step k reads frame k
 of phi and w and writes frame k + 1.  ``step_monodomain`` gives
-phi^{k+1} and ``step_bidomain`` gives (phi^{k+1}, psi); ``run_forward``
-stores them and makes the gating update.  A step builds its load,
+phi^{k+1}, solving ``config.ops.step_system``, and ``step_bidomain``
+gives (phi^{k+1}, psi) from ``assembly.solve_coupled_step``, which
+reads the coupled system off ``config.ops``; ``run_forward`` stores
+them and makes the gating update.  A step builds its load,
 frame-k forcing included, in one fresh array, and raises
 ``DivergenceError`` when that load is not finite.  A run may stop
 early (``steps``), as ``control.simulate`` does after step
@@ -62,7 +64,7 @@ from . import grid as gridmod
 from .assembly import (
     SystemOperators,
     bidomain_elliptic_solve,
-    reduced_operator,
+    compatible_load,
     solve_coupled_step,
     solve_neumann_frames,
 )
@@ -125,16 +127,6 @@ class ProblemConfig:
         """The broadcast batch axes of I_i and I_e; () for a single run."""
         return np.broadcast_shapes(self.I_i.batch_shape, self.I_e.batch_shape)
 
-    def step_system(self):
-        """The implicit system of one step and its spectral preconditioner.
-
-        Monodomain: ``ops.step_system``, Mass + dt (lam/(1+lam)) K_i.
-        Bidomain: the coupled block operator of ``assembly.reduced_operator``.
-        """
-        if self.kind == "bidomain":
-            return reduced_operator(self.ops)
-        return self.ops.step_system
-
 
 @dataclass
 class ForwardResult:
@@ -166,10 +158,10 @@ class ForwardResult:
         )
 
 
-def compatibility_enforce(grid, I_i, I_e):
+def compatibility_enforce(I_i, I_e):
     """Shift each I_e frame (of each batch member) by a constant so int(I_i + I_e) dx = 0."""
-    shift = (I_i.data + I_e.data) @ grid.weights / grid.measure
-    return FieldSeries(grid, I_e.data - shift[..., None])
+    shift = (I_i.data + I_e.data) @ I_e.grid.weights / I_e.grid.measure
+    return FieldSeries(I_e.grid, I_e.data - shift[..., None])
 
 
 def _explicit_part(config, phi, w):
@@ -182,9 +174,9 @@ def _explicit_part(config, phi, w):
     return out
 
 
-def step_monodomain(config, system, phi, w, k):
+def step_monodomain(config, phi, w, k):
     """phi^{k+1} of one monodomain step from phi^k and w^k."""
-    A, precond = system
+    A, precond = config.ops.step_system
     dt, lam = config.grid.dt, config.ops.lam
     rhs = _explicit_part(config, phi, w)
     rhs += (dt * lam / (1.0 + lam)) * config.I_i.data[..., k, :]
@@ -199,7 +191,10 @@ def recover_phi_e(config, phi_tr, k):
     ops = config.ops
     currents = config.I_i.data[..., k, :] + config.I_e.data[..., k, :]
     load = ops.mass * currents - row_product(ops.K_i, phi_tr)
-    return bidomain_elliptic_solve(ops, load, tol=config.inner_tol)
+    # ||K_i||_1 ||phi|| bounds the terms of K_i phi, which cancel for a constant phi, and
+    # the currents where they cancel against it
+    scale = np.abs(ops.K_i.data).sum(axis=0).max() * np.linalg.norm(phi_tr, axis=-1, keepdims=True)
+    return bidomain_elliptic_solve(ops, compatible_load(load, scale), tol=config.inner_tol)
 
 
 def _current_lifts(config, out):
@@ -226,7 +221,7 @@ def _check_frame(frames, k):
         raise DivergenceError(f"non-finite state after step {k}: the potential has blown up")
 
 
-def step_bidomain(config, system, phi, w, k):
+def step_bidomain(config, phi, w, k):
     """(phi^{k+1}, psi) of one bidomain step from phi^k and w^k.
 
     psi is phi_e^{k+1} with the frame-k currents (module docstring).
@@ -239,7 +234,7 @@ def step_bidomain(config, system, phi, w, k):
     _check_load(f, k)
     currents = I_i + I_e
     currents *= dt * mass
-    return solve_coupled_step(config.ops, system, f, currents, tol=config.cg_tol)
+    return solve_coupled_step(config.ops, f, currents, tol=config.cg_tol)
 
 
 def run_forward(config, *, report=True, steps=None):
@@ -272,7 +267,7 @@ def run_forward(config, *, report=True, steps=None):
             series.require_unbatched("run_forward(report=True)")
 
     if bidomain:
-        config = replace(config, I_e=compatibility_enforce(g, config.I_i, config.I_e))
+        config = replace(config, I_e=compatibility_enforce(config.I_i, config.I_e))
 
     phi_e = None
     if bidomain:
@@ -288,19 +283,18 @@ def run_forward(config, *, report=True, steps=None):
     w = FieldSeries.zeros(g, batch)
     phi.data[..., 0, :] = config.phi0.values
     w.data[..., 0, :] = config.w0.values
-    system = config.step_system()
 
     for k in range(steps):
         phi_k, w_k = phi.data[..., k, :], w.data[..., k, :]
         if bidomain:
-            phi_next, psi = step_bidomain(config, system, phi_k, w_k, k)
+            phi_next, psi = step_bidomain(config, phi_k, w_k, k)
             # phi_e^{k+1} = psi + lift^{k+1} - lift^k, in place of lift^{k+1}
             frame = phi_e.data[..., k + 1, :]
             psi -= lift
             lift = frame.copy()
             frame += psi
         else:
-            phi_next = step_monodomain(config, system, phi_k, w_k, k)
+            phi_next = step_monodomain(config, phi_k, w_k, k)
         phi.data[..., k + 1, :] = phi_next
         if config.no_reaction:
             w.data[..., k + 1, :] = w_k

@@ -232,9 +232,9 @@ class FieldSeries:
             )
 
     @classmethod
-    def constant(cls, grid, fld):
-        """The series whose every frame is the ScalarField ``fld``."""
-        return cls(grid, np.tile(fld.values, (grid.n_steps + 1, 1)))
+    def constant(cls, fld):
+        """The series on ``fld``'s grid whose every frame is the ScalarField ``fld``."""
+        return cls(fld.grid, np.tile(fld.values, (fld.grid.n_steps + 1, 1)))
 
     @property
     def n_frames(self):

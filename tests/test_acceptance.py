@@ -288,9 +288,7 @@ def test_11_gauge_and_compatibility():
         incompatible = cfg.ops.mass * cfg.I_e.data[g.n_steps // 4]
         raised = False
         try:
-            solve_coupled_step(
-                cfg.ops, cfg.step_system(), np.zeros(g.n_nodes), incompatible, tol=cfg.cg_tol
-            )
+            solve_coupled_step(cfg.ops, np.zeros(g.n_nodes), incompatible, tol=cfg.cg_tol)
         except CompatibilityError:
             raised = True
         ok = gauge <= 1e-9 and compat <= 1e-12 and raised

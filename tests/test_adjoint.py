@@ -110,7 +110,7 @@ def test_one_step_adjoint_frame_zero(kind):
     assert np.array_equal(adj.p3.data[0], p3)
     slope = gating_source_slope(cfg.ionic, 0.5 * (phi[0] + phi[1]))
     load = mass * (0.5 * (1.0 - alpha) * slope * p3 - dt * cost.w_phi * phi[0])
-    apply, _ = cfg.step_system()
+    apply, _ = cfg.ops.coupled_system if kind == "bidomain" else cfg.ops.step_system
     if kind == "bidomain":
         # the coupled block system, with no eta load in its second row
         x = np.concatenate((adj.p1.data[0], adj.p2.data[0]))

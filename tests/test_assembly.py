@@ -39,7 +39,7 @@ def test_mass_is_quadrature_weights():
 def test_stiffness_energy_of_linear_function():
     # u(x) = x with unit conductivity: int (u')^2 = 1 exactly
     g = Grid((17,), (1.0,), 1.0, 1)
-    K = assemble_stiffness(g, TensorField.isotropic(g, 1.0))
+    K = assemble_stiffness(TensorField.isotropic(g, 1.0))
     u = node_coords(g)[:, 0]
     assert u @ (K @ u) == pytest.approx(1.0, rel=1e-13)
 
@@ -47,7 +47,7 @@ def test_stiffness_energy_of_linear_function():
 def test_stiffness_energy_anisotropic_2d():
     # u(x,y) = x with M = diag(2, 2): int 2 (du/dx)^2 = 2
     g = Grid((9, 9), (1.0, 1.0), 1.0, 1)
-    K = assemble_stiffness(g, TensorField.diagonal(g, (2.0, 2.0)))
+    K = assemble_stiffness(TensorField.diagonal(g, (2.0, 2.0)))
     u = node_coords(g)[:, 0]
     assert u @ (K @ u) == pytest.approx(2.0, rel=1e-12)
 
@@ -55,7 +55,7 @@ def test_stiffness_energy_anisotropic_2d():
 def test_stiffness_kills_constants():
     g = Grid((5, 4, 3), (1.0, 1.0, 1.0), 1.0, 1)
     entries = np.tile(np.diag([1.0, 2.0, 0.5]), (g.n_cells, 1, 1))
-    K = assemble_stiffness(g, TensorField(g, entries))
+    K = assemble_stiffness(TensorField(g, entries))
     assert np.max(np.abs(K @ np.ones(g.n_nodes))) < 1e-13
 
 
@@ -67,7 +67,7 @@ def test_stiffness_row_sums_vanish(seed):
     # random SPD tensor per cell: A = B B^T + delta I
     B = rng.standard_normal((g.n_cells, 2, 2))
     entries = B @ B.transpose(0, 2, 1) + 0.1 * np.eye(2)
-    K = assemble_stiffness(g, TensorField(g, entries))
+    K = assemble_stiffness(TensorField(g, entries))
     assert np.max(np.abs(np.asarray(K.sum(axis=1)).ravel())) < 1e-12
 
 
@@ -105,7 +105,7 @@ GRIDS = [
 def _assert_matches_oracle(grid, tensor):
     # DIA stores padding and the out-of-grid zeros of its diagonals; the
     # entries are compared on the CSR form, which drops them
-    K = assemble_stiffness(grid, tensor)
+    K = assemble_stiffness(tensor)
     assert K.format == "dia"
     K = K.tocsr()
     ref = _coo_stiffness(grid, tensor)
@@ -164,7 +164,7 @@ def test_constant_tensors_match_the_einsum_oracle(nodes, lengths):
 def _assembly_peak(g, tensor):
     tracemalloc.start()
     try:
-        assemble_stiffness(g, tensor)
+        assemble_stiffness(tensor)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -269,7 +269,7 @@ def test_monodomain_build_operators_makes_no_csr(monkeypatch):
 def _kie_defect(grid, mi, me):
     """Relative max-entry gap between K_ie and the stiffness of mi + me, compared in CSR."""
     K_ie = build_operators(grid, mi, me).K_ie.tocsr()
-    ref = assemble_stiffness(grid, mi + me).tocsr()
+    ref = assemble_stiffness(mi + me).tocsr()
     assert K_ie.has_canonical_format
     assert K_ie.nnz == ref.nnz
     return abs(K_ie - ref).max() / abs(ref).max()
@@ -391,6 +391,17 @@ def test_build_operators_monodomain_has_no_kie():
     assert ops.lam == 2.0
 
 
+def test_build_operators_refuses_a_tensor_of_another_grid():
+    g = Grid((9, 9), (1.0, 1.0), 0.3, 3)
+    own = TensorField.isotropic(Grid((9, 9), (1.0, 1.0), 0.3, 3), 1.0)  # an equal grid
+    other = TensorField.isotropic(Grid((5, 5), (1.0, 1.0), 0.3, 3), 1.0)
+    assert build_operators(g, own, own).grid is g
+    with pytest.raises(ValueError, match="mi lives on a different grid"):
+        build_operators(g, other)
+    with pytest.raises(ValueError, match="me lives on a different grid"):
+        build_operators(g, own, other)
+
+
 def test_elliptic_solve_cosine_oracle():
     # -div((M_i + M_e) grad u) = f with M_i = M_e = I and f = cos(pi x)
     # has u = cos(pi x) / (2 pi^2); P1 elements converge at O(h^2)
@@ -455,7 +466,7 @@ def test_reduced_operator_collapses_for_proportional_tensors():
     I_e -= (g.weights @ (I_i + I_e)) / g.measure  # compatible currents
     f = g.weights * (phi0 + dt * I_i)
     g_load = dt * g.weights * (I_i + I_e)
-    phi, _ = solve_coupled_step(ops, (apply_B, precond), f, g_load, tol=1e-13)
+    phi, _ = solve_coupled_step(ops, f, g_load, tol=1e-13)
     mono = np.diag(g.weights) + dt * lam / (1.0 + lam) * K_i
     load = g.weights * (phi0 + dt * (lam * I_i - I_e) / (1.0 + lam))
     expected = np.linalg.solve(mono, load)

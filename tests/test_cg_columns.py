@@ -265,7 +265,7 @@ def _row_entry_points():
     def coupled_solve(b):
         # a (2 N, k) block stands for a stale caller's pair of (N, k) column blocks
         f, g = (b[:n], b[n:]) if len(b) == 2 * n else (b[..., :n], b[..., n:])
-        phi, psi = solve_coupled_step(ops, coupled, f, g, tol=tol)
+        phi, psi = solve_coupled_step(ops, f, g, tol=tol)
         return np.concatenate((phi, psi), axis=-1)
 
     points = {

@@ -71,8 +71,7 @@ def test_coupled_step_matches_nested_schur_solve(nodes):
     g = Grid(nodes, (1.0,) * len(nodes), 0.3, 3)
     ops = _fibre_operators(g)
     f, I_i, I_e = _step_data(g, 3)
-    system = reduced_operator(ops)
-    phi, psi = solve_coupled_step(ops, system, f, g.dt * ops.mass * (I_i + I_e), tol=1e-13)
+    phi, psi = solve_coupled_step(ops, f, g.dt * ops.mass * (I_i + I_e), tol=1e-13)
     phi_ref, psi_ref = _nested_schur_step(ops, g.dt, f, I_i, I_e, tol=1e-13)
     assert np.linalg.norm(phi - phi_ref) <= 1e-9 * np.linalg.norm(phi_ref)
     assert np.linalg.norm(psi - psi_ref) <= 1e-9 * np.linalg.norm(psi_ref)

@@ -208,7 +208,7 @@ def test_the_residual_is_tested_on_the_first_solve_of_each_system_only(solves):
         for each in op_sets:
             A, precond = each.step_system
             assembly.cg_solve(A, load, tol=1e-10, precond=precond)
-            assembly.solve_coupled_step(each, each.coupled_system, load, load, tol=1e-10)
+            assembly.solve_coupled_step(each, load, load, tol=1e-10)
     # one application on the first solve of each of the five systems
     assert [s["applications"] for s in solves] == [1] * 5 + [0] * 5
     for s in solves:

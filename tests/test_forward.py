@@ -128,8 +128,8 @@ def test_compatibility_enforce_idempotent(seed):
     rng = np.random.default_rng(seed)
     I_i = FieldSeries(g, rng.standard_normal((5, 9)))
     I_e = FieldSeries(g, rng.standard_normal((5, 9)))
-    once = compatibility_enforce(g, I_i, I_e)
-    twice = compatibility_enforce(g, I_i, once)
+    once = compatibility_enforce(I_i, I_e)
+    twice = compatibility_enforce(I_i, once)
     assert np.allclose(once.data, twice.data, atol=1e-14)
     for k in range(5):
         assert abs(integrate(I_i.frame(k)) + integrate(once.frame(k))) < 1e-12
@@ -139,7 +139,7 @@ def test_monodomain_bidomain_agree_for_proportional_tensors(grid1d):
     lam = 2.0
     mono = make_problem(grid1d, lam=lam, stimulus=0.4)
     bi = make_problem(grid1d, kind="bidomain", me_factor=lam, lam=lam, stimulus=0.4)
-    I_e = compatibility_enforce(grid1d, mono.I_i, mono.I_e)
+    I_e = compatibility_enforce(mono.I_i, mono.I_e)
     from dataclasses import replace
 
     res_m = run_forward(replace(mono, I_e=I_e), report=False)

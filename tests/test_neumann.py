@@ -6,21 +6,25 @@ the singular system; ``solve_neumann`` then fixes the weighted
 zero-mean gauge.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cardioct.adjoint import CostConfig, run_adjoint
 from cardioct.assembly import (
     CompatibilityError,
     build_operators,
-    reduced_operator,
+    compatible_load,
     solve_coupled_step,
     solve_neumann,
 )
-from cardioct.grid import Grid, TensorField
+from cardioct.forward import recover_phi_e, run_forward
+from cardioct.grid import FieldSeries, Grid, TensorField
 
-from conftest import fibres, random_spd, scar
+from conftest import constant_field, fibres, make_problem, random_spd, scar
 
 GRIDS = [
     ((7,), (1.3,)),
@@ -99,7 +103,35 @@ def test_solve_coupled_step_rejects_incompatible_load():
     g = Grid((9, 9), (1.0, 1.0), 0.3, 3)
     mi = fibres(g)
     ops = build_operators(g, mi, 1.5 * mi)
-    system = reduced_operator(ops)
     f = g.weights * np.random.default_rng(2).standard_normal(g.n_nodes)
     with pytest.raises(CompatibilityError):
-        solve_coupled_step(ops, system, f, g.dt * g.weights, tol=1e-10)
+        solve_coupled_step(ops, f, g.dt * g.weights, tol=1e-10)
+
+
+def test_loads_whose_terms_cancel_to_roundoff_are_compatible():
+    # -K_i phi0 of a constant phi0, and the eta load of a target shifted by a
+    # constant, cancel to roundoff whose total exceeds 1e-8 of their own norm;
+    # judged against the norms of their terms, they are compatible
+    g = Grid((17, 17), (1.0, 1.0), 0.3, 3)
+    cfg = make_problem(g, kind="bidomain")
+    res = run_forward(replace(cfg, phi0=constant_field(g, 1.0)), report=False)
+    assert np.abs(res.phi_e.data[0]).max() <= 1e-14
+    # a cancelled load that is not roundoff is still solved, not dropped
+    eps, bump = 1e-10, cfg.phi0.values
+    lifted = recover_phi_e(cfg, 1.0 + eps * bump, 0)
+    expected = eps * recover_phi_e(cfg, bump, 0)
+    assert np.abs(lifted - expected).max() <= 1e-3 * np.abs(expected).max()
+
+    cfg = make_problem(g, kind="bidomain", stimulus=0.3)
+    traj = run_forward(cfg, report=False)
+    shifted = FieldSeries(g, traj.phi_e.data - 1.0)
+    for w_phi in (0.0, 1.0):
+        ref = run_adjoint(cfg, traj, CostConfig(w_phi=w_phi, w_eta=1.0, eta_des=traj.phi_e))
+        adj = run_adjoint(cfg, traj, CostConfig(w_phi=w_phi, w_eta=1.0, eta_des=shifted))
+        for name in ("p1", "p2"):
+            got, want = getattr(adj, name).data, getattr(ref, name).data
+            assert np.abs(got - want).max() <= 1e-15 * max(1.0, np.abs(want).max())
+
+    # a load that does not sum to zero is still rejected
+    with pytest.raises(CompatibilityError):
+        compatible_load(g.weights.copy(), 1.0)

@@ -78,7 +78,7 @@ def test_h1_norm_matches_cell_differences(nodes, lengths):
 @pytest.mark.parametrize("nodes, lengths", GRIDS)
 def test_dual_norm_matches_riesz_solve(nodes, lengths):
     g = Grid(nodes, lengths, 1.0, 1)
-    R = assemble_stiffness(g, TensorField.isotropic(g, 1.0)).toarray() + np.diag(g.weights)
+    R = assemble_stiffness(TensorField.isotropic(g, 1.0)).toarray() + np.diag(g.weights)
     rng = np.random.default_rng(7)
     for _ in range(3):
         f = ScalarField(g, rng.standard_normal(g.n_nodes))
@@ -151,7 +151,7 @@ def test_forward_report_matches_plain_formulas(kind, grid):
     res = run_forward(cfg)
     dt, w = grid.dt, grid.weights
     tw = time_weights(grid)
-    R = assemble_stiffness(grid, TensorField.isotropic(grid, 1.0)).toarray() + np.diag(w)
+    R = assemble_stiffness(TensorField.isotropic(grid, 1.0)).toarray() + np.diag(w)
 
     def l2(v):
         return np.sqrt(np.sum(w * v * v))

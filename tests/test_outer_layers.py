@@ -184,7 +184,7 @@ def test_control_functions_leave_their_inputs_unchanged(name):
     # the multipliers compute_gradient forms, which it does not return
     adj = run_adjoint(replace(cfg, I_e=I), traj, problem.cost, report=False, lowest_frame=1)
     adjoint = snapshot(_arrays(grad=grad, p1=adj.p1, p3=adj.p3, p2=adj.p2, psi_eta=adj.psi_eta))
-    again = reduced_gradient(adj, I, replace(cfg, I_e=I), problem.cost)
+    again = reduced_gradient(adj, replace(cfg, I_e=I), problem.cost)
     assert np.array_equal(again.data, grad.data)
     q = apply_Q(grad, problem.cost, cfg.kind)
     assert not np.shares_memory(q.data, grad.data)

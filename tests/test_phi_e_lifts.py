@@ -88,7 +88,7 @@ def test_control_constant_in_time_raises_no_compatibility_error():
     field = cfg.I_e.data[1] - (g.weights @ cfg.I_e.data[1]) / g.measure
     t = 1.0 + 0.1 * np.arange(g.n_steps + 1)[:, None]
     cfg = replace(cfg, I_e=FieldSeries(g, (field * t) / t))
-    used = compatibility_enforce(g, cfg.I_i, cfg.I_e).data
+    used = compatibility_enforce(cfg.I_i, cfg.I_e).data
     changes = cfg.ops.mass * np.diff(cfg.I_i.data + used, axis=0)
     assert changes.any()
     with pytest.raises(CompatibilityError):

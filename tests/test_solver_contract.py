@@ -51,11 +51,13 @@ def calls(monkeypatch):
 
 
 def test_every_solve_gets_a_callable_operator_and_a_preconditioner(calls):
+    runs = []  # (index of the run's first call, the run's operator set)
     for nodes in ((9, 7), (5, 4, 6)):
         g = Grid(nodes, (1.0,) * len(nodes), 0.3, 3)
         for kind in ("monodomain", "bidomain"):
             for tensor in ("constant", "fibres"):
                 cfg = _problem(g, kind, tensor)
+                runs.append((len(calls), cfg.ops))
                 traj = run_forward(cfg)
                 w_eta = 0.5 if kind == "bidomain" else 0.0
                 run_adjoint(cfg, traj, CostConfig(mu=1e-2, w_phi=1.0, w_eta=w_eta))
@@ -65,6 +67,7 @@ def test_every_solve_gets_a_callable_operator_and_a_preconditioner(calls):
         cost=CostConfig(mu=1e-2, w_phi=1.0, w_eta=0.5),
     )
     before = len(calls)
+    runs.append((before, problem.config.ops))
     gradient_check(problem, n_directions=1, deltas=[1e-2, 5e-3, 2.5e-3])
     assert len(calls) > before
     for A, kwargs in calls:
@@ -72,3 +75,11 @@ def test_every_solve_gets_a_callable_operator_and_a_preconditioner(calls):
         assert callable(kwargs["precond"])
     # both the direct and the iterating paths were reached
     assert {kwargs["precond"].exact for _, kwargs in calls} == {True, False}
+    # every solve uses a system of the operator set of the run that made it
+    ends = [start for start, _ in runs[1:]] + [len(calls)]
+    for (start, ops), end in zip(runs, ends):
+        systems = [ops.step_system]
+        if ops.me is not None:
+            systems += [ops.neumann_system, ops.coupled_system]
+        for _, kwargs in calls[start:end]:
+            assert any(kwargs["precond"] is precond for _, precond in systems)

@@ -37,7 +37,7 @@ def test_transform_is_kronecker_of_axis_cosines(nodes, lengths):
 @pytest.mark.parametrize("nodes, lengths, coeffs", CASES)
 def test_exact_inverse_of_mass_plus_stiffness(nodes, lengths, coeffs):
     g = Grid(nodes, lengths, 1.0, 1)
-    K = assemble_stiffness(g, TensorField.diagonal(g, coeffs))
+    K = assemble_stiffness(TensorField.diagonal(g, coeffs))
     beta = 0.37
     A = (sp.diags(g.weights) + beta * K).toarray()
     basis = g.spectral
@@ -53,7 +53,7 @@ def test_mean_diagonal_is_the_energy_of_the_linear_functions(nodes, lengths, see
     # assembled matrix divided by |Omega| gives the cell means of the diagonal
     g = Grid(nodes, lengths, 1.0, 1)
     tensor = random_spd(g, np.random.default_rng(seed))
-    K = assemble_stiffness(g, tensor)
+    K = assemble_stiffness(tensor)
     linear = [x.ravel() for x in np.meshgrid(*g.axis_coords, indexing="ij")]
     quadrature = [x @ (K @ x) / g.measure for x in linear]
     assert np.allclose(tensor.mean_diagonal, quadrature, rtol=1e-12, atol=0.0)
@@ -62,7 +62,7 @@ def test_mean_diagonal_is_the_energy_of_the_linear_functions(nodes, lengths, see
 @pytest.mark.parametrize("nodes, lengths, coeffs", CASES)
 def test_exact_pseudo_inverse_of_neumann_stiffness(nodes, lengths, coeffs):
     g = Grid(nodes, lengths, 1.0, 1)
-    K = assemble_stiffness(g, TensorField.diagonal(g, coeffs))
+    K = assemble_stiffness(TensorField.diagonal(g, coeffs))
     pinv = g.spectral.inverse(g.spectral.stiffness_eigenvalues(coeffs))
     rng = np.random.default_rng(1)
     r = rng.standard_normal(g.n_nodes)
@@ -80,8 +80,8 @@ def test_block_inverse_of_coupled_step_system(nodes, lengths, coeffs):
     g = Grid(nodes, lengths, 1.0, 1)
     dt, n = 0.3, g.n_nodes
     coeffs_ie = tuple(1.5 * c + 0.2 for c in coeffs)
-    K_i = assemble_stiffness(g, TensorField.diagonal(g, coeffs)).toarray()
-    K_ie = assemble_stiffness(g, TensorField.diagonal(g, coeffs_ie)).toarray()
+    K_i = assemble_stiffness(TensorField.diagonal(g, coeffs)).toarray()
+    K_ie = assemble_stiffness(TensorField.diagonal(g, coeffs_ie)).toarray()
     B = np.block([[np.diag(g.weights) + dt * K_i, dt * K_i], [dt * K_i, dt * K_ie]])
     basis = g.spectral
     lam_i = basis.stiffness_eigenvalues(coeffs)
@@ -99,7 +99,7 @@ def test_block_inverse_of_coupled_step_system(nodes, lengths, coeffs):
 def test_dual_weights_invert_riesz_operator():
     # V diag(dual_weights) V^T is the inverse of R = K(identity) + M
     g = Grid((6, 5, 4), (1.0, 2.0, 0.5), 1.0, 1)
-    R = (assemble_stiffness(g, TensorField.isotropic(g, 1.0)) + sp.diags(g.weights)).toarray()
+    R = (assemble_stiffness(TensorField.isotropic(g, 1.0)) + sp.diags(g.weights)).toarray()
     V = _matrix(g.spectral.transform, g.n_nodes)
     P = V @ (g.dual_weights[:, None] * V.T)
     assert np.abs(P @ R - np.eye(g.n_nodes)).max() < 1e-12
@@ -132,7 +132,7 @@ def test_iteration_counts_do_not_grow_under_refinement(system):
     for n in (33, 65):
         g = Grid((n, n), (1.0, 1.0), 1.0, 1)
         tensor = fibres(g)
-        K = assemble_stiffness(g, tensor)
+        K = assemble_stiffness(tensor)
         lam = g.spectral.stiffness_eigenvalues(tensor.mean_diagonal)
         b = g.weights * np.random.default_rng(2).standard_normal(g.n_nodes)
         if system == "step":

@@ -61,7 +61,7 @@ def _full_gradient(problem, control, traj):
     """The reduced gradient from an adjoint sweep down to frame 0."""
     cfg = replace(problem.config, I_e=control)
     adj = run_adjoint(cfg, traj, problem.cost, report=False)
-    return reduced_gradient(adj, control, cfg, problem.cost)
+    return reduced_gradient(adj, cfg, problem.cost)
 
 
 CASES = [

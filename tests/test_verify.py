@@ -67,7 +67,7 @@ def test_batched_stability_equals_one_run_per_scale(grid1d, kind):
             ),
             report=False,
         )
-        ref_lhs = difference_bundle(base, pert, kind)
+        ref_lhs = difference_bundle(base, pert)
         d_ie = FieldSeries(grid1d, pert.I_e_used.data - base.I_e_used.data)
         ref_rhs = _series_dual_l2_sq(FieldSeries(grid1d, s * dIi.data)) + _series_dual_l2_sq(d_ie)
         assert lhs == pytest.approx(ref_lhs, rel=1e-9)
