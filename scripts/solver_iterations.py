@@ -21,8 +21,8 @@ forcing lift solve; and the coupled block PCG of
 A third table shows when ``cg_solve`` keeps a warm start.  It runs a
 10-step forward run (dt = 0.02) with the monodomain steps and, for the
 bidomain run, the K_ie solves of phi_e: the current lifts of all
-frames, in blocks of frames, and the frame-0 recovery, both started
-cold.  It prints the CG calls and the operator applications of those
+frames, in blocks of frames, and the K_ie^+ K_i phi^0 term of frame 0,
+both started cold.  It prints the CG calls and the operator applications of those
 solves, one per vector (a product with a block of k rows counts k),
 three ways: PCG with every warm start kept, PCG with every warm start
 dropped, and as the package chooses (where the spectral preconditioner

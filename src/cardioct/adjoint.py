@@ -22,6 +22,9 @@ K_ie psi_eta^k = Mass r_eta^k, and the zero-mean elliptic multiplier
     K_ie p2^k = -K_i p1^k - Mass r_eta^k        (zero-mean gauge)
 
 is stored per frame (r_eta shifted to weighted zero mean throughout).
+The shift's term Mass mean cancels in an eta load Mass r_bar (wholly,
+for a constant r_eta), so each load is judged against the norm
+|mean| ||Mass|| of that term as its ``scale`` (``assembly.solve_neumann``).
 Both come from one solve of the forward step's coupled block system
 (``assembly.solve_coupled_step``) with the load [rhs; -dt Mass r_eta]:
 its Schur complement on p1 is the lifted p1 equation, and its second
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grid as gridmod
-from .assembly import compatible_load, solve_coupled_step, solve_neumann_frames
+from .assembly import solve_coupled_step, solve_neumann_frames
 from .grid import FieldSeries
 from .ionic import d_i_ion, midpoint_source_slope
 from .linalg import cg_solve
@@ -134,6 +137,7 @@ def run_adjoint(config, traj, cost, *, report=True, lowest_frame=0):
     above n_steps - 1 (module docstring); it has no norm report, so
     ``report=True`` rejects it (ValueError).  The sweep reads single
     trajectories: a batched config or trajectory raises ValueError.
+    p1, p3 and p2 are allocated unfilled, and every frame is written.
     """
     for series in (config.I_i, config.I_e, traj.phi_tr):
         series.require_unbatched("run_adjoint")
@@ -158,35 +162,45 @@ def run_adjoint(config, traj, cost, *, report=True, lowest_frame=0):
     mass_norm = np.linalg.norm(ops.mass)
 
     def mass_zero_mean(r):
-        """Mass r_bar of each row of ``r``, shifted to weighted zero mean in place."""
+        """Mass r_bar of each row of ``r``, shifted to weighted zero mean in place.
+
+        Returns ``r`` and the norm |mean| ||Mass|| of the shift's term,
+        which cancels in it, of each row (module docstring).
+        """
         mean = (r @ g.weights)[..., None] / g.measure
         r -= mean
         r *= ops.mass
-        # the shift's term Mass mean cancels a constant r
-        return compatible_load(r, np.abs(mean) * mass_norm)
+        return r, np.abs(mean) * mass_norm
 
-    def eta_load(k, scale):
-        """scale Mass r_bar^k of the zero-mean eta-tracking partial of frame k."""
-        return mass_zero_mean(_partial(scale * cost.w_eta, traj.phi_e, cost.eta_des, k))
+    def eta_load(k, weight):
+        """weight Mass r_bar^k of the zero-mean eta-tracking partial of frame k, and its scale."""
+        return mass_zero_mean(_partial(weight * cost.w_eta, traj.phi_e, cost.eta_des, k))
 
     p2 = psi_eta = None
     track_eta = bidomain and cost.w_eta != 0.0
     if bidomain:
         # psi_eta reads the data only: solved for every frame before the
         # sweep, and before the other multipliers exist, to keep the peak low
-        psi_eta = FieldSeries.zeros(g)
         if track_eta:
             # a truncated sweep leaves frame n a zero load: the block keeps
             # its n + 1 rows, whose BLAS products round every row as in the
             # full sweep (a block of n rows rounds them differently)
+            psi_eta = FieldSeries.empty(g)
             top = n if truncated else n + 1
             psi_eta.data[:top] = _partial(cost.w_eta, traj.phi_e, cost.eta_des, slice(0, top))
-            solve_neumann_frames(ops, mass_zero_mean(psi_eta.data), tol=config.inner_tol)
+            psi_eta.data[top:] = 0.0
+            loads, scale = mass_zero_mean(psi_eta.data)
+            solve_neumann_frames(ops, loads, tol=config.inner_tol, scale=scale)
+        else:
+            psi_eta = FieldSeries.zeros(g)
         no_eta_load = np.zeros(g.n_nodes)
-    p1 = FieldSeries.zeros(g)
-    p3 = FieldSeries.zeros(g)
+    # unfilled: the sweep writes frames lowest_frame..n - 1, and the
+    # terminal frame and the frames below the sweep are written here
+    p1 = FieldSeries.empty(g)
+    p3 = FieldSeries.empty(g)
+    p1.data[n] = p3.data[n] = 0.0
     if bidomain:
-        p2 = FieldSeries.zeros(g)
+        p2 = FieldSeries.empty(g)
         # Terminal elliptic multiplier from the terminal cost partials
         # (p1(T) = 0, so only the eta term can contribute); the reduced
         # gradient reads p2^n + psi_eta^n = 0, so a truncated sweep forms neither
@@ -227,8 +241,10 @@ def run_adjoint(config, traj, cost, *, report=True, lowest_frame=0):
             rhs -= _partial(dt * cost.w_phi, traj.phi_tr, cost.phi_des, k)
         rhs *= ops.mass
         if bidomain:
-            eta = eta_load(k, -dt) if track_eta else no_eta_load
-            p1.data[k], p2.data[k] = solve_coupled_step(ops, rhs, eta, tol=config.cg_tol)
+            eta, scale = eta_load(k, -dt) if track_eta else (no_eta_load, 0.0)
+            p1.data[k], p2.data[k] = solve_coupled_step(
+                ops, rhs, eta, tol=config.cg_tol, scale=scale
+            )
         else:
             A, precond = ops.step_system
             p1.data[k] = cg_solve(A, rhs, tol=config.cg_tol, precond=precond, x0=p1_next)

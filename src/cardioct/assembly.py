@@ -59,12 +59,16 @@ x = P b, once the first solve of each system has measured its residual
 (``linalg``).  The pure-Neumann K_ie solve (``solve_neumann``) and the
 psi row of the block system take loads that sum to zero, on which
 these singular systems are consistent, so no solve deflates the
-constants.  A load whose terms cancel is tested against their norms
-where it is formed (``compatible_load``).  A solve takes one load, or
-a block of loads as the rows of an (m, n) array (``linalg.cg_solve``);
-``apply`` and the lumped mass act on every row, the compatibility test
-and the zero-mean gauge per row, and ``linalg.row_product`` hands the
-DIA products their columns.
+constants.  Each load is tested once: its total against 1e-8 times its
+norm plus the ``scale`` its caller passes, the norm of the terms that
+cancelled where the load was formed (``_neumann_load``).  The solves
+return PCG's result as it is, in the weighted zero-mean gauge: the
+pseudo-inverse maps the weights to zero, so every iterate of a cold PCG
+lies in its range, the fields with zero weighted mean (Kaasschieter,
+J. Comput. Appl. Math. 24, 1988).  A solve takes one load, or a block
+of loads as the rows of an (m, n) array (``linalg.cg_solve``);
+``apply``, the lumped mass and the compatibility test act on every row,
+and ``linalg.row_product`` hands the DIA products their columns.
 """
 
 from __future__ import annotations
@@ -88,7 +92,6 @@ __all__ = [
     "build_operators",
     "solve_neumann",
     "solve_neumann_frames",
-    "compatible_load",
     "bidomain_elliptic_solve",
     "reduced_rhs_S",
     "reduced_operator",
@@ -239,11 +242,11 @@ class SystemOperators:
     None for monodomain-only use), all DIA stencils; the tensors give
     the spectral eigenvalues and decide which inverses are exact.  mass
     is the lumped diagonal, and lam the extra/intra conductivity ratio
-    used by the monodomain reduction.  The eigenvalues and the
-    ``(apply, precond)`` pair of each system are properties built on
-    first read, the step systems with the time step of ``grid``.  The
-    dual norms need no operator: ``grid`` reads them off the DCT-I
-    coefficients.
+    used by the monodomain reduction.  The eigenvalues, ``norm_K_i``
+    and the ``(apply, precond)`` pair of each system are properties
+    built on first read, the step systems with the time step of
+    ``grid``.  The dual norms need no operator: ``grid`` reads them off
+    the DCT-I coefficients.
     """
 
     grid: Grid
@@ -259,6 +262,11 @@ class SystemOperators:
     def spectrum_i(self):
         """DCT-I eigenvalues of the stiffness of mi's cell-mean diagonal tensor."""
         return self.grid.spectral.stiffness_eigenvalues(self.mi.mean_diagonal)
+
+    @cached_property
+    def norm_K_i(self):
+        """||K_i||_1, the largest absolute column sum of the stencil."""
+        return float(np.abs(self.K_i.data).sum(axis=0).max())
 
     @cached_property
     def spectrum_ie(self):
@@ -363,90 +371,74 @@ def build_operators(grid, mi, me=None, lam=1.0):
     )
 
 
-def _neumann_load(load, scale=None):
+def _neumann_load(load, scale):
     """A pure-Neumann load with its roundoff-level Euclidean mean removed.
 
-    ``load`` is one load vector or an (m, n) block of them as rows.
-    Raises CompatibilityError when a load's total exceeds 1e-8 times
-    ``scale`` (a row's entry of an (m, 1) column), by default its norm.
+    ``load`` is one load vector or an (m, n) block of them as rows, and
+    ``scale`` the norm of the terms that cancelled in each (a number,
+    or an (m, 1) column for a block).  Raises CompatibilityError when a
+    load's total exceeds 1e-8 times its norm plus its ``scale``.
     """
     total = load.sum(axis=-1, keepdims=True)
-    if scale is None:
-        scale = np.sqrt((load * load).sum(axis=-1, keepdims=True))
-    excess = np.abs(total) - 1e-8 * scale
+    bound = np.sqrt((load * load).sum(axis=-1, keepdims=True))
+    bound += scale
+    excess = np.abs(total) - 1e-8 * bound
     if (excess > 0.0).any():
         j = np.argmax(excess)
         where = f"row {j} of the " if load.ndim == 2 else ""
         raise CompatibilityError(
             f"{where}elliptic load integrates to {total.flat[j]:.3e} "
-            f"(norm {np.broadcast_to(scale, total.shape).flat[j]:.3e}); "
-            "enforce compatibility first"
+            f"(norm plus cancelled terms {bound.flat[j]:.3e}); enforce compatibility first"
         )
     return load - total / load.shape[-1]
 
 
-def compatible_load(load, scale):
-    """``load``, fit for the Neumann solves though compatible terms cancelled in it.
-
-    ``scale`` is the norm of those terms (each row's, as an (m, 1)
-    column, for a block).  Their roundoff in the total can exceed 1e-8
-    times the load's own norm, the test of the solves, as for ``K_i phi``
-    of a constant ``phi``.  A load (row) the solves would reject is
-    tested against its norm plus ``scale`` instead and replaced, in
-    place, by what the solves solve.  Returns ``load``.
-    """
-    total = load.sum(axis=-1, keepdims=True)
-    norm = np.sqrt((load * load).sum(axis=-1, keepdims=True))
-    cancelled = (np.abs(total) > 1e-8 * norm)[..., 0]
-    if cancelled.any():
-        load[cancelled] = _neumann_load(load, norm + scale)[cancelled]
-    return load
-
-
-def _zero_mean(grid, x):
-    """Shift x (or each row of x) by a constant to the weighted zero-mean gauge."""
-    return x - (x @ grid.weights)[..., None] / grid.measure
-
-
-def solve_neumann(ops, load, *, tol):
+def solve_neumann(ops, load, *, tol, scale=0.0):
     """Solve the pure-Neumann system K_ie x = load, weighted zero-mean gauge.
 
     ``load`` is an assembled load vector, or an (m, n) block of them
-    solved row by row; a zero load gives zero.  The load must
-    sum to zero (``_neumann_load``), which puts it in the
-    range of K_ie, and CG with the spectral pseudo-inverse of
+    solved row by row; a zero load gives zero.  The load must sum to
+    zero to within 1e-8 of its norm plus ``scale``, the norm of the
+    terms that cancelled where it was formed (a number, or an (m, 1)
+    column of them for a block; ``_neumann_load``).  That puts it in
+    the range of K_ie, and CG with the spectral pseudo-inverse of
     ``ops.neumann_system``, positive definite on that range, needs no
-    deflation.  The returned field integrates to zero.
+    deflation.  The returned field is PCG's result as it is, and it
+    integrates to zero: every iterate lies in the pseudo-inverse's range
+    (module docstring).
     """
     apply, precond = ops.neumann_system
-    x = cg_solve(apply, _neumann_load(load), tol=tol, precond=precond)
-    return _zero_mean(ops.grid, x)
+    return cg_solve(apply, _neumann_load(load, scale), tol=tol, precond=precond)
 
 
-def solve_neumann_frames(ops, frames, *, tol):
+def solve_neumann_frames(ops, frames, *, tol, scale=0.0):
     """Solve K_ie x = load for every frame of a series, in place, in blocks of frames.
 
     ``frames`` is a C-contiguous (*batch, n_frames, N) array that holds
     the assembled loads, each summing to zero, on entry and their
-    solutions on return.  Its rows go through ``solve_neumann`` in
-    blocks of at most ``FRAME_BLOCK_VALUES`` values (``grid.frame_blocks``),
-    so the temporaries of a solve stay a fraction of one series however
-    long it is.
+    solutions on return; ``scale`` is the norm of the terms that
+    cancelled in each load, a number or an array that broadcasts to
+    ``frames[..., :1]`` (``solve_neumann``).  Its rows go through
+    ``solve_neumann`` in blocks of at most ``FRAME_BLOCK_VALUES`` values
+    (``grid.frame_blocks``), so the temporaries of a solve stay a
+    fraction of one series however long it is.
     """
     if not frames.flags.c_contiguous:
         raise ValueError("solve_neumann_frames solves in place and needs a C-contiguous array")
     rows = frames.reshape(-1, frames.shape[-1])
+    scales = np.broadcast_to(scale, frames.shape[:-1] + (1,)).reshape(-1, 1)
     for s in frame_blocks(len(rows), rows.shape[1], FRAME_BLOCK_VALUES):
-        rows[s] = solve_neumann(ops, rows[s], tol=tol)
+        rows[s] = solve_neumann(ops, rows[s], tol=tol, scale=scales[s])
 
 
-def bidomain_elliptic_solve(ops, load, *, tol):
+def bidomain_elliptic_solve(ops, load, *, tol, scale=0.0):
     """Solve K_ie phi_e = load with zero-flux boundaries and zero-mean gauge.
 
     ``load`` is an assembled load vector or an (m, n) block of loads as
-    rows.  See ``solve_neumann``.
+    rows, and ``scale`` the norm of the terms that cancelled in each.
+    See ``solve_neumann``.
     """
-    return solve_neumann(ops, load, tol=tol)
+    return solve_neumann(ops, load, tol=tol, scale=scale)
 
 
 def reduced_rhs_S(ops, I_i, I_e, *, tol=1e-11):
@@ -472,16 +464,21 @@ def reduced_operator(ops):
     return ops.coupled_system
 
 
-def solve_coupled_step(ops, f, g, *, tol):
+def solve_coupled_step(ops, f, g, *, tol, scale=0.0):
     """Solve the coupled step system ``ops.coupled_system`` (read through ``reduced_operator``).
 
-    ``g`` is the load of the psi row, which must sum to zero, as in
-    ``solve_neumann``.  ``f`` and ``g`` may be (m, N) blocks of loads as
-    rows, solved together.  An exact block inverse solves the step
-    directly (``cg_solve``); otherwise the block PCG starts cold.  Returns
-    (phi, psi) with psi in the weighted zero-mean gauge.
+    ``g`` is the load of the psi row, which must sum to zero to within
+    1e-8 of its norm plus ``scale``, the norm of the terms that
+    cancelled in it, as in ``solve_neumann``.  ``f`` and ``g`` may be
+    (m, N) blocks of loads as rows, solved together, with ``scale`` an
+    (m, 1) column.  An exact block inverse solves the step directly
+    (``cg_solve``); otherwise the block PCG starts cold.  Returns
+    (phi, psi), the two halves of the solver's result (views of one
+    array), with psi in the weighted zero-mean gauge: the block inverse
+    maps the constant mode of psi to zero (module docstring).
     """
     apply, precond = reduced_operator(ops)
     n = f.shape[-1]
-    x = cg_solve(apply, np.concatenate((f, _neumann_load(g)), axis=-1), tol=tol, precond=precond)
-    return x[..., :n], _zero_mean(ops.grid, x[..., n:])
+    load = np.concatenate((f, _neumann_load(g, scale)), axis=-1)
+    x = cg_solve(apply, load, tol=tol, precond=precond)
+    return x[..., :n], x[..., n:]

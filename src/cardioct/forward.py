@@ -25,10 +25,19 @@ the change of the currents:
 
 The lifts depend on the data only, so ``run_forward`` solves them for
 all frames before the sweep (``assembly.solve_neumann_frames``) and
-each step adds its difference to psi; only frame 0 is recovered
-(``recover_phi_e``).  phi_e^{k+1} thus carries the error of psi, the
-coupled step's ``cg_tol`` (a block residual), plus that of the lifts,
-``inner_tol``; compatibility is tested on the frame loads themselves.
+each step adds its difference to psi.  Frame 0 is read off its lift too
+(``recover_phi_e``):
+
+    phi_e^0 = lift^0 - K_ie^+ K_i phi^0,
+
+the second term one solve of a single load, shared by every batch
+member.  phi_e^{k+1} thus carries the error of psi, the coupled step's
+``cg_tol`` (a block residual), plus that of the lifts, ``inner_tol``,
+and phi_e^0 that of two solves to ``inner_tol``.  Compatibility is
+tested on the frame loads themselves, each against its norm plus that
+of the term the shift of ``compatibility_enforce`` puts in it, which
+cancels (wholly, for spatially constant currents): Mass shift^k for a
+lift, dt Mass shift^k for a step's psi row.
 
 ``run_forward`` steps over the series it returns: step k reads frame k
 of phi and w and writes frame k + 1.  ``step_monodomain`` gives
@@ -46,10 +55,10 @@ Zero-flux boundary conditions are built into the assembled operators.
 
 A run may carry a batch of controls: I_i and I_e with one leading batch
 axis of m members (``FieldSeries``).  The states are then (m, n_nodes)
-arrays, and every step and the frame-0 recovery make one ``cg_solve``
-call for the whole batch, on the (m, n_nodes) block of its loads: one
-row per member, as the states hold them, and one vector for a single
-control.  The lift blocks take the frames of all members alike.  Each
+arrays, and every step makes one ``cg_solve`` call for the whole
+batch, on the (m, n_nodes) block of its loads: one row per member, as
+the states hold them, and one vector for a single control.  The lift
+blocks take the frames of all members alike.  Each
 member is solved as its own PCG, so a batched run gives each member's
 unbatched trajectory to solver precision at the Python cost of one run.
 """
@@ -64,13 +73,12 @@ from . import grid as gridmod
 from .assembly import (
     SystemOperators,
     bidomain_elliptic_solve,
-    compatible_load,
     solve_coupled_step,
     solve_neumann_frames,
 )
 from .grid import FieldSeries, Grid, ScalarField
 from .ionic import IonicParams, gating_exact_update, i_ion
-from .linalg import cg_solve, row_product
+from .linalg import cg_solve
 
 KINDS = ("monodomain", "bidomain")
 
@@ -160,8 +168,13 @@ class ForwardResult:
 
 def compatibility_enforce(I_i, I_e):
     """Shift each I_e frame (of each batch member) by a constant so int(I_i + I_e) dx = 0."""
+    return _shifted_currents(I_i, I_e)[0]
+
+
+def _shifted_currents(I_i, I_e):
+    """``compatibility_enforce(I_i, I_e)`` and the shift it took off each frame."""
     shift = (I_i.data + I_e.data) @ I_e.grid.weights / I_e.grid.measure
-    return FieldSeries(I_e.grid, I_e.data - shift[..., None])
+    return FieldSeries(I_e.grid, I_e.data - shift[..., None]), shift
 
 
 def _explicit_part(config, phi, w):
@@ -186,27 +199,30 @@ def step_monodomain(config, phi, w, k):
     return cg_solve(A, rhs, tol=config.cg_tol, precond=precond, x0=phi)
 
 
-def recover_phi_e(config, phi_tr, k):
-    """Extracellular potential at frame k (zero-mean gauge), per batch member."""
+def recover_phi_e(config, lift):
+    """phi_e^0 = lift^0 - K_ie^+ K_i phi^0 (zero-mean gauge), per batch member.
+
+    ``lift`` is lift^0 of each member (module docstring); the K_ie
+    solve, to ``inner_tol``, reads phi^0 only and is shared by them all.
+    """
     ops = config.ops
-    currents = config.I_i.data[..., k, :] + config.I_e.data[..., k, :]
-    load = ops.mass * currents - row_product(ops.K_i, phi_tr)
-    # ||K_i||_1 ||phi|| bounds the terms of K_i phi, which cancel for a constant phi, and
-    # the currents where they cancel against it
-    scale = np.abs(ops.K_i.data).sum(axis=0).max() * np.linalg.norm(phi_tr, axis=-1, keepdims=True)
-    return bidomain_elliptic_solve(ops, compatible_load(load, scale), tol=config.inner_tol)
+    phi = config.phi0.values
+    # ||K_i||_1 ||phi|| bounds the terms of K_i phi, which cancel for a constant phi
+    scale = ops.norm_K_i * np.linalg.norm(phi)
+    return lift - bidomain_elliptic_solve(ops, ops.K_i @ phi, tol=config.inner_tol, scale=scale)
 
 
-def _current_lifts(config, out):
+def _current_lifts(config, out, scale):
     """Write lift^k = K_ie^+ Mass (I_i + I_e)^k of every frame and member into ``out``.
 
     ``out``, shaped like the run's series, receives the loads, which
     ``solve_neumann_frames`` replaces in place by their lifts, solved
-    to ``inner_tol``.
+    to ``inner_tol``; ``scale`` holds the norm of the terms that
+    cancelled in each load, shaped like ``out[..., :1]``.
     """
     np.add(config.I_i.data, config.I_e.data, out=out)
     out *= config.ops.mass
-    solve_neumann_frames(config.ops, out, tol=config.inner_tol)
+    solve_neumann_frames(config.ops, out, tol=config.inner_tol, scale=scale)
 
 
 def _check_load(load, k):
@@ -221,10 +237,14 @@ def _check_frame(frames, k):
         raise DivergenceError(f"non-finite state after step {k}: the potential has blown up")
 
 
-def step_bidomain(config, phi, w, k):
+def step_bidomain(config, phi, w, k, *, scale):
     """(phi^{k+1}, psi) of one bidomain step from phi^k and w^k.
 
     psi is phi_e^{k+1} with the frame-k currents (module docstring).
+    ``scale`` is the norm of the terms that cancelled in the psi-row
+    load dt Mass (I_i + I_e)^k, a number or an (m, 1) column for a
+    batch (``assembly.solve_coupled_step``).  psi is a view of the
+    solver's result, which the caller may update in place.
     """
     dt, mass = config.grid.dt, config.ops.mass
     I_i, I_e = config.I_i.data[..., k, :], config.I_e.data[..., k, :]
@@ -234,7 +254,7 @@ def step_bidomain(config, phi, w, k):
     _check_load(f, k)
     currents = I_i + I_e
     currents *= dt * mass
-    return solve_coupled_step(config.ops, f, currents, tol=config.cg_tol)
+    return solve_coupled_step(config.ops, f, currents, tol=config.cg_tol, scale=scale)
 
 
 def run_forward(config, *, report=True, steps=None):
@@ -251,8 +271,9 @@ def run_forward(config, *, report=True, steps=None):
     series, so ``report=True`` rejects a batch.  For a bidomain run,
     phi_e is psi of each step plus the change of the current lifts
     (module docstring): it is accurate to ``cg_tol`` of the coupled
-    step plus ``inner_tol`` of the lifts, and frame 0, which is
-    recovered, to ``inner_tol``.
+    step plus ``inner_tol`` of the lifts, and frame 0, its lift less
+    one more K_ie solve, to two solves of ``inner_tol``.  The series are
+    allocated unfilled, and every frame is written.
     """
     g = config.grid
     bidomain = config.kind == "bidomain"
@@ -266,28 +287,30 @@ def run_forward(config, *, report=True, steps=None):
         for series in (config.I_i, config.I_e):
             series.require_unbatched("run_forward(report=True)")
 
-    if bidomain:
-        config = replace(config, I_e=compatibility_enforce(config.I_i, config.I_e))
-
     phi_e = None
     if bidomain:
+        I_e, shift = _shifted_currents(config.I_i, config.I_e)
+        config = replace(config, I_e=I_e)
+        # the norm of Mass shift, which cancels in each frame's load Mass (I_i + I_e)
+        cancelled = np.abs(shift)[..., None] * np.linalg.norm(config.ops.mass)
         # phi_e holds the lifts until each step overwrites its frame; they
         # are solved before phi and w exist, which keeps the peak low.  A
         # shorter run solves them all too: its blocks keep their rows,
         # whose BLAS products round each row as in the full run
-        phi_e = FieldSeries.zeros(g, batch)
-        _current_lifts(config, phi_e.data)
+        phi_e = FieldSeries.empty(g, batch)
+        _current_lifts(config, phi_e.data, cancelled)
         lift = phi_e.data[..., 0, :].copy()
-        phi_e.data[..., 0, :] = recover_phi_e(config, config.phi0.values, 0)
-    phi = FieldSeries.zeros(g, batch)
-    w = FieldSeries.zeros(g, batch)
+        phi_e.data[..., 0, :] = recover_phi_e(config, lift)
+    phi = FieldSeries.empty(g, batch)
+    w = FieldSeries.empty(g, batch)
     phi.data[..., 0, :] = config.phi0.values
     w.data[..., 0, :] = config.w0.values
 
     for k in range(steps):
         phi_k, w_k = phi.data[..., k, :], w.data[..., k, :]
         if bidomain:
-            phi_next, psi = step_bidomain(config, phi_k, w_k, k)
+            scale = g.dt * cancelled[..., k, :]
+            phi_next, psi = step_bidomain(config, phi_k, w_k, k, scale=scale)
             # phi_e^{k+1} = psi + lift^{k+1} - lift^k, in place of lift^{k+1}
             frame = phi_e.data[..., k + 1, :]
             psi -= lift

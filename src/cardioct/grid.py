@@ -216,8 +216,13 @@ class FieldSeries:
         self.data = np.ascontiguousarray(d)
 
     @classmethod
-    def zeros(cls, grid, batch_shape=()):
-        return cls(grid, np.zeros(tuple(batch_shape) + (grid.n_steps + 1, grid.n_nodes)))
+    def zeros(cls, grid):
+        return cls(grid, np.zeros((grid.n_steps + 1, grid.n_nodes)))
+
+    @classmethod
+    def empty(cls, grid, batch_shape=()):
+        """A series of unfilled frames, each of which its caller must write."""
+        return cls(grid, np.empty(tuple(batch_shape) + (grid.n_steps + 1, grid.n_nodes)))
 
     @property
     def batch_shape(self):

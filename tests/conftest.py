@@ -114,6 +114,21 @@ def read_snapshots(path):
     return dim, nodes, frames.reshape(n_frames, -1).astype(float)
 
 
+def recover_phi_e(config, phi_tr, k):
+    """phi_e at frame k from its own elliptic solve, per batch member: the lifts' oracle.
+
+    K_ie phi_e = Mass (I_i + I_e)^k - K_i phi^k, solved to ``inner_tol``
+    in the zero-mean gauge; ||K_i||_1 ||phi|| bounds the terms of
+    K_i phi, which cancel for a constant phi, and the currents where
+    they cancel against it.
+    """
+    ops = config.ops
+    currents = config.I_i.data[..., k, :] + config.I_e.data[..., k, :]
+    load = ops.mass * currents - linalg.row_product(ops.K_i, phi_tr)
+    scale = np.abs(ops.K_i.data).sum(axis=0).max() * np.linalg.norm(phi_tr, axis=-1, keepdims=True)
+    return assembly.bidomain_elliptic_solve(ops, load, tol=config.inner_tol, scale=scale)
+
+
 def identical_run_difference(config):
     """Max pointwise difference between two runs of the same data (exactly 0)."""
     a = run_forward(config, report=False)
@@ -212,8 +227,11 @@ def solves(monkeypatch):
             entry["applications"] += 1
             return matvec(v)
 
-        entry["x"] = linalg.cg_solve(counting, b, **kwargs)
-        return entry["x"]
+        x = linalg.cg_solve(counting, b, **kwargs)
+        # a copy: the caller may update the result in place (the forward
+        # sweep updates psi, a view of the coupled step's result)
+        entry["x"] = x.copy()
+        return x
 
     for module in (forward, adjoint, assembly):
         monkeypatch.setattr(module, "cg_solve", counted)

@@ -149,7 +149,7 @@ def test_field_series_batch_axes(grid2d):
     series = FieldSeries(grid2d, np.zeros((2, 3) + frames))
     assert series.batch_shape == (2, 3)
     assert series.n_frames == frames[0]
-    assert FieldSeries.zeros(grid2d, (4,)).data.shape == (4,) + frames
+    assert FieldSeries.empty(grid2d, (4,)).data.shape == (4,) + frames
     assert FieldSeries.zeros(grid2d).batch_shape == ()
     with pytest.raises(ValueError, match="series shape"):
         FieldSeries(grid2d, np.zeros((2, frames[0] + 1, frames[1])))
@@ -157,7 +157,8 @@ def test_field_series_batch_axes(grid2d):
     with pytest.raises(ValueError, match="batch axis"):
         replace(cfg, I_e=series)
     with pytest.raises(ValueError):  # batches of different sizes do not broadcast
-        replace(cfg, I_i=FieldSeries.zeros(grid2d, (2,)), I_e=FieldSeries.zeros(grid2d, (3,)))
+        replace(cfg, I_i=FieldSeries(grid2d, np.zeros((2,) + frames)),
+                I_e=FieldSeries(grid2d, np.zeros((3,) + frames)))
 
 
 @pytest.mark.parametrize("kind", ["monodomain", "bidomain"])

@@ -134,7 +134,7 @@ def test_snapshot_roundtrip(tmp_path):
 def test_snapshot_of_a_batch_rejected(tmp_path):
     g = Grid((4,), (1.0,), 1.0, 2)
     with pytest.raises(ValueError, match="write_snapshots"):
-        write_snapshots(tmp_path / "b.bdmf", FieldSeries.zeros(g, (2,)))
+        write_snapshots(tmp_path / "b.bdmf", FieldSeries(g, np.zeros((2, 3, 4))))
 
 
 def test_snapshot_magic_rejected(tmp_path):

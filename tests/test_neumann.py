@@ -2,8 +2,8 @@
 
 A load that sums to zero lies in the range of K_ie, and the spectral
 pseudo-inverse is positive definite there, so plain PCG converges on
-the singular system; ``solve_neumann`` then fixes the weighted
-zero-mean gauge.
+the singular system, and its iterates keep the weighted zero-mean
+gauge of the pseudo-inverse's range.
 """
 
 from dataclasses import replace
@@ -17,14 +17,14 @@ from cardioct.adjoint import CostConfig, run_adjoint
 from cardioct.assembly import (
     CompatibilityError,
     build_operators,
-    compatible_load,
     solve_coupled_step,
     solve_neumann,
+    solve_neumann_frames,
 )
-from cardioct.forward import recover_phi_e, run_forward
+from cardioct.forward import run_forward
 from cardioct.grid import FieldSeries, Grid, TensorField
 
-from conftest import constant_field, fibres, make_problem, random_spd, scar
+from conftest import constant_field, fibres, make_problem, random_spd, recover_phi_e, scar
 
 GRIDS = [
     ((7,), (1.3,)),
@@ -82,7 +82,7 @@ def test_solve_neumann_matches_dense_solve(nodes, contrast, bound):
 @pytest.mark.parametrize("kind", ["constant", "fibres"])
 def test_a_zero_load_gives_exact_zeros(kind):
     # cg_solve returns a zero row for a zero load on the direct and the PCG
-    # path, first solve or later, and the gauge shift of zero is zero
+    # path, first solve or later
     g = Grid((9, 7), (1.0, 1.3), 1.0, 1)
     mi = fibres(g) if kind == "fibres" else TensorField.diagonal(g, (1.0, 0.4))
     ops = build_operators(g, mi, TensorField.diagonal(g, (0.6, 1.2)))
@@ -134,4 +134,36 @@ def test_loads_whose_terms_cancel_to_roundoff_are_compatible():
 
     # a load that does not sum to zero is still rejected
     with pytest.raises(CompatibilityError):
-        compatible_load(g.weights.copy(), 1.0)
+        solve_neumann(cfg.ops, g.weights.copy(), tol=1e-10, scale=1.0)
+
+
+@pytest.mark.parametrize("pulse", [False, True], ids=["constant", "pulse"])
+def test_spatially_constant_currents_are_compatible(pulse):
+    # compatibility_enforce shifts a frame of constant currents to a roundoff
+    # constant, whose lift and psi-row loads are pure cancellation; they are
+    # judged against the norm of the shift's term Mass shift, which cancelled
+    g = Grid((17, 17), (1.0, 1.0), 0.3, 3)
+    cfg = make_problem(g, kind="bidomain", stimulus=0.3)
+    base = cfg.I_e.data if pulse else np.zeros_like(cfg.I_e.data)
+    ref = run_forward(replace(cfg, I_e=FieldSeries(g, base)), report=False)
+    res = run_forward(replace(cfg, I_e=FieldSeries(g, base + 0.7)), report=False)
+    for name in ("phi_tr", "phi_e"):
+        got, want = getattr(res, name).data, getattr(ref, name).data
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+def test_loads_incompatible_beyond_roundoff_still_raise():
+    # a constant current of 1e-6 left over by a shift of 0.7: far above the
+    # roundoff of the shift's term, so the scale of that term does not excuse it
+    g = Grid((17, 17), (1.0, 1.0), 0.3, 3)
+    ops = make_problem(g, kind="bidomain").ops
+    scale = 0.7 * np.linalg.norm(ops.mass)
+    load = 1e-6 * ops.mass
+    with pytest.raises(CompatibilityError):
+        solve_neumann(ops, load, tol=1e-11, scale=scale)
+    frames = np.stack([np.zeros(g.n_nodes), load])
+    with pytest.raises(CompatibilityError, match="row 1"):
+        solve_neumann_frames(ops, frames, tol=1e-11, scale=np.full((2, 1), scale))
+    f = g.weights * np.random.default_rng(3).standard_normal(g.n_nodes)
+    with pytest.raises(CompatibilityError):
+        solve_coupled_step(ops, f, g.dt * load, tol=1e-10, scale=g.dt * scale)

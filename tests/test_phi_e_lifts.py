@@ -2,7 +2,8 @@
 
 The forward sweep stores phi_e^{k+1} = psi + lift^{k+1} - lift^k with
 lift^k = K_ie^+ Mass (I_i + I_e)^k solved for every frame before the
-sweep; only frame 0 is recovered from its own elliptic solve.  The
+sweep, and phi_e^0 = lift^0 - K_ie^+ K_i phi^0.  Every frame is checked
+against its recovery from its own elliptic solve (``conftest``).  The
 adjoint solves psi_eta for every frame before its sweep.  Both block
 their frames (``assembly.solve_neumann_frames``), which bounds the
 memory a long run needs.
@@ -17,10 +18,10 @@ import pytest
 from cardioct import assembly
 from cardioct.adjoint import CostConfig, run_adjoint
 from cardioct.assembly import CompatibilityError, _neumann_load, build_operators, solve_neumann
-from cardioct.forward import compatibility_enforce, recover_phi_e, run_forward
+from cardioct.forward import compatibility_enforce, run_forward
 from cardioct.grid import FieldSeries, Grid, TensorField
 
-from conftest import fibres, make_problem
+from conftest import fibres, make_problem, recover_phi_e
 
 
 def _fibre_bidomain(cfg):
@@ -92,7 +93,7 @@ def test_control_constant_in_time_raises_no_compatibility_error():
     changes = cfg.ops.mass * np.diff(cfg.I_i.data + used, axis=0)
     assert changes.any()
     with pytest.raises(CompatibilityError):
-        _neumann_load(changes.T)
+        _neumann_load(changes, 0.0)
     res = run_forward(cfg, report=False)
     _assert_matches_recovery(cfg, res, TENSORS["constant"])
 
