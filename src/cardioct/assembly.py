@@ -15,17 +15,29 @@ dim (``_stencil_pairs``).  A constant tensor (``TensorField.constant``)
 is checked and contracted as one cell, whose element matrix each
 slice-add broadcasts over the cells.  The weights of each negative
 offset are a shifted copy of its mirror (K[j - d, j] = K[j, j - d]),
-so K is exactly symmetric with no symmetrization pass.  The stencil
-is zeroed by a write pass (``np.full``), not a calloc'd ``np.zeros``:
-the untouched pages of the latter fault once when a slice-add reads
-them and again when it writes them, while written first each page
-faults in once and the adds and copies land on resident pages.
-Out-of-grid entries keep that zero.  The stiffness matrices stay DIA
+so K is exactly symmetric with no symmetrization pass.  The stencil is
+zeroed by a write pass (``np.full``), not a calloc'd ``np.zeros``: the
+untouched pages of the latter fault once when a slice-add reads them
+and again when it writes them, while written first each page faults in
+once and the adds and copies land on resident pages.  Out-of-grid
+entries keep that zero.  A constant tensor's stencil is summed on its
+class grid instead.  Along each axis an entry of such a stencil
+depends only on whether its column node is the first, an inner or the
+last node: where the delta is 0 the entry sums the cells on either
+side of the node that exist, and where it is +-1 it comes from the one
+cell between the two nodes, which exists unless the other node is off
+the grid.  So the slice-adds and mirror copies run unchanged on
+min(n, 3) nodes per axis (both nodes of a 2-node axis), in the grid's
+stencil rows, and one ``np.repeat`` per axis widens that small stencil
+into the full one, which is written once, with no zero-fill.  Each
+entry sums the same terms in the same order as a grid-sized pass
+would, so the two agree bit for bit.  The stiffness matrices stay DIA
 (sums, scalings and products keep the format), and so does
-K_ie = K_i + K_e.  The mass matrix is lumped to the tensor-trapezoid
-weights (``Grid.weights``), which is the row-sum lumping of the
-consistent element mass and keeps the operator algebra consistent with
-the grid's quadrature.
+K_ie = K_i + K_e, the sum of the two stencils, which share their
+offsets.  The mass matrix is lumped to the tensor-trapezoid weights
+(``Grid.weights``), which is the row-sum lumping of the consistent
+element mass and keeps the operator algebra consistent with the grid's
+quadrature.
 
 One bidomain step is the coupled block system
 
@@ -111,6 +123,14 @@ class CompatibilityError(ValueError):
     """A pure-Neumann load does not integrate to zero."""
 
 
+@cache
+def _upper_pairs(dim):
+    """``np.triu_indices(dim, 1)``, built once per dim; both arrays are read-only."""
+    i, j = np.triu_indices(dim, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def ellipticity_check(tensor):
     """Validate a tensor field: every cell finite, symmetric and positive definite.
 
@@ -124,7 +144,7 @@ def ellipticity_check(tensor):
     if not np.isfinite(e).all():
         raise EllipticityError("tensor has a non-finite entry")
     scale = float(np.max(np.abs(e))) or 1.0
-    i, j = np.triu_indices(e.shape[1], 1)
+    i, j = _upper_pairs(e.shape[1])
     upper, lower = e[:, i, j], e[:, j, i]
     if float(np.abs(upper - lower).max(initial=0.0)) > 1e-12 * scale:
         raise EllipticityError("tensor has a non-symmetric cell")
@@ -195,7 +215,9 @@ def assemble_stiffness(tensor):
     3^dim-point stencil as a ``scipy.sparse.dia_matrix`` (see the
     module docstring): exactly symmetric, with zeros stored for the
     out-of-grid entries.  A constant tensor is contracted as one cell,
-    whose element matrix every slice-add broadcasts over the cells.
+    whose element matrix every slice-add broadcasts over the cells of
+    its class grid, min(n, 3) nodes per axis; the class-grid stencil is
+    then widened to the grid's, which is written once.
     """
     ellipticity_check(tensor)
     grid = tensor.grid
@@ -218,17 +240,26 @@ def assemble_stiffness(tensor):
     # deltas that differ across an axis of 2 nodes can share a flat offset; no node
     # pair has two deltas, so they share one stencil row without overlapping
     offsets, row = np.unique(deltas @ strides, return_inverse=True)
-    cols = [tuple(slice(c, c + n - 1) for c, n in zip(beta, nodes)) for beta in corners]
+    # a constant tensor is summed on its class grid, in the grid's rows: the class
+    # grid's strides could merge deltas that the grid's keep apart
+    shape = tuple(min(n, 3) for n in nodes) if tensor.constant else nodes
+    cols = [tuple(slice(c, c + n - 1) for c, n in zip(beta, shape)) for beta in corners]
     # DIA layout, indexed by the column node j: stencil[r, j] = K[j - offsets[r], j];
     # zeroed by a write pass, so the adds and copies below land on resident pages
-    stencil = np.full((len(offsets),) + nodes, 0.0)
+    stencil = np.full((len(offsets),) + shape, 0.0)
     for a, b, s in pairs:
         stencil[(row[s],) + cols[b]] += Ke[a, b]
     for s in range(len(deltas) // 2):
         # K[j - delta, j] = K[j, j - delta], stored under the mirror delta -delta
-        dst = tuple(slice(max(0, d), n - max(0, -d)) for d, n in zip(deltas[s], nodes))
-        src = tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(deltas[s], nodes))
+        dst = tuple(slice(max(0, d), n - max(0, -d)) for d, n in zip(deltas[s], shape))
+        src = tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(deltas[s], shape))
         stencil[(row[s],) + dst] = stencil[(row[-1 - s],) + src]
+    if tensor.constant:
+        # widen the first, inner and last node of each axis to their nodes, the
+        # longest axis last, so no temporary exceeds 3/max(nodes) of the stencil
+        for k in sorted(range(dim), key=nodes.__getitem__):
+            n = nodes[k]
+            stencil = np.repeat(stencil, [1, n - 2, 1] if n > 2 else [1, 1], axis=k + 1)
     n = grid.n_nodes
     return sp.dia_matrix((stencil.reshape(len(offsets), n), offsets), shape=(n, n))
 
@@ -344,10 +375,11 @@ def build_operators(grid, mi, me=None, lam=1.0):
     """Assemble SystemOperators from intra (and optional extra) tensors.
 
     Each tensor is checked and assembled once; K_ie is the sum of the
-    two stiffness matrices, which is the stiffness of mi + me, summed
-    in DIA.  The lumped mass is a copy of the quadrature weights.  The
-    conductivity ratio ``lam`` must be positive, and each tensor must
-    live on ``grid`` (ValueError).
+    two stiffness matrices, which is the stiffness of mi + me, formed as
+    one add of their stencils, which share their offsets.  The lumped
+    mass is a copy of the quadrature weights.  The conductivity ratio
+    ``lam`` must be positive, and each tensor must live on ``grid``
+    (ValueError).
     """
     if not lam > 0:
         raise ValueError(f"lam must be positive, not {lam}")
@@ -358,7 +390,7 @@ def build_operators(grid, mi, me=None, lam=1.0):
     K_e = K_ie = None
     if me is not None:
         K_e = assemble_stiffness(me)
-        K_ie = K_i + K_e
+        K_ie = sp.dia_matrix((K_i.data + K_e.data, K_i.offsets), shape=K_i.shape)
     return SystemOperators(
         grid=grid,
         mass=grid.weights.copy(),
@@ -380,8 +412,10 @@ def _neumann_load(load, scale):
     load's total exceeds 1e-8 times its norm plus its ``scale``.
     """
     total = load.sum(axis=-1, keepdims=True)
-    bound = np.sqrt((load * load).sum(axis=-1, keepdims=True))
-    bound += scale
+    if load.ndim == 1:
+        bound = np.sqrt(np.dot(load, load)) + scale
+    else:
+        bound = np.sqrt((load * load).sum(axis=-1, keepdims=True)) + scale
     excess = np.abs(total) - 1e-8 * bound
     if (excess > 0.0).any():
         j = np.argmax(excess)

@@ -153,7 +153,23 @@ def _constant_cell_tensors(g):
     ]
 
 
-@pytest.mark.parametrize("nodes, lengths", GRIDS + [((2, 2), (0.5, 1.0)), ((2, 2, 2), (1.0, 0.7, 0.4))])
+# A constant tensor is summed on the class grid, min(n, 3) nodes per axis, and
+# widened: these grids widen every axis, or set 2-node axes beside widened ones.
+# On (7, 4, 2) the class grid (3, 3, 2) would merge deltas into one flat offset
+# that the grid keeps apart, so its stencil rows are those of the grid.
+CLASS_GRIDS = [
+    ((11,), (0.9,)),
+    ((13, 6), (1.0, 0.45)),
+    ((6, 7, 8), (0.8, 1.1, 0.6)),
+    ((2, 9, 6), (0.3, 1.2, 0.7)),
+    ((9, 2, 9), (1.4, 0.2, 0.9)),
+    ((7, 4, 2), (0.6, 1.3, 0.25)),
+]
+
+
+@pytest.mark.parametrize(
+    "nodes, lengths", GRIDS + [((2, 2), (0.5, 1.0)), ((2, 2, 2), (1.0, 0.7, 0.4))] + CLASS_GRIDS
+)
 def test_constant_tensors_match_the_einsum_oracle(nodes, lengths):
     g = Grid(nodes, lengths, 1.0, 1)
     for tensor in _constant_cell_tensors(g):
