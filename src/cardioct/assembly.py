@@ -28,8 +28,9 @@ side of the node that exist, and where it is +-1 it comes from the one
 cell between the two nodes, which exists unless the other node is off
 the grid.  So the slice-adds and mirror copies run unchanged on
 min(n, 3) nodes per axis (both nodes of a 2-node axis), in the grid's
-stencil rows, and one ``np.repeat`` per axis widens that small stencil
-into the full one, which is written once, with no zero-fill.  Each
+stencil rows, and one ``np.repeat`` per axis of more than 3 nodes
+widens that small stencil into the full one, which is written once,
+with no zero-fill.  Each
 entry sums the same terms in the same order as a grid-sized pass
 would, so the two agree bit for bit.  The stiffness matrices stay DIA
 (sums, scalings and products keep the format), and so does
@@ -255,11 +256,11 @@ def assemble_stiffness(tensor):
         src = tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(deltas[s], shape))
         stencil[(row[s],) + dst] = stencil[(row[-1 - s],) + src]
     if tensor.constant:
-        # widen the first, inner and last node of each axis to their nodes, the
+        # widen the inner node of each axis longer than 3 to its n - 2 nodes, the
         # longest axis last, so no temporary exceeds 3/max(nodes) of the stencil
         for k in sorted(range(dim), key=nodes.__getitem__):
-            n = nodes[k]
-            stencil = np.repeat(stencil, [1, n - 2, 1] if n > 2 else [1, 1], axis=k + 1)
+            if nodes[k] > 3:
+                stencil = np.repeat(stencil, [1, nodes[k] - 2, 1], axis=k + 1)
     n = grid.n_nodes
     return sp.dia_matrix((stencil.reshape(len(offsets), n), offsets), shape=(n, n))
 
@@ -412,10 +413,8 @@ def _neumann_load(load, scale):
     load's total exceeds 1e-8 times its norm plus its ``scale``.
     """
     total = load.sum(axis=-1, keepdims=True)
-    if load.ndim == 1:
-        bound = np.sqrt(np.dot(load, load)) + scale
-    else:
-        bound = np.sqrt((load * load).sum(axis=-1, keepdims=True)) + scale
+    bound = np.sqrt((load * load).sum(axis=-1, keepdims=True))
+    bound += scale
     excess = np.abs(total) - 1e-8 * bound
     if (excess > 0.0).any():
         j = np.argmax(excess)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from cardioct.adjoint import CostConfig, run_adjoint
 from cardioct.assembly import (
     CompatibilityError,
-    _neumann_load,
     build_operators,
     solve_coupled_step,
     solve_neumann,
@@ -168,22 +167,3 @@ def test_loads_incompatible_beyond_roundoff_still_raise():
     f = g.weights * np.random.default_rng(3).standard_normal(g.n_nodes)
     with pytest.raises(CompatibilityError):
         solve_coupled_step(ops, f, g.dt * load, tol=1e-10, scale=g.dt * scale)
-
-
-@pytest.mark.parametrize("excess", [0.5, 2.0])
-def test_one_load_and_its_one_row_block_are_judged_alike(excess):
-    # a one-row load takes its norm by a dot product, a block row by row; a
-    # total of half or twice the 1e-8 bound gets the same verdict and shift
-    rng = np.random.default_rng(7)
-    load = rng.standard_normal(289)
-    load -= load.mean()
-    scale = 0.3
-    load[0] += excess * 1e-8 * (np.linalg.norm(load) + scale)
-    if excess < 1.0:
-        one, block = _neumann_load(load, scale), _neumann_load(load[None], np.full((1, 1), scale))
-        assert np.array_equal(one, block[0])
-        return
-    with pytest.raises(CompatibilityError):
-        _neumann_load(load, scale)
-    with pytest.raises(CompatibilityError, match="row 0"):
-        _neumann_load(load[None], np.full((1, 1), scale))
